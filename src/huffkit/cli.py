@@ -8,7 +8,7 @@ and JSON byte for byte (PGM renders may differ by a rounding ulp in real
 mode).
 
 Exit codes: 0 success, 1 usage, 2 I/O, 3 domain (constraint violation),
-4 numerical (divergence).
+4 numerical (divergence, or a correlation that fails its exactness check).
 """
 
 from __future__ import annotations
@@ -18,11 +18,12 @@ import math
 import os
 import platform
 import sys
+from importlib import metadata
 from pathlib import Path
 
 import click
 import numpy as np
-import scipy
+import scipy  # only for scipy.__version__ in run.json
 
 from . import __version__
 from .construct import HuffmanSpec, build, diamond7_closed_form, diamond7_solve
@@ -57,7 +58,7 @@ class _Group(click.Group):
         except click.ClickException as exc:  # includes UsageError
             click.echo(f"usage error: {exc.format_message()}", err=True)
             sys.exit(_EXIT_USAGE)
-        except DivergenceError as exc:
+        except (DivergenceError, ArithmeticError) as exc:
             click.echo(f"numerical error: {exc}", err=True)
             sys.exit(_EXIT_NUMERICAL)
         except OSError as exc:
@@ -69,18 +70,8 @@ class _Group(click.Group):
 
 
 @click.group(cls=_Group)
-@click.option(
-    "--threads",
-    type=click.IntRange(min=1),
-    default=None,
-    help="Cap worker threads. Execution is sequential either way, so this "
-    "never changes results.",
-)
-def main(threads: int | None) -> None:
+def main() -> None:
     """Delta-correlated arrays: construct, score, project, image."""
-    if threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +138,7 @@ def _emit_run(
         "seed": seed,
         "package": {"name": "huffkit", "version": __version__},
         "versions": {
-            "click": click.__version__,
+            "click": metadata.version("click"),
             "numpy": np.__version__,
             "python": platform.python_version(),
             "scipy": scipy.__version__,

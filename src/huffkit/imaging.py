@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import signal as _signal
 
 from .lattice import LatticeError, Tensor, as_tensor, convolve, correlate
 from .metrics import merit_factor, side_lobe_ratio
@@ -178,12 +177,15 @@ def deblur(blurred, mask, iterations: int = 2) -> DeblurResult:
     o1 = np.asarray(convolve(blurred, mask).data, dtype=np.float64) / c0
     obj_shape = tuple(b - m + 1 for b, m in zip(blurred.shape, mask.shape))
 
+    # the "same" part of convolve(o, A_off): centred on the full result, so
+    # it starts (extent(A_off) - 1) // 2 in along each axis
+    same = tuple(slice((n - 1) // 2, (n - 1) // 2 + m) for n, m in zip(a_off.shape, o1.shape))
     o = o1
     steps: list[float] = []
     diverged = False
     growth = 0
     for _ in range(iterations - 1):
-        nxt = o1 - _signal.convolve(o, a_off, mode="same", method="auto") / c0
+        nxt = o1 - convolve(Tensor(o, "real"), Tensor(a_off, "real")).data[same] / c0
         steps.append(float(np.abs(nxt - o).max()))
         o = nxt
         if len(steps) >= 2 and steps[-1] > steps[-2]:

@@ -1,8 +1,9 @@
 """Shared fixtures and the independent correlation oracle.
 
 The oracle below is deliberately naive — nested Python loops over every
-displacement, exact int arithmetic — so the fast scipy-backed engine in the
-package is always checked against something with no shared code path.
+displacement, exact int arithmetic — so the package's numpy engine (direct
+int64, certified float FFT, limb split and real paths) is always checked
+against something with no shared code path.
 """
 
 from __future__ import annotations

@@ -211,6 +211,14 @@ def test_dimensionality_mismatch_rejected(h9, h9x9):
         correlate(h9, h9x9)
 
 
+def test_equal_tensors_hash_alike():
+    a = Tensor.from_values([[1, -2], [3, 4]])
+    b = Tensor(np.array([[1, -2], [3, 4]], dtype=object), "int")
+    assert a == b and a is not b
+    assert len({a, b, Tensor.from_values([[1, -2], [3, 4]])}) == 1
+    assert len({a, Tensor.from_values([[1, -2], [3, 5]]), Tensor.from_values([1, -2, 3, 4])}) == 3
+
+
 def test_as_tensor_passthrough(h9):
     assert as_tensor(h9) is h9
     assert as_tensor([1, 2]).mode == "int"
