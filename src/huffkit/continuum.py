@@ -10,7 +10,13 @@ standard asymptotic expansions outside).
 `discretize_and_tweak` turns a sampled real probe into a small-bit-depth
 integer array: scale so max|h| hits 2^bits - 1, round, then greedily apply
 the single best +/-1 element change per iteration until no change improves
-the chosen quality metric.
+the chosen quality metric.  |a_i| <= 2^bits - 1 holds as a hard bound (an
+integer input already past it may only move toward zero).  A move
+a_i -> a_i + t changes the auto-correlation to C + t*g_i + delta with
+g_i(s) = a(i+s) + a(i-s), so the peak and energy of every move follow from
+one correlation of C with a and one self-convolution of a per iteration, and
+the merit factor of all 2N moves is scored at once in exact integers.  Ties go
+to the lowest flat index, +1 before -1.
 """
 
 from __future__ import annotations
@@ -22,8 +28,9 @@ from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .lattice import Tensor, as_tensor, correlate
+from .lattice import _INT64_MAX, Tensor, as_tensor, convolve, correlate
 from .metrics import QualityReport, classify
 
 __all__ = [
@@ -309,47 +316,164 @@ class TweakResult:
     undefined: bool = False
 
 
-_SQUARE_SUM_SAFE = 2**62
+# Floats only shortlist moves for the exact comparison.  A ratio of two
+# integers, each rounded once to float64 and then divided, is within 3 units
+# of roundoff (3 * 2^-53) of the exact ratio, so every move that ties the
+# exact maximum lies well inside this relative margin of the float maximum.
+_SHORTLIST_MARGIN = 1e-12
+
+# Entries per temporary when all off-peak maxima are taken at once (1 MiB of
+# int64), so a large 2D probe never holds one correlation per move.
+_CHUNK = 1 << 17
+
+_STEPS = np.array([1, -1])  # move k is (flat index k // 2, _STEPS[k % 2])
 
 
-def _objective(values: np.ndarray, zero: tuple[int, ...], name: str):
-    """(primary, secondary) exact score; larger is better."""
-    c0 = int(values[zero])
-    mags = np.abs(values)
-    peak_mag = int(mags.max())
+def _ratio(num: int, den: int):
+    return math.inf if den == 0 else Fraction(num, den)
+
+
+def _square_sum(values: np.ndarray) -> int:
+    """sum(values**2) in Python ints."""
     flat = values.reshape(-1)
-    if values.dtype == np.int64 and values.size * peak_mag * peak_mag <= _SQUARE_SUM_SAFE:
-        total = int(np.dot(flat, flat))
-    else:
-        total = int((flat.astype(object) * flat.astype(object)).sum())
-    off2 = total - c0 * c0
+    peak = int(np.abs(flat).max())
+    if flat.size * peak * peak <= _INT64_MAX:
+        return int(np.dot(flat, flat))
+    flat = flat.astype(object)
+    return int(np.dot(flat, flat))
+
+
+def _off_peak_max(values: np.ndarray, zero: tuple[int, ...]) -> int:
+    mags = np.abs(values)
     mags[zero] = 0
-    maxoff = int(mags.max())
-    m = math.inf if off2 == 0 else Fraction(c0 * c0, off2)
-    r = math.inf if maxoff == 0 else Fraction(c0, maxoff)
-    return (m, r) if name == "M" else (r, m)
+    return int(mags.max())
 
 
-def _tweak_scan(start: np.ndarray, corr: np.ndarray, zero: tuple[int, ...], name: str):
-    """Best single +/-1 change, or None.  Ties: lowest flat index, +1 first."""
-    best_key = _objective(corr, zero, name)
-    best = None
-    shape = start.shape
-    for flat in range(start.size):
-        idx = np.unravel_index(flat, shape)
-        plus = np.zeros_like(corr)
-        window = tuple(
-            slice(n - 1 - i, 2 * n - 1 - i) for i, n in zip(idx, shape)
-        )
-        plus[window] = start
-        gather = plus + plus[tuple(slice(None, None, -1) for _ in shape)]
-        for t in (1, -1):
-            cand = corr + t * gather
-            cand[zero] += 1
-            key = _objective(cand, zero, name)
-            if key > best_key:
-                best_key, best = key, (flat, t, cand)
-    return best
+def _reverse(ndim: int) -> tuple:
+    return (Ellipsis,) + (slice(None, None, -1),) * ndim
+
+
+def _moved(corr: np.ndarray, windows: np.ndarray, zero: tuple[int, ...], flat: int, t: int):
+    """C' = C + t*g + delta after a(flat) += t, with g(s) = a(i+s) + a(i-s)."""
+    w = windows[np.unravel_index(flat, windows.shape[: corr.ndim])]
+    out = corr + t * (w + w[_reverse(corr.ndim)])
+    out[zero] += 1
+    return out
+
+
+def _off_peak_maxima(corr: np.ndarray, windows: np.ndarray, zero: tuple[int, ...]) -> np.ndarray:
+    """Off-peak max |C + t*g_i| of every move, in move order, chunk by chunk."""
+    shape = windows.shape[: corr.ndim]
+    count = math.prod(shape)
+    flat_corr = corr.reshape(-1)
+    z = np.ravel_multi_index(zero, corr.shape)
+    step = max(1, _CHUNK // corr.size)
+    out = np.empty((count, 2), dtype=np.int64)
+    for lo in range(0, count, step):
+        block = windows[np.unravel_index(np.arange(lo, min(lo + step, count)), shape)]
+        g = (block + block[_reverse(corr.ndim)]).reshape(len(block), -1)
+        for col, t in enumerate(_STEPS):
+            mags = np.abs(flat_corr + t * g)
+            mags[:, z] = 0
+            out[lo : lo + len(block), col] = mags.max(axis=1)
+    return out.reshape(-1)
+
+
+def _top(num: np.ndarray, den: np.ndarray, moves: np.ndarray):
+    """(exact max of num/den over ``moves``, the moves reaching it, ascending).
+
+    The ratio is inf where den == 0.  Float ratios pick the shortlist that
+    the exact ratios then decide; values past float64 skip the shortlist.
+    """
+    try:
+        n, d = num[moves].astype(np.float64), den[moves].astype(np.float64)
+    except OverflowError:
+        pass
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = np.where(d == 0, np.inf, n / d)
+        moves = moves[q >= q.max() * (1 - _SHORTLIST_MARGIN)]
+    keys = [_ratio(int(num[k]), int(den[k])) for k in moves]
+    best = max(keys)
+    return best, [int(k) for k, key in zip(moves, keys) if key == best]
+
+
+def _tweak_scan(
+    start: np.ndarray, corr: np.ndarray, zero: tuple[int, ...], name: str, limit: int
+):
+    """Best single +/-1 move as (flat, t, new correlation), or None.
+
+    Every move a_i -> a_i + t is scored at once: its correlation is
+    C' = C + t*g_i + delta with g_i(s) = a(i+s) + a(i-s), so
+
+        c0' = c0 + 2t*a_i + 1
+        E'  = sum C'^2 = E + 4*c0 + 2*S(i) + 1 + 4t*(D(i) + a_i)
+
+    with D = (C correlated with a) read on [n-1, 2n-1) per axis and
+    S(i) = (a convolved with a) at 2i, both from the exact engine.  Moves with
+    |a_i + t| > limit are left out unless they bring a_i toward zero.  The
+    score is exact: (M, R) for objective "M", (R, M) for "R", with
+    M = c0'^2 / (E' - c0'^2) and R = c0' / off-peak max |C'|; the secondary
+    is worked out only for moves tied on the primary.  The move must beat
+    the current score; among equal scores the lowest flat index wins, +1
+    before -1.  The winner's C' is rebuilt and must show the c0' and E' it
+    was scored with, or ``ArithmeticError`` is raised.
+    """
+    a = start.reshape(-1)
+    c0 = int(corr[zero])
+    amax = int(np.abs(a).max())
+    if c0 + 2 * amax + 1 > _INT64_MAX:  # bounds every |C'(s)| by Cauchy-Schwarz
+        raise ArithmeticError("a +/-1 move would take the auto-correlation past int64")
+    energy = _square_sum(corr)
+    maxoff = _off_peak_max(corr, zero)
+
+    d_full = correlate(Tensor(corr, "int"), Tensor(start, "int")).values
+    s_full = convolve(Tensor(start, "int"), Tensor(start, "int"))
+    base = energy + 4 * c0 + 1
+    bound = base + 2 * s_full.max_abs() + 4 * (d_full.max_abs() + amax)
+    dtype = np.int64 if bound <= _INT64_MAX else object
+    window = tuple(slice(n - 1, 2 * n - 1) for n in start.shape)
+    d = d_full.data[window].reshape(-1).astype(dtype)
+    s = s_full.data[(slice(None, None, 2),) * start.ndim].reshape(-1).astype(dtype)
+    x = a.astype(dtype)[:, None]
+    peaks = (c0 + 1 + 2 * x * _STEPS).reshape(-1)
+    energies = (base + 2 * s[:, None] + 4 * (d[:, None] + x) * _STEPS).reshape(-1)
+    off2 = energies - peaks * peaks
+
+    # never empty: each entry has a move that shrinks |a_i| or keeps it within 1 <= limit
+    moved = np.abs(a[:, None] + _STEPS)
+    moves = np.flatnonzero((moved <= limit) | (moved < np.abs(a)[:, None]))
+    pad = [(n - 1, n - 1) for n in start.shape]
+    windows = sliding_window_view(np.pad(start, pad), corr.shape)
+
+    def candidate(k: int) -> np.ndarray:
+        return _moved(corr, windows, zero, k // 2, int(_STEPS[k % 2]))
+
+    m_now, r_now = _ratio(c0 * c0, energy - c0 * c0), _ratio(c0, maxoff)
+    if name == "M":
+        current = (m_now, r_now)
+        best, tied = _top(peaks * peaks, off2, moves)
+
+        def secondary(k: int):
+            return _ratio(int(peaks[k]), _off_peak_max(candidate(k), zero))
+    else:
+        current = (r_now, m_now)
+        best, tied = _top(peaks, _off_peak_maxima(corr, windows, zero), moves)
+
+        def secondary(k: int):
+            return _ratio(int(peaks[k]) ** 2, int(off2[k]))
+
+    if best < current[0]:
+        return None
+    seconds = [secondary(k) for k in tied]
+    top = max(seconds)
+    if (best, top) <= current:
+        return None
+    k = tied[seconds.index(top)]
+    cand = candidate(k)
+    if int(cand[zero]) != int(peaks[k]) or _square_sum(cand) != int(energies[k]):
+        raise ArithmeticError("tweak update disagrees with its rebuilt correlation; move withheld")
+    return k // 2, int(_STEPS[k % 2]), cand
 
 
 def discretize_and_tweak(
@@ -363,8 +487,12 @@ def discretize_and_tweak(
     Scaling maps max|h| to 2^target_bits - 1 (already-integer inputs are
     taken as-is).  Each iteration scores every +/-1 single-element change by
     the exact objective (default merit factor, side-lobe ratio as
-    tie-breaker) and applies the single best strictly-improving one; the
-    objective is monotone over iterations by construction.
+    tie-breaker) and applies the single best strictly-improving one; among
+    equal scores the lowest flat index wins, +1 before -1.  The objective is
+    monotone over iterations by construction.  |a_i| <= 2^target_bits - 1 is
+    a hard bound: no move crosses it, though an integer input already past
+    it may still move toward zero.  All moves are scored from two engine
+    correlations per iteration (see ``_tweak_scan``), not one per move.
     """
     if target_bits < 3:
         raise ContinuumError("target_bits must be >= 3")
@@ -373,6 +501,7 @@ def discretize_and_tweak(
     if max_iters < 0:
         raise ContinuumError("max_iters must be >= 0")
     h = as_tensor(h)
+    limit = 2**target_bits - 1
     if h.mode == "int":
         start = h.data.astype(np.int64)
     else:
@@ -384,8 +513,7 @@ def discretize_and_tweak(
                 0,
                 undefined=True,
             )
-        scale = (2**target_bits - 1) / peak
-        start = np.rint(h.data * scale).astype(np.int64)
+        start = np.rint(h.data * (limit / peak)).astype(np.int64)
     if not start.any():
         return TweakResult(Tensor(start, "int"), None, 0, undefined=True)
 
@@ -395,7 +523,7 @@ def discretize_and_tweak(
 
     iterations = 0
     for _ in range(max_iters):
-        found = _tweak_scan(start, corr, zero, objective)
+        found = _tweak_scan(start, corr, zero, objective, limit)
         if found is None:
             break
         flat, t, corr = found

@@ -50,6 +50,7 @@ check, sum(C) == sum(a) * sum(b) in Python ints, and the engine raises
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import product as _iproduct
@@ -359,12 +360,14 @@ def _raw_correlate(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(np.ascontiguousarray(out), "real")
 
 
-def _edge_shift_indices(shape: tuple[int, ...]) -> list[tuple[int, ...]]:
+@functools.lru_cache(maxsize=64)
+def _edge_shift_indices(shape: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Indices of the edge-correlation entries in a full auto-correlation.
 
     Ends/corners (every axis at an extreme) always count; when every input
     extent is odd, the diagonal maximal-overlap tips at shifts
-    (+/-m_1, ..., +/-m_n), m_i = (N_i - 1)/2, count as well.
+    (+/-m_1, ..., +/-m_n), m_i = (N_i - 1)/2, count as well.  Cached per
+    shape, since every correlation of that shape needs the same set.
     """
     full = tuple(2 * n - 1 for n in shape)
     out = []
@@ -375,7 +378,7 @@ def _edge_shift_indices(shape: tuple[int, ...]) -> list[tuple[int, ...]]:
         m = tuple((n - 1) // 2 for n in shape)
         for signs in _iproduct(*[(-1, 1)] * len(shape)):
             out.append(tuple(c + s * mi for c, s, mi in zip(centre, signs, m)))
-    return sorted(set(out))
+    return tuple(sorted(set(out)))
 
 
 def correlate(a, b) -> CorrelationResult:
@@ -516,6 +519,8 @@ def write_pgm(t: Tensor, path, maxval: int = 255) -> None:
     if maxval not in (255, 65535):
         raise LatticeError("maxval must be 255 or 65535")
     arr = t.data.astype(np.float64)
+    if not np.isfinite(arr).all():
+        raise LatticeError("PGM output needs finite values")
     lo, hi = arr.min(), arr.max()
     if t.mode == "int" and lo >= 0 and hi <= maxval:
         scaled = t.data.astype(np.uint16 if maxval > 255 else np.uint8)

@@ -62,3 +62,13 @@ def test_cli_import_does_not_load_scipy_signal():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_non_finite_plot_is_a_domain_error(tmp_path):
+    obj = tmp_path / "obj.txt"
+    obj.write_text("2 2\n1.0 nan\n2.0 3.0\n")
+    mask = tmp_path / "mask.txt"
+    mask.write_text("1 1\n1\n")
+    result = CliRunner().invoke(main, ["encode", str(obj), str(mask), "--plot", "--out", str(tmp_path)])
+    assert result.exit_code == 3, result.output
+    assert "finite" in result.output

@@ -1,11 +1,18 @@
 """Airy evaluation, odd-phase probe synthesis, and integer tweaking."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import example, given, strategies as st
 
+from huffkit import continuum
 from huffkit.construct import fibonacci_huffman
 from huffkit.continuum import (
+    _top,
+    _tweak_scan,
     ContinuumError,
     ProbeSpec,
     airy,
@@ -16,6 +23,8 @@ from huffkit.continuum import (
 )
 from huffkit.lattice import Tensor
 from huffkit.metrics import classify, side_lobe_ratio
+
+from conftest import oracle_autocorrelate
 
 
 # ---------------------------------------------------------------------------
@@ -204,3 +213,124 @@ def test_max_iters_caps_the_greedy_walk():
     full = discretize_and_tweak(grid, target_bits=7, max_iters=0)
     assert full.iterations == 0
     assert classify(full.tensor).M <= capped.report.M
+
+
+def test_tweak_keeps_the_bit_depth_bound():
+    probe = synthesize_probe(
+        ProbeSpec(coefficients={(3, 0): 1 / 3, (0, 3): 1 / 3}, samples=(31, 31))
+    )
+    result = discretize_and_tweak(probe, target_bits=5, max_iters=100)
+    assert result.iterations == 100
+    assert np.abs(result.tensor.data).max() <= 31
+
+
+# ---------------------------------------------------------------------------
+# the vectorised scan against the per-move loop it replaced
+
+
+def _oracle_objective(values, zero, name):
+    """(primary, secondary) exact score of one correlation; larger is better."""
+    c0 = int(values[zero])
+    flat = values.reshape(-1).astype(object)
+    off2 = int((flat * flat).sum()) - c0 * c0
+    mags = np.abs(values)
+    mags[zero] = 0
+    maxoff = int(mags.max())
+    m = math.inf if off2 == 0 else Fraction(c0 * c0, off2)
+    r = math.inf if maxoff == 0 else Fraction(c0, maxoff)
+    return (m, r) if name == "M" else (r, m)
+
+
+def _oracle_scan(start, corr, zero, name, limit):
+    """Build every +/-1 candidate's correlation and keep the first strict best."""
+    best_key = _oracle_objective(corr, zero, name)
+    best = None
+    shape = start.shape
+    for flat in range(start.size):
+        idx = np.unravel_index(flat, shape)
+        plus = np.zeros_like(corr)
+        window = tuple(slice(n - 1 - i, 2 * n - 1 - i) for i, n in zip(idx, shape))
+        plus[window] = start
+        gather = plus + plus[tuple(slice(None, None, -1) for _ in shape)]
+        value = int(start[idx])
+        for t in (1, -1):
+            if abs(value + t) > limit and abs(value + t) >= abs(value):
+                continue
+            cand = corr + t * gather
+            cand[zero] += 1
+            key = _oracle_objective(cand, zero, name)
+            if key > best_key:
+                best_key, best = key, (flat, t, cand)
+    return best
+
+
+@st.composite
+def tweak_inputs(draw):
+    ndim = draw(st.integers(1, 2))
+    shape = tuple(draw(st.integers(1, 9 if ndim == 1 else 4)) for _ in range(ndim))
+    hi = draw(st.sampled_from([1, 2, 5, 2**20]))
+    values = draw(st.lists(st.integers(-hi, hi), min_size=math.prod(shape), max_size=math.prod(shape)))
+    a = np.array(values, dtype=np.int64).reshape(shape)
+    mirror = a[(slice(None, None, -1),) * ndim]
+    # palindromic, anti-palindromic and transposed-symmetric inputs are dense in ties
+    form = draw(st.sampled_from(["plain", "palindrome", "anti", "transpose"]))
+    if form == "palindrome":
+        a = a + mirror
+    elif form == "anti":
+        a = a - mirror
+    elif form == "transpose" and ndim == 2 and shape[0] == shape[1]:
+        a = a + a.T
+    name = draw(st.sampled_from(["M", "R"]))
+    # small chunks split the R objective's off-peak maxima over several blocks
+    return a, name, draw(st.sampled_from([3, 7, 2**62])), draw(st.sampled_from([1 << 17, 40, 1]))
+
+
+@given(tweak_inputs())
+@example((np.array([2**20, 3, -(2**20) + 1, 5]), "M", 2**62, 1 << 17))  # E' leaves int64
+@example((np.array([[2**20, 7], [-3, 2**20]]), "R", 7, 1 << 17))  # past the bound, object path
+@example((np.array([-2, -1, 0, 1, 2]), "R", 2**62, 1 << 17))  # +1 and -1 tie: +1 wins
+@example((np.array([-1, 1, 1, -1, -1, 1]), "M", 2**62, 1 << 17))  # M ties, R decides
+@example((np.array([1, -1, -1, 3, 2, -1]), "R", 2**62, 20))  # R ties, M decides
+@example((np.array([[-2, -1], [1, 2]]), "R", 2**62, 1))
+def test_tweak_scan_matches_the_per_move_oracle(case):
+    start, name, limit, chunk = case
+    corr = np.array(oracle_autocorrelate(start), dtype=np.int64)
+    zero = tuple(n - 1 for n in start.shape)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(continuum, "_CHUNK", chunk)
+        got = _tweak_scan(start, corr, zero, name, limit)
+    want = _oracle_scan(start, corr, zero, name, limit)
+    if want is None:
+        assert got is None
+    else:
+        assert got[:2] == want[:2]
+        assert got[2].dtype == np.int64
+        assert np.array_equal(got[2], want[2])
+
+
+def test_tweak_withholds_a_move_its_rebuild_disagrees_with(monkeypatch):
+    real = continuum.convolve
+
+    def off_by_one(a, b):  # every S(i) one too large: each E' is off by 2
+        out = real(a, b)
+        return Tensor(out.data + 1, out.mode)
+
+    monkeypatch.setattr(continuum, "convolve", off_by_one)
+    with pytest.raises(ArithmeticError, match="rebuilt"):
+        discretize_and_tweak(airy(np.arange(-8, 4.0, 1.0)), target_bits=4)
+
+
+def test_shortlist_ranks_exactly_past_float_resolution():
+    # equal as float64, different as integers
+    best, tied = _top(np.array([2**60, 2**60 + 1, 2**60 + 1]), np.ones(3, dtype=np.int64), np.arange(3))
+    assert (best, tied) == (2**60 + 1, [1, 2])
+    # equal as integers, one unit apart as float64: the margin keeps both
+    r = 458977753292669195339
+    best, tied = _top(np.array([705 * r, r], dtype=object), np.array([705, 1], dtype=object), np.arange(2))
+    assert (best, tied) == (r, [0, 1])
+    # past float64 altogether: every move is ranked exactly
+    num = np.array([2**1100, 2**1100 + 1, 5], dtype=object)
+    best, tied = _top(num, np.array([1, 1, 0], dtype=object), np.arange(2))
+    assert (best, tied) == (2**1100 + 1, [1])
+    best, tied = _top(num, np.array([1, 1, 0], dtype=object), np.arange(3))
+    assert (best, tied) == (math.inf, [2])

@@ -201,6 +201,14 @@ def test_pgm_scales_out_of_range_values(tmp_path):
     assert back.min() == 0 and back.max() == 255
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pgm_rejects_non_finite_values(tmp_path, bad):
+    p = tmp_path / "img.pgm"
+    with pytest.raises(LatticeError, match="finite"):
+        write_pgm(Tensor(np.array([[0.0, bad], [1.0, 2.0]]), "real"), p)
+    assert not p.exists()
+
+
 def test_empty_tensor_rejected():
     with pytest.raises(LatticeError):
         Tensor(np.zeros((0, 3)), "int")
