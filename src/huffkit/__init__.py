@@ -7,179 +7,19 @@ they enable: diffuse-mask encode/decode and deblurring, two-shot pedestal
 acquisition, computational ghost imaging, watermarking, and noise studies.
 """
 
-from .lattice import (
-    CorrelationResult,
-    LatticeError,
-    Tensor,
-    as_tensor,
-    convolve,
-    correlate,
-    dft_magnitudes,
-    flip,
-    outer_product,
-    read_pgm,
-    read_text,
-    write_pgm,
-    write_text,
-)
-from .metrics import (
-    QualityReport,
-    bits,
-    classify,
-    cross_metrics,
-    efficiency,
-    merit_factor,
-    power,
-    side_lobe_ratio,
-    span_bits,
-    spectral_flatness,
-)
-from .construct import (
-    AlphabetSolution,
-    ConstructError,
-    HuffmanSpec,
-    binet_value,
-    build,
-    build_diamond,
-    catalog,
-    catalog_keys,
-    diamond5_solve,
-    diamond7_closed_form,
-    diamond7_solve,
-    fibonacci_huffman,
-    h5_family,
-    phi_value,
-    tensor_huffman,
-)
-from .project import (
-    FamilyMember,
-    ProjectionDirection,
-    ProjectionError,
-    as_direction,
-    default_directions,
-    project,
-    project3,
-    spectrally_equivalent_family,
-    twin,
-    write_family,
-)
-from .continuum import (
-    ContinuumError,
-    DeltaReport,
-    ProbeSpec,
-    TweakResult,
-    airy,
-    discretize_and_tweak,
-    pedestal_threshold,
-    synthesize_probe,
-    verify_delta_correlation,
-)
-from .imaging import (
-    BaselineStats,
-    DeblurResult,
-    GhostResult,
-    ImagingError,
-    ImagingRun,
-    NoiseStudy,
-    WatermarkMatch,
-    central_crop,
-    deblur,
-    decode,
-    encode,
-    ghost_image,
-    multiplex_noise_study,
-    pedestal_pair,
-    random_baseline,
-    trial_rng,
-    valid_region,
-    watermark_embed,
-    watermark_locate,
-)
+import sys as _sys
+
+from .lattice import *
+from .metrics import *
+from .construct import *
+from .project import *  # binds huffkit.project to the function, not the module
+from .continuum import *
+from .imaging import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # lattice
-    "Tensor",
-    "CorrelationResult",
-    "LatticeError",
-    "as_tensor",
-    "correlate",
-    "convolve",
-    "flip",
-    "outer_product",
-    "dft_magnitudes",
-    "read_text",
-    "write_text",
-    "read_pgm",
-    "write_pgm",
-    # metrics
-    "QualityReport",
-    "merit_factor",
-    "side_lobe_ratio",
-    "efficiency",
-    "power",
-    "spectral_flatness",
-    "bits",
-    "span_bits",
-    "classify",
-    "cross_metrics",
-    # construct
-    "ConstructError",
-    "HuffmanSpec",
-    "AlphabetSolution",
-    "phi_value",
-    "binet_value",
-    "fibonacci_huffman",
-    "h5_family",
-    "catalog",
-    "catalog_keys",
-    "diamond5_solve",
-    "diamond7_solve",
-    "diamond7_closed_form",
-    "build_diamond",
-    "tensor_huffman",
-    "build",
-    # project
-    "ProjectionError",
-    "ProjectionDirection",
-    "FamilyMember",
-    "as_direction",
-    "project",
-    "project3",
-    "twin",
-    "default_directions",
-    "spectrally_equivalent_family",
-    "write_family",
-    # continuum
-    "ContinuumError",
-    "ProbeSpec",
-    "DeltaReport",
-    "TweakResult",
-    "airy",
-    "pedestal_threshold",
-    "synthesize_probe",
-    "verify_delta_correlation",
-    "discretize_and_tweak",
-    # imaging
-    "ImagingError",
-    "ImagingRun",
-    "BaselineStats",
-    "DeblurResult",
-    "GhostResult",
-    "NoiseStudy",
-    "WatermarkMatch",
-    "valid_region",
-    "central_crop",
-    "encode",
-    "decode",
-    "deblur",
-    "pedestal_pair",
-    "ghost_image",
-    "watermark_embed",
-    "watermark_locate",
-    "random_baseline",
-    "multiplex_noise_study",
-    "trial_rng",
+__all__ = ["__version__"] + [
+    name
+    for module in ("lattice", "metrics", "construct", "project", "continuum", "imaging")
+    for name in _sys.modules[f"{__name__}.{module}"].__all__
 ]

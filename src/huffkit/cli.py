@@ -5,7 +5,11 @@ or the working directory) together with a ``<name>.run.json`` provenance
 record holding the resolved arguments, the library versions, and the seed —
 never a timestamp, so re-running with identical flags reproduces every CSV
 and JSON byte for byte (PGM renders may differ by a rounding ulp in real
-mode).
+mode).  The files of one run are written all or nothing: if any write fails,
+the files already written by that run are removed and the command exits with
+the failure's code.  Text arrays must hold finite values: ``nan``, ``inf`` or
+an overflowing literal such as ``1e400`` in an input, or a non-finite result
+about to be written, is a domain error (exit 3).
 
 Exit codes: 0 success, 1 usage, 2 I/O, 3 domain (constraint violation),
 4 numerical (divergence, or a correlation that fails its exactness check).
@@ -14,7 +18,6 @@ Exit codes: 0 success, 1 usage, 2 I/O, 3 domain (constraint violation),
 from __future__ import annotations
 
 import json
-import math
 import os
 import platform
 import sys
@@ -23,13 +26,12 @@ from pathlib import Path
 
 import click
 import numpy as np
-import scipy  # only for scipy.__version__ in run.json
 
 from . import __version__
 from .construct import HuffmanSpec, build, diamond7_closed_form, diamond7_solve
 from .continuum import ProbeSpec, airy, discretize_and_tweak, synthesize_probe, verify_delta_correlation
-from .lattice import Tensor, as_tensor, correlate, read_pgm, read_text, write_pgm, write_text
-from .metrics import classify, cross_metrics
+from .lattice import Tensor, correlate, read_pgm, read_text, write_pgm, write_text
+from .metrics import classify, cross_metrics, span_bits, spectral_flatness
 from .project import as_direction, project, project3, twin as twin_of
 from . import imaging
 
@@ -78,26 +80,11 @@ def main() -> None:
 # shared plumbing
 
 
-def _out_dir(out: str | None) -> Path:
-    base = Path(out) if out else Path(os.environ.get("HUFFKIT_OUT", "."))
-    base.mkdir(parents=True, exist_ok=True)
-    return base
-
-
 def _read_tensor(path: str) -> Tensor:
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"no such file: {p}")
-    if p.suffix.lower() == ".pgm":
-        return read_pgm(p)
-    return read_text(p)
-
-
-def _write_tensor(t: Tensor, path: Path) -> None:
-    if path.suffix.lower() == ".pgm":
-        write_pgm(t, path)
-    else:
-        write_text(t, path)
+    return read_pgm(p) if p.suffix.lower() == ".pgm" else read_text(p)
 
 
 def _plot_pgm(t: Tensor, path: Path) -> None:
@@ -113,42 +100,68 @@ def _json_text(payload: dict) -> str:
 
 
 def _json_safe(value):
-    if isinstance(value, (np.integer,)):
+    if isinstance(value, np.integer):
         return int(value)
-    if isinstance(value, (np.floating,)):
+    if isinstance(value, np.floating):
         return float(value)
-    if isinstance(value, tuple):
-        return list(value)
     raise TypeError(f"not JSON-safe: {value!r}")
 
 
-def _emit_run(
-    out: Path,
-    stem: str,
-    command: str,
-    arguments: dict,
-    files: list[str],
-    seed: int | None = None,
-    results: dict | None = None,
-) -> Path:
+def _artefact_options(command):
+    """The ``--name``/``--out`` pair every artefact-writing command takes."""
+    command = click.option("--out", help="Output directory (default $HUFFKIT_OUT or cwd).")(command)
+    return click.option("--name", help="Output file stem.")(command)
+
+
+def _finish(name: str | None, out: str | None, stem: str, arguments: dict, artefacts: dict,
+            seed: int | None = None, results: dict | None = None) -> list[str]:
+    """Write a run's artefacts, then its ``<stem>.run.json``; all or nothing.
+
+    ``artefacts`` maps file suffix to payload in writing order: a Tensor is
+    written as text, or rendered when the suffix ends in ``.pgm``; a dict is
+    written as JSON, a str as is, and None is skipped.  ``name`` (the
+    ``--name`` option) overrides the default ``stem``.  If any write fails,
+    every file this call began writing is removed and the error re-raised.
+    Returns the artefact file names in writing order.
+    """
+    stem = name or stem
+    base = Path(out) if out else Path(os.environ.get("HUFFKIT_OUT", "."))
+    base.mkdir(parents=True, exist_ok=True)
+    payloads = {stem + suffix: payload for suffix, payload in artefacts.items() if payload is not None}
+    ctx, words = click.get_current_context(), []
+    while ctx.parent is not None:  # the root's info_name is the program name
+        words.insert(0, ctx.info_name)
+        ctx = ctx.parent
     record = {
-        "command": command,
+        "command": " ".join(words),
         "arguments": arguments,
-        "files": sorted(files),
+        "files": sorted(payloads),
         "seed": seed,
         "package": {"name": "huffkit", "version": __version__},
         "versions": {
             "click": metadata.version("click"),
             "numpy": np.__version__,
             "python": platform.python_version(),
-            "scipy": scipy.__version__,
+            "scipy": metadata.version("scipy"),
         },
     }
     if results is not None:
         record["results"] = results
-    path = out / f"{stem}.run.json"
-    path.write_text(_json_text(record))
-    return path
+    payloads[f"{stem}.run.json"] = record
+    started = []
+    try:
+        for fname, payload in payloads.items():
+            path = base / fname
+            started.append(path)
+            if isinstance(payload, Tensor):
+                (_plot_pgm if fname.endswith(".pgm") else write_text)(payload, path)
+            else:
+                path.write_text(_json_text(payload) if isinstance(payload, dict) else payload)
+    except BaseException:
+        for path in started:
+            path.unlink(missing_ok=True)
+        raise
+    return list(payloads)[:-1]
 
 
 def _report_payload(report) -> dict:
@@ -201,8 +214,7 @@ _FAMILY_ALIASES = {
 @click.option("--g", type=int)
 @click.option("--h", "h_letter", type=int)
 @click.option("--factor", "factors", multiple=True, help="Outer-product factor, e.g. catalog:H9 or fibonacci_binet:15:2.")
-@click.option("--name", help="Output file stem.")
-@click.option("--out", help="Output directory (default $HUFFKIT_OUT or cwd).")
+@_artefact_options
 def generate(family, length, b, n, variant, key, alphabet, e, f, g, h_letter, factors, name, out):
     """Construct an array from a named family and score it."""
     family = _FAMILY_ALIASES[family]
@@ -237,14 +249,10 @@ def generate(family, length, b, n, variant, key, alphabet, e, f, g, h_letter, fa
     spec = HuffmanSpec.from_text(" ".join(parts))
     tensor = build(spec)
     report = classify(tensor)
-
-    out_path = _out_dir(out)
-    stem = name or "generate_" + spec.to_text().replace("family=", "").replace(" ", "_").replace("=", "-").replace(",", "_").replace(":", "-")
-    files = [f"{stem}.txt", f"{stem}.report.json"]
-    write_text(tensor, out_path / files[0])
-    (out_path / files[1]).write_text(_json_text(_report_payload(report)))
-    _emit_run(out_path, stem, "generate", {"spec": spec.to_text()}, files,
-              results={"shape": list(tensor.shape)})
+    stem = "generate_" + spec.to_text().replace("family=", "").replace(" ", "_").replace("=", "-").replace(",", "_").replace(":", "-")
+    _finish(name, out, stem, {"spec": spec.to_text()},
+            {".txt": tensor, ".report.json": _report_payload(report)},
+            results={"shape": list(tensor.shape)})
     click.echo(report.to_json())
 
 
@@ -253,58 +261,45 @@ def generate(family, length, b, n, variant, key, alphabet, e, f, g, h_letter, fa
 @click.option("--oversample", type=click.IntRange(min=1), default=1, show_default=True,
               help="Zero-padding factor for the spectral-flatness DFT.")
 @click.option("--plot", is_flag=True, help="Also render |auto-correlation| as PGM.")
-@click.option("--name", help="Output file stem.")
-@click.option("--out", help="Output directory.")
+@_artefact_options
 def analyze(input_path, oversample, plot, name, out):
     """Score an array: merit factor, side-lobe ratio, flatness, class."""
     tensor = _read_tensor(input_path)
     report = classify(tensor)
     payload = _report_payload(report)
     if oversample > 1:
-        from .metrics import spectral_flatness
-
         payload["S"] = spectral_flatness(tensor, oversample=oversample)
         payload["S_oversample"] = oversample
-
-    out_path = _out_dir(out)
-    stem = name or f"analyze_{Path(input_path).stem}"
-    files = [f"{stem}.report.json"]
-    (out_path / files[0]).write_text(_json_text(payload))
+    mags = None
     if plot:
         corr = correlate(tensor, tensor)
         mags = Tensor(np.abs(np.asarray(corr.values.data, dtype=np.float64)), "real")
-        files.append(f"{stem}.corr.pgm")
-        _plot_pgm(mags, out_path / files[-1])
-    _emit_run(out_path, stem, "analyze", {"input": input_path, "oversample": oversample}, files)
+    _finish(name, out, f"analyze_{Path(input_path).stem}",
+            {"input": input_path, "oversample": oversample},
+            {".report.json": payload, ".corr.pgm": mags})
     click.echo(json.dumps(payload, sort_keys=True, default=_json_safe))
 
 
 @main.command(name="project")
 @click.argument("input_path", metavar="INPUT")
 @click.option("--dir", "direction", required=True, help="Projection direction p:q (2D) or p:q:r (3D).")
-@click.option("--name", help="Output file stem.")
-@click.option("--out", help="Output directory.")
+@_artefact_options
 def project_cmd(input_path, direction, name, out):
     """Project an array along a rational direction and score the result."""
     tensor = _read_tensor(input_path)
     d = as_direction(direction, ndim=tensor.ndim)
     projected = project3(tensor, d) if tensor.ndim == 3 else project(tensor, d)
     report = classify(projected)
-
-    out_path = _out_dir(out)
-    stem = name or f"project_{Path(input_path).stem}_{str(d).replace(':', '_').replace('-', 'm')}"
-    files = [f"{stem}.txt", f"{stem}.report.json"]
-    write_text(projected, out_path / files[0])
-    (out_path / files[1]).write_text(_json_text(_report_payload(report)))
-    _emit_run(out_path, stem, "project", {"input": input_path, "dir": str(d)}, files,
-              results={"shape": list(projected.shape)})
+    _finish(name, out, f"project_{Path(input_path).stem}_{str(d).replace(':', '_').replace('-', 'm')}",
+            {"input": input_path, "dir": str(d)},
+            {".txt": projected, ".report.json": _report_payload(report)},
+            results={"shape": list(projected.shape)})
     click.echo(report.to_json())
 
 
 @main.command(name="twin")
 @click.argument("input_path", metavar="INPUT")
-@click.option("--name", help="Output file stem.")
-@click.option("--out", help="Output directory.")
+@_artefact_options
 def twin_cmd(input_path, name, out):
     """Emit the parity-flipped twin and its cross-correlation metrics."""
     tensor = _read_tensor(input_path)
@@ -312,17 +307,11 @@ def twin_cmd(input_path, name, out):
     cross_r, cross_m = cross_metrics(correlate(tensor, tw))
     report = classify(tw)
     payload = _report_payload(report)
-    payload["cross_R"] = cross_r
-    payload["cross_M"] = cross_m
-
-    out_path = _out_dir(out)
-    stem = name or f"twin_{Path(input_path).stem}"
-    files = [f"{stem}.txt", f"{stem}.report.json"]
-    write_text(tw, out_path / files[0])
-    (out_path / files[1]).write_text(_json_text(payload))
-    _emit_run(out_path, stem, "twin", {"input": input_path}, files,
-              results={"cross_R": cross_r, "cross_M": cross_m})
-    click.echo(json.dumps({"cross_R": cross_r, "cross_M": cross_m}, sort_keys=True, default=_json_safe))
+    results = {"cross_R": cross_r, "cross_M": cross_m}
+    payload.update(results)
+    _finish(name, out, f"twin_{Path(input_path).stem}", {"input": input_path},
+            {".txt": tw, ".report.json": payload}, results=results)
+    click.echo(json.dumps(results, sort_keys=True, default=_json_safe))
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +340,7 @@ def _parse_coeff(text: str) -> tuple[tuple[int, ...], float]:
 @click.option("--bandwidth", type=float, default=1.0, show_default=True)
 @click.option("--kappa", type=float, default=0.0, show_default=True)
 @click.option("--plot", is_flag=True, help="Also render the probe as PGM.")
-@click.option("--name", help="Output file stem.")
-@click.option("--out", help="Output directory.")
+@_artefact_options
 def probe(spec_path, coeffs, samples, step, bandwidth, kappa, plot, name, out):
     """Synthesize a flat-spectrum probe from an odd polynomial phase."""
     if spec_path:
@@ -369,24 +357,12 @@ def probe(spec_path, coeffs, samples, step, bandwidth, kappa, plot, name, out):
         )
     tensor = synthesize_probe(spec)
     delta = verify_delta_correlation(tensor)
-
-    out_path = _out_dir(out)
-    stem = name or "probe"
-    files = [f"{stem}.txt", f"{stem}.spec.json", f"{stem}.delta.json"]
-    write_text(tensor, out_path / files[0])
-    (out_path / files[1]).write_text(spec.to_json() + "\n")
-    (out_path / files[2]).write_text(
-        _json_text({"peak": delta.peak, "periodic_rel": delta.periodic_rel,
-                    "aperiodic_rel": delta.aperiodic_rel})
-    )
-    if plot:
-        files.append(f"{stem}.pgm")
-        _plot_pgm(tensor, out_path / files[-1])
-    _emit_run(out_path, stem, "probe", {"spec": json.loads(spec.to_json())}, files,
-              results={"periodic_rel": delta.periodic_rel, "aperiodic_rel": delta.aperiodic_rel})
-    click.echo(json.dumps({"periodic_rel": delta.periodic_rel,
-                           "aperiodic_rel": delta.aperiodic_rel},
-                          sort_keys=True, default=_json_safe))
+    results = {"periodic_rel": delta.periodic_rel, "aperiodic_rel": delta.aperiodic_rel}
+    _finish(name, out, "probe", {"spec": json.loads(spec.to_json())},
+            {".txt": tensor, ".spec.json": spec.to_json() + "\n", ".delta.json": dict(results, peak=delta.peak),
+             ".pgm": tensor if plot else None},
+            results=results)
+    click.echo(json.dumps(results, sort_keys=True, default=_json_safe))
 
 
 @main.command()
@@ -395,8 +371,7 @@ def probe(spec_path, coeffs, samples, step, bandwidth, kappa, plot, name, out):
 @click.option("--bits", type=click.IntRange(min=3), default=7, show_default=True)
 @click.option("--objective", type=click.Choice(["M", "R"]), default="M", show_default=True)
 @click.option("--max-iters", type=click.IntRange(min=0), default=500, show_default=True)
-@click.option("--name", help="Output file stem.")
-@click.option("--out", help="Output directory.")
+@_artefact_options
 def discretize(input_path, airy_window, bits, objective, max_iters, name, out):
     """Round a real sequence to integers and greedily tweak it delta-ward."""
     if (input_path is None) == (airy_window is None):
@@ -417,18 +392,12 @@ def discretize(input_path, airy_window, bits, objective, max_iters, name, out):
     if result.undefined:
         raise click.UsageError("input has no nonzero samples; nothing to tweak")
 
-    out_path = _out_dir(out)
-    stem = name or "discretize"
     payload = _report_payload(result.report)
     payload["iterations"] = result.iterations
-    files = [f"{stem}.txt", f"{stem}.report.json"]
-    write_text(result.tensor, out_path / files[0])
-    (out_path / files[1]).write_text(_json_text(payload))
-    _emit_run(out_path, stem, "discretize",
-              dict(source, bits=bits, objective=objective, max_iters=max_iters), files,
-              results={"iterations": result.iterations, "M": payload["M"], "R": payload["R"]})
-    click.echo(json.dumps({"iterations": result.iterations, "M": payload["M"],
-                           "R": payload["R"]}, sort_keys=True, default=_json_safe))
+    results = {"iterations": result.iterations, "M": payload["M"], "R": payload["R"]}
+    _finish(name, out, "discretize", dict(source, bits=bits, objective=objective, max_iters=max_iters),
+            {".txt": result.tensor, ".report.json": payload}, results=results)
+    click.echo(json.dumps(results, sort_keys=True, default=_json_safe))
 
 
 # ---------------------------------------------------------------------------
@@ -439,23 +408,15 @@ def discretize(input_path, airy_window, bits, objective, max_iters, name, out):
 @click.argument("object_path", metavar="OBJECT")
 @click.argument("mask_path", metavar="MASK")
 @click.option("--plot", is_flag=True, help="Also render the blurred image as PGM.")
-@click.option("--name", help="Output file stem.")
-@click.option("--out", help="Output directory.")
+@_artefact_options
 def encode(object_path, mask_path, plot, name, out):
     """Blur an object with a diffuse mask (full cross-correlation)."""
-    obj = _read_tensor(object_path)
-    mask = _read_tensor(mask_path)
+    obj, mask = _read_tensor(object_path), _read_tensor(mask_path)
     blurred = imaging.encode(obj, mask)
-
-    out_path = _out_dir(out)
-    stem = name or f"encode_{Path(object_path).stem}"
-    files = [f"{stem}.txt"]
-    write_text(blurred, out_path / files[0])
-    if plot:
-        files.append(f"{stem}.pgm")
-        _plot_pgm(blurred, out_path / files[-1])
-    _emit_run(out_path, stem, "encode", {"object": object_path, "mask": mask_path}, files,
-              results={"shape": list(blurred.shape)})
+    files = _finish(name, out, f"encode_{Path(object_path).stem}",
+                    {"object": object_path, "mask": mask_path},
+                    {".txt": blurred, ".pgm": blurred if plot else None},
+                    results={"shape": list(blurred.shape)})
     click.echo(f"blurred {blurred.shape} -> {files[0]}")
 
 
@@ -463,25 +424,17 @@ def encode(object_path, mask_path, plot, name, out):
 @click.argument("blurred_path", metavar="BLURRED")
 @click.argument("mask_path", metavar="MASK")
 @click.option("--plot", is_flag=True, help="Also render the estimate as PGM.")
-@click.option("--name", help="Output file stem.")
-@click.option("--out", help="Output directory.")
+@_artefact_options
 def decode(blurred_path, mask_path, plot, name, out):
     """First-order decode: back-correlate, crop, normalize by C0."""
-    blurred = _read_tensor(blurred_path)
-    mask = _read_tensor(mask_path)
+    blurred, mask = _read_tensor(blurred_path), _read_tensor(mask_path)
     raw = imaging.decode(blurred, mask)
     c0 = float(correlate(mask, mask).peak)
     estimate = Tensor(np.asarray(raw.data, dtype=np.float64) / c0, "real")
-
-    out_path = _out_dir(out)
-    stem = name or f"decode_{Path(blurred_path).stem}"
-    files = [f"{stem}.txt"]
-    write_text(estimate, out_path / files[0])
-    if plot:
-        files.append(f"{stem}.pgm")
-        _plot_pgm(estimate, out_path / files[-1])
-    _emit_run(out_path, stem, "decode", {"blurred": blurred_path, "mask": mask_path}, files,
-              results={"shape": list(estimate.shape), "C0": c0})
+    files = _finish(name, out, f"decode_{Path(blurred_path).stem}",
+                    {"blurred": blurred_path, "mask": mask_path},
+                    {".txt": estimate, ".pgm": estimate if plot else None},
+                    results={"shape": list(estimate.shape), "C0": c0})
     click.echo(f"estimate {estimate.shape} -> {files[0]}")
 
 
@@ -491,30 +444,19 @@ def decode(blurred_path, mask_path, plot, name, out):
 @click.option("--iterations", "-p", type=click.IntRange(min=1), default=2, show_default=True,
               help="Estimates computed; 2 = one de-blur step after the first decode.")
 @click.option("--plot", is_flag=True, help="Also render the estimate as PGM.")
-@click.option("--name", help="Output file stem.")
-@click.option("--out", help="Output directory.")
+@_artefact_options
 def deblur(blurred_path, mask_path, iterations, plot, name, out):
     """Iteratively remove alias copies from a blurred image."""
-    blurred = _read_tensor(blurred_path)
-    mask = _read_tensor(mask_path)
+    blurred, mask = _read_tensor(blurred_path), _read_tensor(mask_path)
     result = imaging.deblur(blurred, mask, iterations=iterations)
-
-    out_path = _out_dir(out)
-    stem = name or f"deblur_{Path(blurred_path).stem}"
-    files = [f"{stem}.txt"]
-    write_text(result.estimate, out_path / files[0])
-    if plot:
-        files.append(f"{stem}.pgm")
-        _plot_pgm(result.estimate, out_path / files[-1])
-    _emit_run(out_path, stem, "deblur",
-              {"blurred": blurred_path, "mask": mask_path, "iterations": iterations}, files,
-              results={"iterations": result.iterations, "diverged": result.diverged,
-                       "step_sizes": list(result.step_sizes)})
+    files = _finish(name, out, f"deblur_{Path(blurred_path).stem}",
+                    {"blurred": blurred_path, "mask": mask_path, "iterations": iterations},
+                    {".txt": result.estimate, ".pgm": result.estimate if plot else None},
+                    results={"iterations": result.iterations, "diverged": result.diverged,
+                             "step_sizes": list(result.step_sizes)})
     if result.diverged:
-        raise DivergenceError(
-            f"step size grew 3x in a row after {result.iterations} iterations; "
-            "is the mask delta-correlated?"
-        )
+        raise DivergenceError(f"step size grew 3x in a row after {result.iterations} iterations; "
+                              "is the mask delta-correlated?")
     click.echo(f"estimate {result.estimate.shape} -> {files[0]}")
 
 
@@ -523,22 +465,15 @@ def deblur(blurred_path, mask_path, iterations, plot, name, out):
 @click.argument("mask_path", metavar="MASK")
 @click.option("--kappa", default="auto", show_default=True,
               help="Pedestal making both +mask and -mask exposures non-negative; 'auto' = max|mask|.")
-@click.option("--name", help="Output file stem.")
-@click.option("--out", help="Output directory.")
+@_artefact_options
 def pedestal(object_path, mask_path, kappa, name, out):
     """Two-shot acquisition: I1 - I2 with masks (+H + k) and (-H + k)."""
-    obj = _read_tensor(object_path)
-    mask = _read_tensor(mask_path)
+    obj, mask = _read_tensor(object_path), _read_tensor(mask_path)
     k = _parse_kappa(kappa, mask, floor="maxabs")
     diff = imaging.pedestal_pair(obj, mask, k)
-
-    out_path = _out_dir(out)
-    stem = name or f"pedestal_{Path(object_path).stem}"
-    files = [f"{stem}.txt"]
-    write_text(diff, out_path / files[0])
-    _emit_run(out_path, stem, "pedestal",
-              {"object": object_path, "mask": mask_path, "kappa": k}, files,
-              results={"shape": list(diff.shape)})
+    files = _finish(name, out, f"pedestal_{Path(object_path).stem}",
+                    {"object": object_path, "mask": mask_path, "kappa": k}, {".txt": diff},
+                    results={"shape": list(diff.shape)})
     click.echo(f"difference image {diff.shape} -> {files[0]}")
 
 
@@ -561,12 +496,10 @@ def _parse_scan(text: str) -> list[slice]:
               help="'exact' (needs known object sum), 'boundary', or a number.")
 @click.option("--scan", help="Recorded bucket positions as LO:HI[,LO:HI...]; rest is lost.")
 @click.option("--plot", is_flag=True, help="Also render the reconstruction as PGM.")
-@click.option("--name", help="Output file stem.")
-@click.option("--out", help="Output directory.")
+@_artefact_options
 def ghost(object_path, mask_path, kappa, kappa_prime, scan, plot, name, out):
     """Bucket-signal ghost imaging with a scanned non-negative mask."""
-    obj = _read_tensor(object_path)
-    mask = _read_tensor(mask_path)
+    obj, mask = _read_tensor(object_path), _read_tensor(mask_path)
     k = _parse_kappa(kappa, mask, floor="min")
     if kappa_prime not in ("exact", "boundary"):
         try:
@@ -577,23 +510,14 @@ def ghost(object_path, mask_path, kappa, kappa_prime, scan, plot, name, out):
             )
     scan_slices = _parse_scan(scan) if scan else None
     result = imaging.ghost_image(obj, mask, k, kappa_prime=kappa_prime, scan=scan_slices)
-
-    out_path = _out_dir(out)
-    stem = name or f"ghost_{Path(object_path).stem}"
-    files = [f"{stem}.bucket.txt", f"{stem}.txt"]
-    write_text(result.bucket, out_path / files[0])
-    write_text(result.reconstruction, out_path / files[1])
-    if plot:
-        files.append(f"{stem}.pgm")
-        _plot_pgm(result.reconstruction, out_path / files[-1])
-    _emit_run(out_path, stem, "ghost",
-              {"object": object_path, "mask": mask_path, "kappa": k,
-               "kappa_prime": kappa_prime if isinstance(kappa_prime, str) else float(kappa_prime),
-               "scan": scan},
-              files,
-              results={"kappa_prime": result.kappa_prime,
-                       "kappa_prime_mode": result.kappa_prime_mode,
-                       "partial": result.partial})
+    files = _finish(name, out, f"ghost_{Path(object_path).stem}",
+                    {"object": object_path, "mask": mask_path, "kappa": k,
+                     "kappa_prime": kappa_prime, "scan": scan},
+                    {".bucket.txt": result.bucket, ".txt": result.reconstruction,
+                     ".pgm": result.reconstruction if plot else None},
+                    results={"kappa_prime": result.kappa_prime,
+                             "kappa_prime_mode": result.kappa_prime_mode,
+                             "partial": result.partial})
     if result.partial:
         click.echo("warning: scan does not cover every bucket position; "
                    "reconstruction flagged partial", err=True)
@@ -610,50 +534,28 @@ def watermark() -> None:
 @click.argument("mark_path", metavar="MARK")
 @click.option("--offset", required=True, help="Top-left corner of the mark, e.g. 16,16.")
 @click.option("--plot", is_flag=True, help="Also render the marked image as PGM.")
-@click.option("--name", help="Output file stem.")
-@click.option("--out", help="Output directory.")
+@_artefact_options
 def embed(host_path, mark_path, offset, plot, name, out):
     """Add the mark into the host at a fixed offset."""
-    host = _read_tensor(host_path)
-    mark = _read_tensor(mark_path)
+    host, mark = _read_tensor(host_path), _read_tensor(mark_path)
     off = _parse_ints(offset, "--offset")
     marked = imaging.watermark_embed(host, mark, off)
-
-    out_path = _out_dir(out)
-    stem = name or f"marked_{Path(host_path).stem}"
-    files = [f"{stem}.txt"]
-    write_text(marked, out_path / files[0])
-    if plot:
-        files.append(f"{stem}.pgm")
-        _plot_pgm(marked, out_path / files[-1])
-    _emit_run(out_path, stem, "watermark embed",
-              {"host": host_path, "mark": mark_path, "offset": list(off)}, files)
+    files = _finish(name, out, f"marked_{Path(host_path).stem}",
+                    {"host": host_path, "mark": mark_path, "offset": list(off)},
+                    {".txt": marked, ".pgm": marked if plot else None})
     click.echo(f"marked image -> {files[0]}")
 
 
 @watermark.command()
 @click.argument("image_path", metavar="IMAGE")
 @click.argument("mark_path", metavar="MARK")
-@click.option("--name", help="Output file stem.")
-@click.option("--out", help="Output directory.")
+@_artefact_options
 def locate(image_path, mark_path, name, out):
     """Search an image for the mark by a single cross-correlation."""
-    image = _read_tensor(image_path)
-    mark = _read_tensor(mark_path)
-    match = imaging.watermark_locate(image, mark)
-    payload = {
-        "offset": list(match.offset),
-        "peak": match.peak,
-        "threshold": match.threshold,
-        "detected": match.detected,
-    }
-
-    out_path = _out_dir(out)
-    stem = name or f"locate_{Path(image_path).stem}"
-    files = [f"{stem}.locate.json"]
-    (out_path / files[0]).write_text(_json_text(payload))
-    _emit_run(out_path, stem, "watermark locate",
-              {"image": image_path, "mark": mark_path}, files, results=payload)
+    image, mark = _read_tensor(image_path), _read_tensor(mark_path)
+    payload = imaging.watermark_locate(image, mark)._asdict()
+    _finish(name, out, f"locate_{Path(image_path).stem}", {"image": image_path, "mark": mark_path},
+            {".locate.json": payload}, results=payload)
     click.echo(json.dumps(payload, sort_keys=True, default=_json_safe))
 
 
@@ -664,8 +566,7 @@ def locate(image_path, mark_path, name, out):
 @click.option("--trials", type=click.IntRange(min=1), default=10_000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--dump-values", is_flag=True, help="Also write per-trial R and M as CSV.")
-@click.option("--name", help="Output file stem.")
-@click.option("--out", help="Output directory.")
+@_artefact_options
 def baseline(shape, values, trials, seed, dump_values, name, out):
     """Monte-Carlo R and M statistics of random non-repeating arrays."""
     shp = _parse_ints(shape, "--shape")
@@ -681,20 +582,14 @@ def baseline(shape, values, trials, seed, dump_values, name, out):
         "M": {"min": stats.M[0], "mean": stats.M[1], "max": stats.M[2]},
         "undefined": stats.undefined,
     }
-
-    out_path = _out_dir(out)
-    stem = name or f"baseline_{'x'.join(str(v) for v in shp)}_{trials}"
-    files = [f"{stem}.json"]
-    (out_path / files[0]).write_text(_json_text(payload))
+    csv = None
     if dump_values and not stats.undefined:
-        files.append(f"{stem}.csv")
-        with open(out_path / files[-1], "w") as fh:
-            fh.write("trial,R,M\n")
-            for i, (r_v, m_v) in enumerate(zip(stats.R_values, stats.M_values)):
-                fh.write("%d,%.9g,%.9g\n" % (i, r_v, m_v))
-    _emit_run(out_path, stem, "baseline",
-              {"shape": list(shp), "values": values, "trials": trials}, files,
-              seed=seed, results=payload)
+        csv = "trial,R,M\n" + "".join(
+            "%d,%.9g,%.9g\n" % (i, r_v, m_v) for i, (r_v, m_v) in enumerate(zip(stats.R_values, stats.M_values))
+        )
+    _finish(name, out, f"baseline_{'x'.join(str(v) for v in shp)}_{trials}",
+            {"shape": list(shp), "values": values, "trials": trials},
+            {".json": payload, ".csv": csv}, seed=seed, results=payload)
     click.echo(json.dumps(payload, sort_keys=True, default=_json_safe))
 
 
@@ -704,12 +599,10 @@ def baseline(shape, values, trials, seed, dump_values, name, out):
 @click.option("--sigma", type=float, default=1.0, show_default=True)
 @click.option("--trials", type=click.IntRange(min=1), default=500, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--name", help="Output file stem.")
-@click.option("--out", help="Output directory.")
+@_artefact_options
 def noise_study(object_path, mask_path, sigma, trials, seed, name, out):
     """Raster vs diffuse acquisition MSE under equal per-measurement noise."""
-    obj = _read_tensor(object_path)
-    mask = _read_tensor(mask_path)
+    obj, mask = _read_tensor(object_path), _read_tensor(mask_path)
     study = imaging.multiplex_noise_study(obj, mask, sigma, trials=trials, seed=seed)
     payload = {
         "trials": study.trials,
@@ -719,14 +612,9 @@ def noise_study(object_path, mask_path, sigma, trials, seed, name, out):
         "mse_diffuse": study.mse_diffuse,
         "ratio_mean": study.ratio_mean,
     }
-
-    out_path = _out_dir(out)
-    stem = name or f"noise_{Path(object_path).stem}"
-    files = [f"{stem}.json"]
-    (out_path / files[0]).write_text(_json_text(payload))
-    _emit_run(out_path, stem, "noise-study",
-              {"object": object_path, "mask": mask_path, "sigma": sigma, "trials": trials},
-              files, seed=seed, results=payload)
+    _finish(name, out, f"noise_{Path(object_path).stem}",
+            {"object": object_path, "mask": mask_path, "sigma": sigma, "trials": trials},
+            {".json": payload}, seed=seed, results=payload)
     click.echo(json.dumps(payload, sort_keys=True, default=_json_safe))
 
 
@@ -758,8 +646,7 @@ def _off_peak_span(tensor: Tensor) -> tuple[int, int]:
 @click.option("--e", type=int, default=3, show_default=True, help="Inner-diamond letter (table 2).")
 @click.option("--f-min", type=int, default=3, show_default=True)
 @click.option("--f-max", type=int, default=20, show_default=True)
-@click.option("--name", help="Output file stem.")
-@click.option("--out", help="Output directory.")
+@_artefact_options
 def tables(table, e, f_min, f_max, name, out):
     """Regenerate the 5x5 / 7x7 family tables as CSV.
 
@@ -767,13 +654,11 @@ def tables(table, e, f_min, f_max, name, out):
     (``metrics.span_bits``), not the magnitude convention of QualityReport.
     """
     from .construct import _materialize
-    from .metrics import span_bits
 
-    out_path = _out_dir(out)
     if table == "1":
         # The 5x5 survey includes near-miss alphabets whose inner side lobes
         # exceed the edge value, so materialize without the quasi recheck.
-        stem = name or "table1"
+        stem = "table1"
         lines = ["a,b,c,d,e,f,R,M,cedge,bits,off_lo,off_hi"]
         for alpha in _TABLE1_ALPHABETS:
             tensor = Tensor.from_values(_materialize(5, alpha), "int")
@@ -786,7 +671,7 @@ def tables(table, e, f_min, f_max, name, out):
             )
         args = {"table": 1}
     else:
-        stem = name or f"table2_e{e}"
+        stem = f"table2_e{e}"
         found = diamond7_solve(e)
         lines = ["f,g,h,R,M,S,bits,OP"]
         rows = sorted(
@@ -796,16 +681,11 @@ def tables(table, e, f_min, f_max, name, out):
         for sol in rows:
             tensor = sol.build()
             rep = classify(tensor)
-            f_v, g_v, h_v = sol.values[5], sol.values[6], sol.values[7]
-            lines.append(
-                "%d,%d,%d,%.6g,%.6g,%.6g,%d,%s"
-                % (f_v, g_v, h_v, rep.R, rep.M, rep.S, span_bits(tensor), rep.OP)
-            )
+            lines.append("%d,%d,%d,%.6g,%.6g,%.6g,%d,%s"
+                         % (*sol.values[5:8], rep.R, rep.M, rep.S, span_bits(tensor), rep.OP))
         args = {"table": 2, "e": e, "f_min": f_min, "f_max": f_max}
 
-    files = [f"{stem}.csv"]
-    (out_path / files[0]).write_text("\n".join(lines) + "\n")
-    _emit_run(out_path, stem, "tables", args, files, results={"rows": len(lines) - 1})
+    files = _finish(name, out, stem, args, {".csv": "\n".join(lines) + "\n"}, results={"rows": len(lines) - 1})
     click.echo(f"{len(lines) - 1} rows -> {files[0]}")
 
 

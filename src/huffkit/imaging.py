@@ -22,7 +22,6 @@ Conventions shared by every operation here:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -34,7 +33,6 @@ from .metrics import merit_factor, side_lobe_ratio
 
 __all__ = [
     "ImagingError",
-    "ImagingRun",
     "valid_region",
     "central_crop",
     "encode",
@@ -500,43 +498,3 @@ def multiplex_noise_study(obj, mask, sigma: float, trials: int = 500, seed: int 
         float(np.nanmean(ratios)) if sigma > 0 else math.nan,
         tuple(float(v) for v in ratios),
     )
-
-
-# ---------------------------------------------------------------------------
-# run record
-
-
-@dataclass(frozen=True)
-class ImagingRun:
-    """Flat record of one imaging experiment, for provenance files.
-
-    ``stats`` carries only JSON-safe scalars; error statistics are computed
-    on the valid (fully-overlapped) region, and the kappa-prime estimation
-    rule used is part of the record.
-    """
-
-    operation: str
-    object_shape: tuple[int, ...]
-    mask_shape: tuple[int, ...]
-    seed: int | None = None
-    kappa: float | None = None
-    kappa_prime: float | None = None
-    kappa_prime_mode: str | None = None
-    sigma: float | None = None
-    iterations: int | None = None
-    stats: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        payload = {
-            "operation": self.operation,
-            "object_shape": list(self.object_shape),
-            "mask_shape": list(self.mask_shape),
-            "seed": self.seed,
-            "kappa": self.kappa,
-            "kappa_prime": self.kappa_prime,
-            "kappa_prime_mode": self.kappa_prime_mode,
-            "sigma": self.sigma,
-            "iterations": self.iterations,
-            "stats": self.stats,
-        }
-        return json.dumps(payload, sort_keys=True)

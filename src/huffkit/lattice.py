@@ -59,6 +59,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = [
+    "LatticeError",
     "Tensor",
     "CorrelationResult",
     "as_tensor",
@@ -473,8 +474,10 @@ def dft_magnitudes(a, oversample: int = 1) -> Tensor:
 
 
 def write_text(t: Tensor, path) -> None:
-    """First line: extents.  Following lines: row-major values."""
+    """First line: extents.  Following lines: row-major values (finite only)."""
     t = as_tensor(t)
+    if t.mode == "real" and not np.isfinite(t.data.astype(np.float64)).all():
+        raise LatticeError("text output needs finite values")
     with open(path, "w") as fh:
         fh.write(" ".join(str(n) for n in t.shape) + "\n")
         flat = t.data.reshape(-1)
@@ -492,12 +495,15 @@ def write_text(t: Tensor, path) -> None:
 
 
 def read_text(path) -> Tensor:
+    """Inverse of :func:`write_text`; ``nan``, ``inf`` and overflowing reals are refused."""
     with open(path) as fh:
         header = fh.readline().split()
         shape = tuple(int(x) for x in header)
         body = fh.read().split()
     if any("." in v or "e" in v or "E" in v or v in ("inf", "-inf", "nan") for v in body):
         arr = np.array([float(v) for v in body], dtype=np.float64)
+        if not np.isfinite(arr).all():
+            raise LatticeError(f"{path}: text input needs finite values")
         mode = "real"
     else:
         ints = [int(v) for v in body]

@@ -32,6 +32,7 @@ __all__ = [
     "ProjectionError",
     "ProjectionDirection",
     "FamilyMember",
+    "as_direction",
     "project",
     "project3",
     "twin",

@@ -57,8 +57,9 @@ def test_run_record_reads_click_version_without_deprecation(tmp_path):
     assert record["versions"]["click"] == metadata.version("click")
 
 
-def test_cli_import_does_not_load_scipy_signal():
-    code = "import sys, huffkit.cli; sys.exit(int('scipy.signal' in sys.modules))"
+@pytest.mark.parametrize("module", ["scipy.signal", "scipy"])
+def test_cli_import_does_not_load_scipy(module):
+    code = f"import sys, huffkit.cli; sys.exit(int({module!r} in sys.modules))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
@@ -72,3 +73,16 @@ def test_non_finite_plot_is_a_domain_error(tmp_path):
     result = CliRunner().invoke(main, ["encode", str(obj), str(mask), "--plot", "--out", str(tmp_path)])
     assert result.exit_code == 3, result.output
     assert "finite" in result.output
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
+def test_zero_mask_decode_is_a_domain_error(tmp_path):
+    blurred = tmp_path / "blurred.txt"
+    blurred.write_text("3 3\n1 2 3\n4 5 6\n7 8 9\n")
+    mask = tmp_path / "zero.txt"
+    mask.write_text("2 2\n0 0\n0 0\n")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["decode", str(blurred), str(mask), "--plot", "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    assert "finite" in result.output
+    assert list(out.iterdir()) == []

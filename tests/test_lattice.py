@@ -209,6 +209,17 @@ def test_pgm_rejects_non_finite_values(tmp_path, bad):
     assert not p.exists()
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "1e400"])
+def test_text_rejects_non_finite_values(tmp_path, bad):
+    p = tmp_path / "seq.txt"
+    p.write_text(f"3\n1.0 {bad} 2.0\n")
+    with pytest.raises(LatticeError, match="finite"):
+        read_text(p)
+    with pytest.raises(LatticeError, match="finite"):
+        write_text(Tensor(np.array([1.0, float(bad), 2.0]), "real"), tmp_path / "out.txt")
+    assert not (tmp_path / "out.txt").exists()
+
+
 def test_empty_tensor_rejected():
     with pytest.raises(LatticeError):
         Tensor(np.zeros((0, 3)), "int")
