@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .construct import HuffmanSpec, build, diamond7_closed_form, diamond7_solve
 from .continuum import ProbeSpec, airy, discretize_and_tweak, synthesize_probe, verify_delta_correlation
-from .lattice import Tensor, correlate, read_pgm, read_text, write_pgm, write_text
+from .lattice import Tensor, _square_sum, correlate, read_pgm, read_text, write_pgm, write_text
 from .metrics import classify, cross_metrics, span_bits, spectral_flatness
 from .project import as_direction, project, project3, twin as twin_of
 from . import imaging
@@ -428,8 +428,11 @@ def encode(object_path, mask_path, plot, name, out):
 def decode(blurred_path, mask_path, plot, name, out):
     """First-order decode: back-correlate, crop, normalize by C0."""
     blurred, mask = _read_tensor(blurred_path), _read_tensor(mask_path)
+    flat = mask.data.reshape(-1)
+    c0 = float(_square_sum(flat)) if mask.mode == "int" else float(np.dot(flat, flat))
+    if c0 == 0.0:
+        raise imaging.ImagingError("zero-energy mask: C0 = 0 leaves no finite estimate")
     raw = imaging.decode(blurred, mask)
-    c0 = float(correlate(mask, mask).peak)
     estimate = Tensor(np.asarray(raw.data, dtype=np.float64) / c0, "real")
     files = _finish(name, out, f"decode_{Path(blurred_path).stem}",
                     {"blurred": blurred_path, "mask": mask_path},

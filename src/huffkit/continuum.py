@@ -30,7 +30,15 @@ from typing import Mapping
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .lattice import _INT64_MAX, Tensor, as_tensor, convolve, correlate
+from .lattice import (
+    _INT64_MAX,
+    Tensor,
+    _off_peak_magnitudes,
+    _square_sum,
+    as_tensor,
+    convolve,
+    correlate,
+)
 from .metrics import QualityReport, classify
 
 __all__ = [
@@ -333,22 +341,6 @@ def _ratio(num: int, den: int):
     return math.inf if den == 0 else Fraction(num, den)
 
 
-def _square_sum(values: np.ndarray) -> int:
-    """sum(values**2) in Python ints."""
-    flat = values.reshape(-1)
-    peak = int(np.abs(flat).max())
-    if flat.size * peak * peak <= _INT64_MAX:
-        return int(np.dot(flat, flat))
-    flat = flat.astype(object)
-    return int(np.dot(flat, flat))
-
-
-def _off_peak_max(values: np.ndarray, zero: tuple[int, ...]) -> int:
-    mags = np.abs(values)
-    mags[zero] = 0
-    return int(mags.max())
-
-
 def _reverse(ndim: int) -> tuple:
     return (Ellipsis,) + (slice(None, None, -1),) * ndim
 
@@ -424,8 +416,8 @@ def _tweak_scan(
     amax = int(np.abs(a).max())
     if c0 + 2 * amax + 1 > _INT64_MAX:  # bounds every |C'(s)| by Cauchy-Schwarz
         raise ArithmeticError("a +/-1 move would take the auto-correlation past int64")
-    energy = _square_sum(corr)
-    maxoff = _off_peak_max(corr, zero)
+    energy = int(_square_sum(corr.reshape(-1)))
+    maxoff = int(_off_peak_magnitudes(corr, zero).max())
 
     d_full = correlate(Tensor(corr, "int"), Tensor(start, "int")).values
     s_full = convolve(Tensor(start, "int"), Tensor(start, "int"))
@@ -455,7 +447,7 @@ def _tweak_scan(
         best, tied = _top(peaks * peaks, off2, moves)
 
         def secondary(k: int):
-            return _ratio(int(peaks[k]), _off_peak_max(candidate(k), zero))
+            return _ratio(int(peaks[k]), int(_off_peak_magnitudes(candidate(k), zero).max()))
     else:
         current = (r_now, m_now)
         best, tied = _top(peaks, _off_peak_maxima(corr, windows, zero), moves)
@@ -471,7 +463,7 @@ def _tweak_scan(
         return None
     k = tied[seconds.index(top)]
     cand = candidate(k)
-    if int(cand[zero]) != int(peaks[k]) or _square_sum(cand) != int(energies[k]):
+    if int(cand[zero]) != int(peaks[k]) or int(_square_sum(cand.reshape(-1))) != int(energies[k]):
         raise ArithmeticError("tweak update disagrees with its rebuilt correlation; move withheld")
     return k // 2, int(_STEPS[k % 2]), cand
 

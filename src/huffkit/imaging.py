@@ -28,8 +28,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .lattice import LatticeError, Tensor, as_tensor, convolve, correlate
-from .metrics import merit_factor, side_lobe_ratio
+from .lattice import Tensor, _auto_lags, as_tensor, convolve, correlate
+from .metrics import _lag_scores
 
 __all__ = [
     "ImagingError",
@@ -402,7 +402,16 @@ def random_baseline(
     """Quality statistics of arrays filled with non-repeated random integers.
 
     Each trial draws ``prod(shape)`` distinct values from ``values`` using its
-    own (seed, trial)-derived generator, so any subset of trials reproduces.
+    own (seed, trial)-derived generator, one trial at a time, so any subset of
+    trials reproduces and the draws do not depend on how trials are scored.
+    Scoring is batched and exact: ``lattice._auto_lags`` takes the
+    auto-correlation lags of up to ``lattice._LAG_BLOCK`` (2^13) stacked lag
+    entries at once, in int64 or Python ints from the worst-case bound and
+    with the engine's per-trial sum check, and R and M come out as the same
+    correctly rounded int / int as ``metrics.side_lobe_ratio`` and
+    ``metrics.merit_factor`` give on each trial's ``correlate``.  Shapes whose
+    lag loop exceeds ``lattice._INT_DIRECT_MACS`` products are scored one
+    trial at a time through the engine.
     """
     shape = tuple(int(n) for n in shape)
     count = math.prod(shape)
@@ -416,12 +425,11 @@ def random_baseline(
             trials, seed, shape, (math.nan,) * 3, (math.nan,) * 3, (), (), True
         )
     rs, ms = np.empty(trials), np.empty(trials)
-    for i in range(trials):
-        rng = trial_rng(seed, i)
-        arr = rng.choice(pool, size=count, replace=False).reshape(shape)
-        c = correlate(Tensor(arr, "int"), Tensor(arr, "int"))
-        rs[i] = side_lobe_ratio(c)
-        ms[i] = merit_factor(c)
+    draws = (trial_rng(seed, i).choice(pool, size=count, replace=False) for i in range(trials))
+    done = 0
+    for lags in _auto_lags(draws, shape):
+        rs[done : done + len(lags)], ms[done : done + len(lags)] = _lag_scores(lags)
+        done += len(lags)
     return BaselineStats(
         trials,
         seed,

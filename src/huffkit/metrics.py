@@ -18,6 +18,7 @@ from .lattice import (
     CorrelationResult,
     Tensor,
     _edge_shift_indices,
+    _square_sum,
     as_tensor,
     correlate,
     dft_magnitudes,
@@ -47,12 +48,8 @@ def _as_auto(c) -> CorrelationResult:
 def _off_peak_square_sum(c: CorrelationResult):
     arr = c.values.data
     zero = c.zero_index
-    if arr.dtype == object:
-        total = sum(int(v) * int(v) for v in arr.flat)
-        return total - int(arr[zero]) ** 2
     if c.values.mode == "int":
-        total = int(np.sum(arr.astype(object) ** 2))
-        return total - int(arr[zero]) ** 2
+        return int(_square_sum(arr.reshape(-1))) - int(arr[zero]) ** 2
     return float(np.sum(arr**2) - arr[zero] ** 2)
 
 
@@ -73,6 +70,22 @@ def side_lobe_ratio(c) -> float:
     if c.off_peak_max == 0:
         return math.inf
     return c.peak / c.off_peak_max
+
+
+def _lag_scores(lags: np.ndarray) -> tuple[list[float], list[float]]:
+    """(R, M) of each row of auto-correlation lags C(k), k >= 0 (C(-k) = C(k)).
+
+    The rows come from ``lattice._auto_lags``; each score is the same
+    correctly rounded int / int as :func:`side_lobe_ratio` and
+    :func:`merit_factor` give for the full correlation, inf included.
+    """
+    side = lags[:, 1:]
+    peaks = lags[:, 0].tolist()
+    maxima = np.maximum(side.max(axis=1), -side.min(axis=1)).tolist()
+    halves = _square_sum(side).tolist()  # each off-peak pair C(+/-k) once
+    ratios = [math.inf if top == 0 else c / top for c, top in zip(peaks, maxima)]
+    merits = [math.inf if half == 0 else c * c / (2 * half) for c, half in zip(peaks, halves)]
+    return ratios, merits
 
 
 def efficiency(a) -> float:

@@ -75,7 +75,7 @@ def test_non_finite_plot_is_a_domain_error(tmp_path):
     assert "finite" in result.output
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_zero_mask_decode_is_a_domain_error(tmp_path):
     blurred = tmp_path / "blurred.txt"
     blurred.write_text("3 3\n1 2 3\n4 5 6\n7 8 9\n")
@@ -85,4 +85,5 @@ def test_zero_mask_decode_is_a_domain_error(tmp_path):
     result = CliRunner().invoke(main, ["decode", str(blurred), str(mask), "--plot", "--out", str(out)])
     assert result.exit_code == 3, result.output
     assert "finite" in result.output
-    assert list(out.iterdir()) == []
+    assert "zero-energy mask" in result.output
+    assert not out.exists()  # refused before any work, so not even the out dir is made
