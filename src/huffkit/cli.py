@@ -28,12 +28,9 @@ import click
 import numpy as np
 
 from . import __version__
-from .construct import HuffmanSpec, build, diamond7_closed_form, diamond7_solve
-from .continuum import ProbeSpec, airy, discretize_and_tweak, synthesize_probe, verify_delta_correlation
-from .lattice import Tensor, _square_sum, correlate, read_pgm, read_text, write_pgm, write_text
+from .lattice import Tensor, _auto_peak, correlate, read_pgm, read_text, write_pgm, write_text
 from .metrics import classify, cross_metrics, span_bits, spectral_flatness
 from .project import as_direction, project, project3, twin as twin_of
-from . import imaging
 
 _EXIT_USAGE = 1
 _EXIT_IO = 2
@@ -217,6 +214,7 @@ _FAMILY_ALIASES = {
 @_artefact_options
 def generate(family, length, b, n, variant, key, alphabet, e, f, g, h_letter, factors, name, out):
     """Construct an array from a named family and score it."""
+    from .construct import HuffmanSpec, build, diamond7_closed_form
     family = _FAMILY_ALIASES[family]
     parts = [f"family={family}"]
     if family == "fibonacci_binet":
@@ -343,6 +341,7 @@ def _parse_coeff(text: str) -> tuple[tuple[int, ...], float]:
 @_artefact_options
 def probe(spec_path, coeffs, samples, step, bandwidth, kappa, plot, name, out):
     """Synthesize a flat-spectrum probe from an odd polynomial phase."""
+    from .continuum import ProbeSpec, synthesize_probe, verify_delta_correlation
     if spec_path:
         spec = ProbeSpec.from_json(Path(spec_path).read_text())
     else:
@@ -374,6 +373,7 @@ def probe(spec_path, coeffs, samples, step, bandwidth, kappa, plot, name, out):
 @_artefact_options
 def discretize(input_path, airy_window, bits, objective, max_iters, name, out):
     """Round a real sequence to integers and greedily tweak it delta-ward."""
+    from .continuum import airy, discretize_and_tweak
     if (input_path is None) == (airy_window is None):
         raise click.UsageError("give exactly one of INPUT or --airy")
     if airy_window:
@@ -411,6 +411,7 @@ def discretize(input_path, airy_window, bits, objective, max_iters, name, out):
 @_artefact_options
 def encode(object_path, mask_path, plot, name, out):
     """Blur an object with a diffuse mask (full cross-correlation)."""
+    from . import imaging
     obj, mask = _read_tensor(object_path), _read_tensor(mask_path)
     blurred = imaging.encode(obj, mask)
     files = _finish(name, out, f"encode_{Path(object_path).stem}",
@@ -427,9 +428,9 @@ def encode(object_path, mask_path, plot, name, out):
 @_artefact_options
 def decode(blurred_path, mask_path, plot, name, out):
     """First-order decode: back-correlate, crop, normalize by C0."""
+    from . import imaging
     blurred, mask = _read_tensor(blurred_path), _read_tensor(mask_path)
-    flat = mask.data.reshape(-1)
-    c0 = float(_square_sum(flat)) if mask.mode == "int" else float(np.dot(flat, flat))
+    c0 = float(_auto_peak(mask))
     if c0 == 0.0:
         raise imaging.ImagingError("zero-energy mask: C0 = 0 leaves no finite estimate")
     raw = imaging.decode(blurred, mask)
@@ -450,6 +451,7 @@ def decode(blurred_path, mask_path, plot, name, out):
 @_artefact_options
 def deblur(blurred_path, mask_path, iterations, plot, name, out):
     """Iteratively remove alias copies from a blurred image."""
+    from . import imaging
     blurred, mask = _read_tensor(blurred_path), _read_tensor(mask_path)
     result = imaging.deblur(blurred, mask, iterations=iterations)
     files = _finish(name, out, f"deblur_{Path(blurred_path).stem}",
@@ -471,6 +473,7 @@ def deblur(blurred_path, mask_path, iterations, plot, name, out):
 @_artefact_options
 def pedestal(object_path, mask_path, kappa, name, out):
     """Two-shot acquisition: I1 - I2 with masks (+H + k) and (-H + k)."""
+    from . import imaging
     obj, mask = _read_tensor(object_path), _read_tensor(mask_path)
     k = _parse_kappa(kappa, mask, floor="maxabs")
     diff = imaging.pedestal_pair(obj, mask, k)
@@ -502,6 +505,7 @@ def _parse_scan(text: str) -> list[slice]:
 @_artefact_options
 def ghost(object_path, mask_path, kappa, kappa_prime, scan, plot, name, out):
     """Bucket-signal ghost imaging with a scanned non-negative mask."""
+    from . import imaging
     obj, mask = _read_tensor(object_path), _read_tensor(mask_path)
     k = _parse_kappa(kappa, mask, floor="min")
     if kappa_prime not in ("exact", "boundary"):
@@ -540,6 +544,7 @@ def watermark() -> None:
 @_artefact_options
 def embed(host_path, mark_path, offset, plot, name, out):
     """Add the mark into the host at a fixed offset."""
+    from . import imaging
     host, mark = _read_tensor(host_path), _read_tensor(mark_path)
     off = _parse_ints(offset, "--offset")
     marked = imaging.watermark_embed(host, mark, off)
@@ -555,6 +560,7 @@ def embed(host_path, mark_path, offset, plot, name, out):
 @_artefact_options
 def locate(image_path, mark_path, name, out):
     """Search an image for the mark by a single cross-correlation."""
+    from . import imaging
     image, mark = _read_tensor(image_path), _read_tensor(mark_path)
     payload = imaging.watermark_locate(image, mark)._asdict()
     _finish(name, out, f"locate_{Path(image_path).stem}", {"image": image_path, "mark": mark_path},
@@ -572,6 +578,7 @@ def locate(image_path, mark_path, name, out):
 @_artefact_options
 def baseline(shape, values, trials, seed, dump_values, name, out):
     """Monte-Carlo R and M statistics of random non-repeating arrays."""
+    from . import imaging
     shp = _parse_ints(shape, "--shape")
     lo, _, hi = values.partition(":")
     if not _:
@@ -605,6 +612,7 @@ def baseline(shape, values, trials, seed, dump_values, name, out):
 @_artefact_options
 def noise_study(object_path, mask_path, sigma, trials, seed, name, out):
     """Raster vs diffuse acquisition MSE under equal per-measurement noise."""
+    from . import imaging
     obj, mask = _read_tensor(object_path), _read_tensor(mask_path)
     study = imaging.multiplex_noise_study(obj, mask, sigma, trials=trials, seed=seed)
     payload = {
@@ -656,8 +664,7 @@ def tables(table, e, f_min, f_max, name, out):
     The bits column follows the printed tables' span convention
     (``metrics.span_bits``), not the magnitude convention of QualityReport.
     """
-    from .construct import _materialize
-
+    from .construct import _materialize, diamond7_solve
     if table == "1":
         # The 5x5 survey includes near-miss alphabets whose inner side lobes
         # exceed the edge value, so materialize without the quasi recheck.

@@ -9,6 +9,9 @@ Three families are covered:
   arrays (`catalog`);
 * diamond-patterned 5x5 and 7x7 integer arrays found by exhaustive
   Diophantine search (`diamond5_solve`, `diamond7_solve`, `build_diamond`).
+  Every off-peak correlation entry of a template is a quadratic in its free
+  letters; the solvers fit these once into an integer coefficient matrix and
+  scan whole letter windows with exact array arithmetic.
 
 All constructions are deterministic and exact; solvers return results in
 lexicographic alphabet order.
@@ -22,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lattice import Tensor, as_tensor, correlate, outer_product
+from .lattice import _INT64_MAX, Tensor, as_tensor, correlate, outer_product
 from .metrics import _edge_mask, classify
 
 __all__ = [
@@ -240,122 +243,87 @@ class AlphabetSolution:
         return build_diamond(self.template, self.values)
 
 
-class _Quadratic:
-    """Exact quadratic polynomial in n integer variables.
+def _columns(nvars: int) -> np.ndarray:
+    """Factor indices (p, q) of each coefficient column, in y = (1, x_1, ..., x_n).
 
-    Extracted from a black-box integer function by finite differencing at
-    0, +-unit and pair probes; evaluation and partial substitution stay in
-    exact Python ints.
+    Column c multiplies the monomial y[p[c]] * y[q[c]], p <= q: the constant,
+    then the linear terms, the squares and the cross terms x_i x_j (i < j).
+    """
+    letters = range(1, nvars + 1)
+    pairs = [(0, 0), *((0, i) for i in letters), *((i, i) for i in letters)]
+    return np.array(pairs + list(itertools.combinations(letters, 2))).T
+
+
+def _fit_quadratics(fn, nvars: int) -> np.ndarray:
+    """Coefficient matrix of the vector-valued quadratic fn(letters).
+
+    Row r holds entry r's exact Python-int coefficients in the column order
+    of ``_columns``, found by finite differences at zero, at +-1 in each
+    letter and at +1 in each pair of letters.
     """
 
-    def __init__(self, const, lin, sq, cross):
-        self.const = const  # int
-        self.lin = lin  # list[int]
-        self.sq = sq  # list[int]
-        self.cross = cross  # dict[(i, j)] -> int, i < j
+    def at(assign: dict[int, int]) -> np.ndarray:
+        return np.array(fn([assign.get(i, 0) for i in range(nvars)]), dtype=object)
 
-    @staticmethod
-    def probe(fn, nvars: int) -> "list[_Quadratic]":
-        """Fit one quadratic per output entry of vector-valued fn(vars)."""
-        zero = [0] * nvars
-
-        def at(assign):
-            v = zero.copy()
-            for i, val in assign.items():
-                v[i] = val
-            return np.asarray(fn(v), dtype=object).ravel()
-
-        base = at({})
-        plus = [at({i: 1}) for i in range(nvars)]
-        minus = [at({i: -1}) for i in range(nvars)]
-        polys = []
-        for pos in range(base.size):
-            a0 = int(base[pos])
-            lin, sq = [], []
-            for i in range(nvars):
-                p, m = int(plus[i][pos]), int(minus[i][pos])
-                lin.append((p - m) // 2)
-                sq.append((p + m - 2 * a0) // 2)
-            polys.append(_Quadratic(a0, lin, sq, {}))
-        for i, j in itertools.combinations(range(nvars), 2):
-            pair = at({i: 1, j: 1})
-            for pos, poly in enumerate(polys):
-                rest = (
-                    poly.const
-                    + poly.lin[i]
-                    + poly.lin[j]
-                    + poly.sq[i]
-                    + poly.sq[j]
-                )
-                c = int(pair[pos]) - rest
-                if c:
-                    poly.cross[(i, j)] = c
-        return polys
-
-    def eval(self, v) -> int:
-        tot = self.const
-        for i, x in enumerate(v):
-            tot += self.lin[i] * x + self.sq[i] * x * x
-        for (i, j), c in self.cross.items():
-            tot += c * v[i] * v[j]
-        return tot
-
-    def substitute(self, known: dict[int, int]) -> "_Quadratic":
-        """Fix some variables, returning a quadratic in the remaining ones."""
-        const = self.const
-        lin = list(self.lin)
-        sq = list(self.sq)
-        cross = {}
-        for i, x in known.items():
-            const += lin[i] * x + sq[i] * x * x
-            lin[i] = sq[i] = 0
-        for (i, j), c in self.cross.items():
-            ki, kj = i in known, j in known
-            if ki and kj:
-                const += c * known[i] * known[j]
-            elif ki:
-                lin[j] += c * known[i]
-            elif kj:
-                lin[i] += c * known[j]
-            else:
-                cross[(i, j)] = c
-        return _Quadratic(const, lin, sq, cross)
-
-    def is_constant(self) -> bool:
-        return not (any(self.lin) or any(self.sq) or self.cross)
-
-    def linear_in(self, var: int) -> tuple[int, int] | None:
-        """(offset, slope) if the poly is a + b*x_var only; else None."""
-        if self.sq[var] or any(var in ij for ij in self.cross):
-            return None
-        if any(self.lin[i] or self.sq[i] for i in range(len(self.lin)) if i != var):
-            return None
-        if self.cross:
-            return None
-        return self.const, self.lin[var]
+    base = at({})
+    plus = [at({i: 1}) for i in range(nvars)]
+    minus = [at({i: -1}) for i in range(nvars)]
+    lin = [(p - m) // 2 for p, m in zip(plus, minus)]
+    sq = [(p + m) // 2 - base for p, m in zip(plus, minus)]
+    cross = [
+        at({i: 1, j: 1}) - base - lin[i] - lin[j] - sq[i] - sq[j]
+        for i, j in itertools.combinations(range(nvars), 2)
+    ]
+    return np.column_stack([base, *lin, *sq, *cross])
 
 
-def _window(polys, var: int, bound: int, lo: int, hi: int):
-    """Integer range of x_var keeping every |a + b*x| <= bound; None = empty."""
-    for poly in polys:
-        ab = poly.linear_in(var)
-        if ab is None:
-            continue
-        a, b = ab
-        if b == 0:
-            if abs(a) > bound:
-                return None
-            continue
-        if b < 0:
-            a, b = -a, -b
-        lo = max(lo, -((bound + a) // b))  # ceil((-bound - a) / b)
-        hi = min(hi, (bound - a) // b)
-    return (lo, hi) if lo <= hi else None
+def _search(quads: np.ndarray, bound: int, first, highs) -> list[tuple[int, ...]]:
+    """Every letter vector whose quadratics all stay within +-``bound``.
+
+    The first letter takes the values of ``first`` in order, and letter k >= 1
+    runs over [1, highs[k-1]].  For all prefixes at once, each letter is
+    pruned to the window |a + b*x| <= bound of every row that, with the
+    prefix substituted, is linear in that letter alone (floor division keeps
+    it exact).  The survivors are checked against every row in one product
+    with their monomials, and come back in scan order (``first``'s order,
+    then ascending).  The arithmetic is int64 when the worst case
+    sum|coef| * max(letter)^2 + bound fits, else on Python-int object arrays.
+    """
+    p, q = _columns(len(highs) + 1)
+    reach = max([1, *(abs(x) for x in first), *highs])
+    worst = max(1, int(np.abs(quads).sum(axis=1).max()))
+    dtype = np.int64 if worst * reach * reach + bound <= _INT64_MAX else object
+    quads = quads.astype(dtype)
+    prefix = np.array([[1, x] for x in first], dtype=dtype).reshape(-1, 2)
+
+    def slope(v: int, k: int) -> np.ndarray:  # coefficient of y[v] once y[:k] is substituted
+        cols = (q == v) & (p < k)
+        return prefix[:, p[cols]] @ quads[:, cols].T
+
+    for k, high in enumerate(highs, start=2):  # k indexes y; prefix holds y[:k]
+        fixed = q < k
+        a = (prefix[:, p[fixed]] * prefix[:, q[fixed]]) @ quads[:, fixed].T
+        b = slope(k, k)
+        alone = ~np.any(quads[:, p >= k] != 0, axis=1)  # no x_k^2 and no later letter left over
+        for v in range(k + 1, len(highs) + 2):
+            alone = alone & (slope(v, k) == 0)
+        a, b = np.where(b < 0, -a, a), np.abs(b)
+        bounded = alone & (b != 0)
+        step = np.where(bounded, b, 1)
+        lo = np.where(bounded, -((bound + a) // step), 1).max(axis=1, initial=1)
+        hi = np.where(bounded, (bound - a) // step, high).min(axis=1, initial=high)
+        lost = np.any(alone & (b == 0) & (np.abs(a) > bound), axis=1) | (hi < lo)
+        count = np.where(lost, 0, hi - lo + 1).astype(np.int64)
+        offsets = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        letter = np.repeat(lo, count) + offsets.astype(dtype)
+        prefix = np.column_stack([np.repeat(prefix, count, axis=0), letter])
+    values = (prefix[:, p] * prefix[:, q]) @ quads.T
+    return [tuple(row) for row in prefix[np.all(np.abs(values) <= bound, axis=1), 1:].tolist()]
 
 
-def _off_peak_polys(template: int, base: tuple[int, ...], nfree: int):
-    """Quadratics for every off-peak auto-correlation entry of the template,
-    in the trailing ``nfree`` alphabet letters."""
+def _off_peak_quadratics(template: int, base: tuple[int, ...], nfree: int) -> np.ndarray:
+    """Coefficient matrix of every off-peak auto-correlation entry of the
+    template, in the trailing ``nfree`` alphabet letters."""
 
     def corr_entries(free_vals):
         arr = _materialize(template, base + tuple(free_vals))
@@ -365,7 +333,7 @@ def _off_peak_polys(template: int, base: tuple[int, ...], nfree: int):
         del flat[centre]
         return flat
 
-    return _Quadratic.probe(corr_entries, nfree)
+    return _fit_quadratics(corr_entries, nfree)
 
 
 def diamond5_solve(
@@ -381,17 +349,8 @@ def diamond5_solve(
     auto-correlation magnitudes all stay within the bound.
     """
     bound = _edge_bound(5, base, 2)
-    polys = _off_peak_polys(5, base, 2)
-    out = []
-    for d in range(1, d_max + 1):
-        fixed = [p.substitute({0: d}) for p in polys]
-        win = _window(fixed, 1, bound, 1, e_max)
-        if win is None:
-            continue
-        for e in range(win[0], win[1] + 1):
-            if all(abs(p.eval((d, e))) <= bound for p in polys):
-                out.append(_solution(5, base + (d, e), bound))
-    return out
+    quads = _off_peak_quadratics(5, base, 2)
+    return [_solution(5, base + v, bound) for v in _search(quads, bound, range(1, d_max + 1), (e_max,))]
 
 
 def diamond7_solve(
@@ -410,26 +369,13 @@ def diamond7_solve(
     """
     if e < 1:
         raise ConstructError(f"e must be a positive integer, got {e}")
+    f_values = [int(f) for f in f_range]
+    if any(f < 1 for f in f_values):
+        raise ConstructError("f_range must contain positive integers only")
     base = (0, 0, 0, 1, e)
     bound = 2 * e * e + 2
-    polys = _off_peak_polys(7, base, 3)
-    out = []
-    for f in f_range:
-        if f < 1:
-            raise ConstructError("f_range must contain positive integers only")
-        at_f = [p.substitute({0: f}) for p in polys]
-        gwin = _window(at_f, 1, bound, 1, g_max)
-        if gwin is None:
-            continue
-        for g in range(gwin[0], gwin[1] + 1):
-            at_fg = [p.substitute({1: g}) for p in at_f]
-            hwin = _window(at_fg, 2, bound, 1, h_max)
-            if hwin is None:
-                continue
-            for h in range(hwin[0], hwin[1] + 1):
-                if all(abs(p.eval((f, g, h))) <= bound for p in polys):
-                    out.append(_solution(7, base + (f, g, h), bound))
-    return out
+    quads = _off_peak_quadratics(7, base, 3)
+    return [_solution(7, base + v, bound) for v in _search(quads, bound, f_values, (g_max, h_max))]
 
 
 def diamond7_closed_form(f: int) -> tuple[int, int]:
@@ -456,14 +402,11 @@ def _edge_bound(template: int, base: tuple[int, ...], nfree: int) -> int:
         mask = _edge_mask(c.values.shape, c.zero_index)
         return c.values.data[mask].astype(object).ravel().tolist()
 
-    consts = [
-        abs(p.const)
-        for p in _Quadratic.probe(edge_entries, nfree)
-        if p.is_constant()
-    ]
-    if not consts:
+    quads = _fit_quadratics(edge_entries, nfree)
+    fixed = quads[~np.any(quads[:, 1:] != 0, axis=1), 0]
+    if not fixed.size:
         raise ConstructError("template has no fixed edge-correlation entries")
-    return max(consts)
+    return int(np.abs(fixed).max())
 
 
 def _solution(template: int, values: tuple[int, ...], bound: int) -> AlphabetSolution:

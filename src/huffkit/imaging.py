@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .lattice import Tensor, _auto_lags, as_tensor, convolve, correlate
+from .lattice import Tensor, _auto_lags, _auto_peak, as_tensor, convolve, correlate
 from .metrics import _lag_scores
 
 __all__ = [
@@ -296,8 +296,7 @@ def ghost_image(obj, mask, kappa, kappa_prime="exact", scan=None) -> GhostResult
         data[~kept] = 0
         bucket = Tensor(data, bucket.mode)
 
-    auto = correlate(mask, mask)
-    c0 = float(auto.peak)
+    c0 = float(_auto_peak(mask))
     raw_full = convolve(bucket, mask)
     sel = valid_region(bucket.shape, mask.shape)
     raw = np.asarray(raw_full.data[sel], dtype=np.float64)
@@ -372,7 +371,7 @@ def watermark_locate(marked, mark) -> WatermarkMatch:
     arr = np.asarray(c.values.data, dtype=np.float64)
     where = np.unravel_index(int(np.argmax(arr)), arr.shape)
     offset = tuple(z - w for z, w in zip(c.zero_index, where))
-    c0 = float(correlate(mark, mark).peak)
+    c0 = float(_auto_peak(mark))
     peak = float(arr[where])
     return WatermarkMatch(offset, peak, c0 / 2.0, peak >= c0 / 2.0)
 

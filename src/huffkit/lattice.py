@@ -384,6 +384,15 @@ def _square_sum(values: np.ndarray):
     return (values * values).sum(axis=-1)
 
 
+def _auto_peak(t: Tensor):
+    """C0 = sum(t**2), the zero shift of t's auto-correlation, without the rest.
+
+    An exact Python int for an integer tensor, a float64 dot product for a real one.
+    """
+    flat = t.data.reshape(-1)
+    return int(_square_sum(flat)) if t.mode == "int" else float(np.dot(flat, flat))
+
+
 def _stacked_lags(stack: np.ndarray, out_shape: tuple[int, ...], length: int) -> np.ndarray:
     """Lags k = 0..length-1 of each int64 array's flat auto-correlation, one vector op per lag."""
     count = math.prod(stack.shape[1:])

@@ -57,12 +57,40 @@ def test_run_record_reads_click_version_without_deprecation(tmp_path):
     assert record["versions"]["click"] == metadata.version("click")
 
 
-@pytest.mark.parametrize("module", ["scipy.signal", "scipy"])
+@pytest.mark.parametrize(
+    "module", ["scipy.signal", "scipy", "huffkit.construct", "huffkit.continuum", "huffkit.imaging"]
+)
 def test_cli_import_does_not_load_scipy(module):
     code = f"import sys, huffkit.cli; sys.exit(int({module!r} in sys.modules))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+@pytest.mark.parametrize(
+    "argv, own",
+    [
+        (["generate", "--family", "h5", "--n", "1"], ["huffkit.construct"]),
+        (["analyze", "{tmp}/h9.txt"], []),
+        (["discretize", "--airy", "-4:4:0.5", "--max-iters", "2"], ["huffkit.continuum"]),
+        (["baseline", "--trials", "5"], ["huffkit.imaging"]),
+    ],
+    ids=["generate", "analyze", "discretize", "baseline"],
+)
+def test_command_loads_only_its_own_domain_module(tmp_path, argv, own):
+    (tmp_path / "h9.txt").write_text("9\n1 3 4 2 -2 -2 4 -3 1\n")
+    argv = [a.format(tmp=tmp_path) for a in argv] + ["--out", str(tmp_path)]
+    code = (
+        "import sys\n"
+        "from huffkit.cli import main\n"
+        f"main({argv!r})\n"
+        "lazy = ('huffkit.construct', 'huffkit.continuum', 'huffkit.imaging')\n"
+        "print([m for m in lazy if m in sys.modules])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == repr(own)
 
 
 def test_non_finite_plot_is_a_domain_error(tmp_path):

@@ -1,14 +1,17 @@
 """Constructions: recurrence families, catalog entries, diamond solvers, specs."""
 
 import csv
+import itertools
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from huffkit.construct import (
+    _materialize,
+    _search,
     ConstructError,
     HuffmanSpec,
     binet_value,
@@ -25,7 +28,7 @@ from huffkit.construct import (
     tensor_huffman,
 )
 from huffkit.lattice import correlate
-from huffkit.metrics import classify
+from huffkit.metrics import _edge_mask, classify
 
 from conftest import DATA, oracle_autocorrelate
 
@@ -191,6 +194,196 @@ def test_build_diamond_rejects_violating_alphabet():
 def test_diamond_is_symmetric():
     arr = build_diamond(5, (0, 1, 4, 8, 28, 99)).data
     assert np.array_equal(arr, arr.T)
+
+
+# -- the polynomial-object search the solvers replaced, kept as their oracle --
+
+
+class Quadratic:
+    """Exact quadratic polynomial in n integer letters, one Python int per term."""
+
+    def __init__(self, const, lin, sq, cross):
+        self.const, self.lin, self.sq, self.cross = const, lin, sq, cross  # cross: {(i, j): c}, i < j
+
+    @staticmethod
+    def probe(fn, nvars):
+        """Fit one quadratic per output entry of vector-valued fn(letters)."""
+
+        def at(assign):
+            v = [assign.get(i, 0) for i in range(nvars)]
+            return np.asarray(fn(v), dtype=object).ravel()
+
+        base = at({})
+        plus = [at({i: 1}) for i in range(nvars)]
+        minus = [at({i: -1}) for i in range(nvars)]
+        polys = []
+        for pos in range(base.size):
+            a0 = int(base[pos])
+            lin = [(int(plus[i][pos]) - int(minus[i][pos])) // 2 for i in range(nvars)]
+            sq = [(int(plus[i][pos]) + int(minus[i][pos]) - 2 * a0) // 2 for i in range(nvars)]
+            polys.append(Quadratic(a0, lin, sq, {}))
+        for i, j in itertools.combinations(range(nvars), 2):
+            pair = at({i: 1, j: 1})
+            for pos, poly in enumerate(polys):
+                c = int(pair[pos]) - (poly.const + poly.lin[i] + poly.lin[j] + poly.sq[i] + poly.sq[j])
+                if c:
+                    poly.cross[(i, j)] = c
+        return polys
+
+    def eval(self, v):
+        tot = self.const + sum(self.lin[i] * x + self.sq[i] * x * x for i, x in enumerate(v))
+        return tot + sum(c * v[i] * v[j] for (i, j), c in self.cross.items())
+
+    def substitute(self, known):
+        """Fix some letters, returning a quadratic in the remaining ones."""
+        const, lin, sq, cross = self.const, list(self.lin), list(self.sq), {}
+        for i, x in known.items():
+            const += lin[i] * x + sq[i] * x * x
+            lin[i] = sq[i] = 0
+        for (i, j), c in self.cross.items():
+            if i in known and j in known:
+                const += c * known[i] * known[j]
+            elif i in known:
+                lin[j] += c * known[i]
+            elif j in known:
+                lin[i] += c * known[j]
+            else:
+                cross[(i, j)] = c
+        return Quadratic(const, lin, sq, cross)
+
+    def is_constant(self):
+        return not (any(self.lin) or any(self.sq) or self.cross)
+
+    def linear_in(self, var):
+        """(offset, slope) if the poly is a + b*x_var only; else None."""
+        others = any(self.lin[i] or self.sq[i] for i in range(len(self.lin)) if i != var)
+        if self.sq[var] or self.cross or others:
+            return None
+        return self.const, self.lin[var]
+
+
+def window(polys, var, bound, lo, hi):
+    """Integer range of x_var keeping every |a + b*x| <= bound; None = empty."""
+    for poly in polys:
+        ab = poly.linear_in(var)
+        if ab is None:
+            continue
+        a, b = ab
+        if b == 0:
+            if abs(a) > bound:
+                return None
+            continue
+        if b < 0:
+            a, b = -a, -b
+        lo = max(lo, -((bound + a) // b))
+        hi = min(hi, (bound - a) // b)
+    return (lo, hi) if lo <= hi else None
+
+
+def oracle_polys(template, base, nfree, edge=False):
+    def entries(free_vals):
+        arr = _materialize(template, base + tuple(free_vals))
+        c = correlate(arr, arr)
+        keep = _edge_mask(c.values.shape, c.zero_index) if edge else np.ones(c.values.shape, dtype=bool)
+        keep[c.zero_index] = False
+        return c.values.data[keep].astype(object).tolist()
+
+    return Quadratic.probe(entries, nfree)
+
+
+def oracle_diamond5(d_max, e_max, base):
+    bound = max(abs(p.const) for p in oracle_polys(5, base, 2, edge=True) if p.is_constant())
+    polys = oracle_polys(5, base, 2)
+    out = []
+    for d in range(1, d_max + 1):
+        win = window([p.substitute({0: d}) for p in polys], 1, bound, 1, e_max)
+        for e in range(win[0], win[1] + 1) if win else ():
+            if all(abs(p.eval((d, e))) <= bound for p in polys):
+                out.append((base + (d, e), bound))
+    return out
+
+
+def oracle_diamond7(e, f_range, g_max, h_max):
+    base, bound = (0, 0, 0, 1, e), 2 * e * e + 2
+    polys = oracle_polys(7, base, 3)
+    out = []
+    for f in f_range:
+        at_f = [p.substitute({0: f}) for p in polys]
+        gwin = window(at_f, 1, bound, 1, g_max)
+        for g in range(gwin[0], gwin[1] + 1) if gwin else ():
+            hwin = window([p.substitute({1: g}) for p in at_f], 2, bound, 1, h_max)
+            for h in range(hwin[0], hwin[1] + 1) if hwin else ():
+                if all(abs(p.eval((f, g, h))) <= bound for p in polys):
+                    out.append((base + (f, g, h), bound))
+    return out
+
+
+@pytest.mark.parametrize("e", range(1, 9))
+def test_diamond7_matches_the_polynomial_search(e):
+    assert [(s.values, s.c_edge) for s in diamond7_solve(e)] == oracle_diamond7(e, range(1, 33), 4096, 4096)
+
+
+@settings(max_examples=30)
+@given(st.integers(1, 8), st.lists(st.integers(1, 40), max_size=4), st.booleans())
+def test_diamond7_matches_the_polynomial_search_anywhere(e, f_values, huge):
+    top = 2**40 if huge else 4096  # 2^40 squared leaves int64, so the scan runs on Python ints
+    got = [(s.values, s.c_edge) for s in diamond7_solve(e, f_values, top, top)]
+    assert got == oracle_diamond7(e, f_values, top, top)
+
+
+@settings(max_examples=30)
+@given(
+    st.tuples(*[st.integers(0, 12) | st.integers(0, 2**31)] * 4),
+    st.integers(0, 8),
+    st.integers(1, 40),
+)
+def test_diamond5_matches_the_polynomial_search(base, d_max, e_max):
+    got = [(s.values, s.c_edge) for s in diamond5_solve(d_max, e_max, base)]
+    assert got == oracle_diamond5(d_max, e_max, base)
+
+
+def brute_force_search(quads, bound, first, highs):
+    """Every letter vector in the scan range, each checked against every row."""
+    n = len(highs) + 1
+    out = []
+    for x in itertools.product(first, *(range(1, h + 1) for h in highs)):
+        monomials = [1, *x, *(v * v for v in x), *(x[i] * x[j] for i, j in itertools.combinations(range(n), 2))]
+        if all(abs(sum(int(c) * m for c, m in zip(row, monomials))) <= bound for row in quads):
+            out.append(x)
+    return out
+
+
+@given(st.data())
+def test_search_matches_brute_force(data):
+    """Windows only prune: the scan keeps exactly the brute-force survivors, in
+    scan order, also when scaled coefficients push it onto Python ints."""
+    n = data.draw(st.integers(2, 3))
+    width = 1 + 2 * n + n * (n - 1) // 2
+    coefficient = st.sampled_from([0, 0, 1, -1, 2, -3])
+    rows = data.draw(st.lists(st.lists(coefficient, min_size=width, max_size=width), min_size=1, max_size=3))
+    first = data.draw(st.lists(st.integers(1, 9), max_size=5))
+    highs = data.draw(st.lists(st.integers(1, 9), min_size=n - 1, max_size=n - 1))
+    bound = data.draw(st.integers(0, 12))
+    scale = data.draw(st.sampled_from([1, 2**62]))
+    quads = np.array(rows, dtype=object) * scale
+    assert _search(quads, bound * scale, first, highs) == brute_force_search(quads, bound * scale, first, highs)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        [0, 0, 1, -1, 0, 0, 0, 0, 0, 0],  # g - h: no window for g while h is free
+        [0, 0, 1, 0, 0, 0, 0, 0, -1, 0],  # g - f*h: the same, through a cross term
+        [0, 0, 0, 0, 0, 1, 0, 0, 0, 0],  # g^2 alone gives no linear window
+    ],
+)
+def test_search_windows_only_rows_linear_in_that_letter_alone(row):
+    quads = np.array([row], dtype=object)
+    assert _search(quads, 2, [1, 2], [6, 6]) == brute_force_search(quads, 2, [1, 2], [6, 6])
+
+
+def test_diamond5_default_matches_the_polynomial_search():
+    assert [(s.values, s.c_edge) for s in diamond5_solve()] == oracle_diamond5(400, 4000, (0, 1, 4, 8))
 
 
 # -- tensor products and the declarative spec ---------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from huffkit import lattice
+from huffkit import imaging, lattice
 from huffkit.construct import catalog, tensor_huffman
 from huffkit.imaging import (
     BaselineStats,
@@ -21,6 +21,8 @@ from huffkit.imaging import (
     pedestal_pair,
     random_baseline,
     trial_rng,
+    watermark_embed,
+    watermark_locate,
 )
 from huffkit.lattice import Tensor, correlate
 from huffkit.metrics import merit_factor, side_lobe_ratio
@@ -77,6 +79,19 @@ def test_ghost_scan_sets_partial():
     full = tuple(slice(0, n + m - 1) for n, m in zip(_OBJ.shape, _MASK.shape))
     assert not ghost_image(_OBJ, _MASK, kappa=3, scan=full).partial
     assert ghost_image(_OBJ, _MASK, kappa=3, scan=(slice(0, 4), slice(None))).partial
+
+
+def test_ghost_and_locate_take_c0_without_the_mask_auto_correlation(monkeypatch):
+    calls = []
+    monkeypatch.setattr(imaging, "correlate", lambda a, b: calls.append(1) or correlate(a, b))
+    c0 = int(oracle_autocorrelate(_MASK)[tuple(n - 1 for n in _MASK.shape)])
+    ghost = ghost_image(_OBJ, _MASK, kappa=3, kappa_prime=0.0)
+    assert len(calls) == 1  # the bucket scan only
+    raw = decode(ghost.bucket, _MASK).data
+    assert np.array_equal(ghost.reconstruction.data, raw / float(c0))
+    match = watermark_locate(watermark_embed(np.zeros((9, 9), dtype=np.int64), _MASK, (2, 3)), _MASK)
+    assert len(calls) == 2  # plus the search
+    assert match.offset == (2, 3) and match.threshold == c0 / 2
 
 
 def test_deblur_converges_for_an_h9_outer_product():
