@@ -25,7 +25,7 @@ _LAZY = {
     "construct": (
         "ConstructError", "HuffmanSpec", "AlphabetSolution", "phi_value", "binet_value",
         "fibonacci_huffman", "h5_family", "catalog", "catalog_keys", "diamond5_solve",
-        "diamond7_solve", "diamond7_closed_form", "build_diamond", "tensor_huffman", "build",
+        "diamond7_solve", "diamond7_closed_form", "diamond_array", "build_diamond", "tensor_huffman", "build",
     ),
     "continuum": (
         "ContinuumError", "ProbeSpec", "DeltaReport", "TweakResult", "airy", "synthesize_probe",

@@ -664,14 +664,14 @@ def tables(table, e, f_min, f_max, name, out):
     The bits column follows the printed tables' span convention
     (``metrics.span_bits``), not the magnitude convention of QualityReport.
     """
-    from .construct import _materialize, diamond7_solve
+    from .construct import diamond7_solve, diamond_array
     if table == "1":
         # The 5x5 survey includes near-miss alphabets whose inner side lobes
         # exceed the edge value, so materialize without the quasi recheck.
         stem = "table1"
         lines = ["a,b,c,d,e,f,R,M,cedge,bits,off_lo,off_hi"]
         for alpha in _TABLE1_ALPHABETS:
-            tensor = Tensor.from_values(_materialize(5, alpha), "int")
+            tensor = diamond_array(5, alpha)
             rep = classify(tensor)
             lo, hi = _off_peak_span(tensor)
             lines.append(
@@ -689,10 +689,9 @@ def tables(table, e, f_min, f_max, name, out):
             key=lambda s: (-s.values[5], -s.values[6], -s.values[7]),
         )
         for sol in rows:
-            tensor = sol.build()
-            rep = classify(tensor)
+            rep = sol.report
             lines.append("%d,%d,%d,%.6g,%.6g,%.6g,%d,%s"
-                         % (*sol.values[5:8], rep.R, rep.M, rep.S, span_bits(tensor), rep.OP))
+                         % (*sol.values[5:8], rep.R, rep.M, rep.S, span_bits(sol.build()), rep.OP))
         args = {"table": 2, "e": e, "f_min": f_min, "f_max": f_max}
 
     files = _finish(name, out, stem, args, {".csv": "\n".join(lines) + "\n"}, results={"rows": len(lines) - 1})

@@ -20,13 +20,13 @@ lexicographic alphabet order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .lattice import _INT64_MAX, Tensor, as_tensor, correlate, outer_product
-from .metrics import _edge_mask, classify
+from .lattice import _INT64_MAX, Tensor, _edge_sets, as_tensor, correlate, outer_product
+from .metrics import QualityReport, classify
 
 __all__ = [
     "ConstructError",
@@ -41,6 +41,7 @@ __all__ = [
     "diamond5_solve",
     "diamond7_solve",
     "diamond7_closed_form",
+    "diamond_array",
     "build_diamond",
     "tensor_huffman",
     "build",
@@ -212,17 +213,20 @@ def _block7(v):
     return [[a, b, c, d], [b, 2 * c, e, f], [c, e, 2 * (c + f), g], [d, f, g, h]]
 
 
-def _materialize(template: int, values) -> np.ndarray:
-    values = tuple(int(v) for v in values)
-    if template == 5:
-        if len(values) != 6:
-            raise ConstructError("5x5 template takes a 6-letter alphabet")
-        return _fold_template(_block5, _SIGNS5, values)
-    if template == 7:
-        if len(values) != 8:
-            raise ConstructError("7x7 template takes an 8-letter alphabet")
-        return _fold_template(_block7, _SIGNS7, values)
-    raise ConstructError(f"template must be 5 or 7, got {template}")
+_TEMPLATES = {5: (_block5, _SIGNS5), 7: (_block7, _SIGNS7)}
+
+
+def diamond_array(template: int, letters) -> Tensor:
+    """The 5x5 (6 letters) or 7x7 (8 letters) diamond array of an alphabet.
+
+    Unlike :func:`build_diamond`, it does not recheck the quasi property.
+    """
+    if template not in _TEMPLATES:
+        raise ConstructError(f"template must be 5 or 7, got {template}")
+    letters = tuple(int(v) for v in letters)
+    if len(letters) != template + 1:
+        raise ConstructError(f"{template}x{template} template takes a {template + 1}-letter alphabet")
+    return Tensor(_fold_template(*_TEMPLATES[template], letters), "int")
 
 
 @dataclass(frozen=True)
@@ -231,13 +235,19 @@ class AlphabetSolution:
 
     ``values`` is the full letter tuple (6 letters for 5x5, 8 for 7x7);
     ``c_edge`` the edge-correlation bound the solution satisfies;
-    ``classification`` the canonical/quasi verdict of the materialized array.
+    ``report`` the solver's :class:`QualityReport` of the materialized array
+    (left out of comparisons), whose canonical/quasi verdict is
+    ``classification``.
     """
 
     template: int
     values: tuple[int, ...]
     c_edge: int
-    classification: str
+    report: QualityReport = field(compare=False)
+
+    @property
+    def classification(self) -> str:
+        return self.report.classification
 
     def build(self) -> Tensor:
         return build_diamond(self.template, self.values)
@@ -321,19 +331,16 @@ def _search(quads: np.ndarray, bound: int, first, highs) -> list[tuple[int, ...]
     return [tuple(row) for row in prefix[np.all(np.abs(values) <= bound, axis=1), 1:].tolist()]
 
 
-def _off_peak_quadratics(template: int, base: tuple[int, ...], nfree: int) -> np.ndarray:
-    """Coefficient matrix of every off-peak auto-correlation entry of the
-    template, in the trailing ``nfree`` alphabet letters."""
+def _quadratics(template: int, base: tuple[int, ...], nfree: int, entries: str) -> np.ndarray:
+    """Coefficient matrix of the template's auto-correlation entries in the
+    ``lattice._edge_sets`` field ``entries``, in the trailing ``nfree`` letters."""
+    indices = getattr(_edge_sets((template, template)), entries)
 
-    def corr_entries(free_vals):
-        arr = _materialize(template, base + tuple(free_vals))
-        c = correlate(arr, arr)
-        flat = c.values.data.astype(object).ravel().tolist()
-        centre = np.ravel_multi_index(c.zero_index, c.values.shape)
-        del flat[centre]
-        return flat
+    def at(free_vals):
+        t = diamond_array(template, base + tuple(free_vals))
+        return correlate(t, t).values.data.reshape(-1)[indices]
 
-    return _fit_quadratics(corr_entries, nfree)
+    return _fit_quadratics(at, nfree)
 
 
 def diamond5_solve(
@@ -349,7 +356,7 @@ def diamond5_solve(
     auto-correlation magnitudes all stay within the bound.
     """
     bound = _edge_bound(5, base, 2)
-    quads = _off_peak_quadratics(5, base, 2)
+    quads = _quadratics(5, base, 2, "off_peak")
     return [_solution(5, base + v, bound) for v in _search(quads, bound, range(1, d_max + 1), (e_max,))]
 
 
@@ -362,8 +369,9 @@ def diamond7_solve(
     """All positive (f, g, h) quasi alphabets [0,0,0,1,e,f,g,h] for the 7x7.
 
     The corner letters are zero and d = 1, so the inner-diamond edge
-    correlation fixes the bound at 2e**2 + 2.  f = 0 is excluded by default:
-    it decouples h and yields a degenerate unconstrained family.  For e = 3
+    correlation fixes the bound (``_edge_bound``) at 2e**2 + 2.  f = 0 is
+    excluded by default: it decouples h and yields a degenerate
+    unconstrained family.  For e = 3
     the closed form g = f**2/2 + 1, h = f**3/8 + f (even f) lands inside the
     solution set; the search also returns the neighbouring solutions.
     """
@@ -373,8 +381,8 @@ def diamond7_solve(
     if any(f < 1 for f in f_values):
         raise ConstructError("f_range must contain positive integers only")
     base = (0, 0, 0, 1, e)
-    bound = 2 * e * e + 2
-    quads = _off_peak_quadratics(7, base, 3)
+    bound = _edge_bound(7, base, 3)
+    quads = _quadratics(7, base, 3, "off_peak")
     return [_solution(7, base + v, bound) for v in _search(quads, bound, f_values, (g_max, h_max))]
 
 
@@ -389,20 +397,13 @@ def _edge_bound(template: int, base: tuple[int, ...], nfree: int) -> int:
     """Edge-correlation bound of a template family.
 
     The quasi criterion compares off-peak correlations against the value at
-    the maximal-overlap shifts (the outer ring plus the diagonal tips).  For
-    a solver, only the part of that edge set fixed by the template -- the
-    entries that do not involve the scanned letters -- can serve as the
-    bound; the rest are constrained by it like any other off-peak entry.
+    the maximal-overlap shifts, ``lattice._edge_sets(shape).edge`` (the outer
+    ring plus the diagonal tips).  For a solver, only the part of that edge
+    set fixed by the template -- the entries that do not involve the scanned
+    letters -- can serve as the bound; the rest are constrained by it like
+    any other off-peak entry.
     """
-
-    def edge_entries(free_vals):
-        arr = _materialize(template, base + tuple(free_vals))
-        t = Tensor.from_values(arr, "int")
-        c = correlate(t, t)
-        mask = _edge_mask(c.values.shape, c.zero_index)
-        return c.values.data[mask].astype(object).ravel().tolist()
-
-    quads = _fit_quadratics(edge_entries, nfree)
+    quads = _quadratics(template, base, nfree, "edge")
     fixed = quads[~np.any(quads[:, 1:] != 0, axis=1), 0]
     if not fixed.size:
         raise ConstructError("template has no fixed edge-correlation entries")
@@ -410,8 +411,7 @@ def _edge_bound(template: int, base: tuple[int, ...], nfree: int) -> int:
 
 
 def _solution(template: int, values: tuple[int, ...], bound: int) -> AlphabetSolution:
-    rep = classify(Tensor.from_values(_materialize(template, values), "int"))
-    return AlphabetSolution(template, values, bound, rep.classification)
+    return AlphabetSolution(template, values, bound, classify(diamond_array(template, values)))
 
 
 def _structural_bound(template: int, values: tuple[int, ...]) -> int:
@@ -443,7 +443,7 @@ def build_diamond(template: int, alphabet) -> Tensor:
             )
         alphabet = alphabet.values
     values = tuple(int(v) for v in alphabet)
-    arr = Tensor.from_values(_materialize(template, values), "int")
+    arr = diamond_array(template, values)
     rep = classify(arr)
     bound = max(int(rep.C_edge), _structural_bound(template, values))
     if rep.OP > bound:

@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .lattice import Tensor, _auto_lags, _auto_peak, as_tensor, convolve, correlate
+from .lattice import Tensor, _auto_lags, _auto_peak, _ring, as_tensor, convolve, correlate
 from .metrics import _lag_scores
 
 __all__ = [
@@ -242,17 +242,6 @@ class GhostResult:
     partial: bool
 
 
-def _boundary_mean(arr: np.ndarray) -> float:
-    mask = np.zeros(arr.shape, dtype=bool)
-    for axis in range(arr.ndim):
-        sel = [slice(None)] * arr.ndim
-        sel[axis] = 0
-        mask[tuple(sel)] = True
-        sel[axis] = -1
-        mask[tuple(sel)] = True
-    return float(np.asarray(arr, dtype=np.float64)[mask].mean())
-
-
 def ghost_image(obj, mask, kappa, kappa_prime="exact", scan=None) -> GhostResult:
     """Bucket acquisition with the non-negative mask H + kappa, then
     convolution with the signed H and pedestal removal.
@@ -264,10 +253,10 @@ def ghost_image(obj, mask, kappa, kappa_prime="exact", scan=None) -> GhostResult
     ``kappa_prime`` selects the constant subtracted after back-correlation:
     ``"exact"`` uses that analytic value (needs the object sum, i.e. known
     compact support), ``"boundary"`` averages the raw back-correlation on the
-    border of the scanned region (the empirical rule), or pass a number
-    directly.  ``scan`` optionally restricts the recorded bucket positions
-    (slices into the full correlation extent); anything outside is lost and
-    the result is flagged partial.
+    border of the scanned region, ``lattice._ring`` (the empirical rule), or
+    pass a number directly.  ``scan`` optionally restricts the recorded
+    bucket positions (slices into the full correlation extent); anything
+    outside is lost and the result is flagged partial.
     """
     obj, mask = as_tensor(obj), as_tensor(mask)
     if obj.ndim != mask.ndim:
@@ -307,7 +296,7 @@ def ghost_image(obj, mask, kappa, kappa_prime="exact", scan=None) -> GhostResult
             kp = ksum * float(np.sum(np.asarray(mask.data, dtype=np.float64)))
             mode = "exact"
         elif kappa_prime == "boundary":
-            kp = _boundary_mean(raw)
+            kp = float(np.take(raw, _ring(raw.shape)).mean())
             mode = "boundary"
         else:
             raise ImagingError(f"unknown kappa_prime mode {kappa_prime!r}")

@@ -55,7 +55,7 @@ import math
 from dataclasses import dataclass
 from itertools import islice
 from itertools import product as _iproduct
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -191,17 +191,15 @@ def as_tensor(x, mode: str | None = None) -> Tensor:
 class CorrelationResult:
     """Full aperiodic correlation plus the headline scalar views of it.
 
-    ``peak`` is the zero-shift value C0; ``edge`` the end/corner correlation
-    (product of opposite extreme elements — only defined when the operand
-    extents match); ``off_peak_max`` the largest off-peak magnitude; ``op``
-    the largest magnitude that is also not one of the edge-correlation
-    entries (the ends in 1D, plus the maximal-overlap diagonal tips
-    (+/-m, ..., +/-m), m = (N-1)/2, when every extent is odd).
+    ``peak`` is the zero-shift value C0; ``off_peak_max`` the largest
+    off-peak magnitude; ``op`` the largest magnitude that is also not one of
+    the edge-correlation ends, ``_edge_sets(shape).ends`` (the corners, plus
+    the maximal-overlap diagonal tips when every extent is odd and at least
+    3).  ``op`` equals ``off_peak_max`` when the operand extents differ.
     """
 
     values: Tensor
     peak: object
-    edge: object | None
     off_peak_max: object
     op: object
     zero_index: tuple[int, ...]
@@ -457,60 +455,73 @@ def _off_peak_magnitudes(values: np.ndarray, zero: tuple[int, ...]) -> np.ndarra
     return mags
 
 
-@functools.lru_cache(maxsize=64)
-def _edge_shift_indices(shape: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Indices of the edge-correlation entries in a full auto-correlation.
+def _frozen(x: np.ndarray) -> np.ndarray:
+    x.flags.writeable = False  # cached and shared by every caller
+    return x
 
-    Ends/corners (every axis at an extreme) always count; when every input
-    extent is odd, the diagonal maximal-overlap tips at shifts
-    (+/-m_1, ..., +/-m_n), m_i = (N_i - 1)/2, count as well.  Cached per
-    shape, since every correlation of that shape needs the same set.
+
+@functools.lru_cache(maxsize=64)
+def _ring(shape: tuple[int, ...]) -> np.ndarray:
+    """Sorted flat indices of the entries of a ``shape`` array with some axis at an end."""
+    index = np.indices(shape).reshape(len(shape), -1)
+    last = np.array(shape).reshape(-1, 1) - 1
+    return _frozen(np.flatnonzero(np.any((index == 0) | (index == last), axis=0)))
+
+
+class EdgeSets(NamedTuple):
+    """Sorted flat index sets of the full auto-correlation of one operand shape.
+
+    ``ends``: the corners (every axis at an extreme shift) plus, when every
+    extent is odd and at least 3, the maximal-overlap diagonal tips at shifts
+    (+/-m_1, ..., +/-m_n), m_i = (N_i - 1)/2.  ``edge``: the outer ring plus
+    those tips; ``interior``: everything off the ring; ``off_peak``:
+    everything.  The last three leave out the zero shift.
     """
+
+    ends: np.ndarray
+    edge: np.ndarray
+    interior: np.ndarray
+    off_peak: np.ndarray
+
+
+@functools.lru_cache(maxsize=64)
+def _edge_sets(shape: tuple[int, ...]) -> EdgeSets:
+    """The :class:`EdgeSets` of operand ``shape``; every auto-correlation of it reads these."""
     full = tuple(2 * n - 1 for n in shape)
-    out = []
-    for signs in _iproduct(*[(0, 1)] * len(shape)):
-        out.append(tuple(0 if s == 0 else f - 1 for s, f in zip(signs, full)))
-    if all(n % 2 == 1 for n in shape) and all(n >= 3 for n in shape):
-        centre = tuple(n - 1 for n in shape)
-        m = tuple((n - 1) // 2 for n in shape)
-        for signs in _iproduct(*[(-1, 1)] * len(shape)):
-            out.append(tuple(c + s * mi for c, s, mi in zip(centre, signs, m)))
-    return tuple(sorted(set(out)))
+
+    def flat(points) -> np.ndarray:
+        return np.ravel_multi_index(np.array(list(points), dtype=np.intp).reshape(-1, len(full)).T, full)
+
+    has_tips = all(n % 2 == 1 and n >= 3 for n in shape)
+    # the zero shift N - 1 minus or plus m = (N - 1)/2, per axis
+    tips = flat(_iproduct(*(((n - 1) // 2, 3 * (n - 1) // 2) for n in shape)) if has_tips else ())
+    zero = flat([tuple(n - 1 for n in shape)])
+    ring = np.zeros(math.prod(full), dtype=bool)
+    ring[_ring(full)] = True
+    ends = np.zeros_like(ring)
+    ends[flat(_iproduct(*((0, f - 1) for f in full)))] = True
+    edge, interior, off_peak = ring.copy(), ~ring, np.ones_like(ring)
+    ends[tips] = edge[tips] = True
+    edge[zero] = interior[zero] = off_peak[zero] = False
+    return EdgeSets(*(_frozen(np.flatnonzero(entries)) for entries in (ends, edge, interior, off_peak)))
 
 
 def correlate(a, b) -> CorrelationResult:
     """Full aperiodic cross-correlation of two same-dimensionality tensors.
 
     Integer inputs give exact integer output.  ``peak`` is read at the zero
-    shift (index ``Na-1`` per axis); the edge/op fields follow the module
-    docstring conventions.
+    shift (index ``Na-1`` per axis); ``op`` follows :class:`CorrelationResult`.
     """
     a, b = as_tensor(a), as_tensor(b)
     values = _raw_correlate(a, b)
     zero = tuple(n - 1 for n in a.shape)
-    arr = values.data
-    peak = arr[zero]
-    same_extent = a.shape == b.shape
-    edge = arr[tuple(n - 1 for n in values.shape)] if same_extent else None
-
-    mags = _off_peak_magnitudes(arr, zero)
+    mags = _off_peak_magnitudes(values.data, zero)
     off_peak_max = op = mags.max()
-    if same_extent:
-        for idx in _edge_shift_indices(a.shape):
-            mags[idx] = 0
+    if a.shape == b.shape:
+        mags.flat[_edge_sets(a.shape).ends] = 0
         op = mags.max()
-
-    if values.mode == "int":
-        peak = int(peak)
-        edge = None if edge is None else int(edge)
-        off_peak_max = int(off_peak_max)
-        op = int(op)
-    else:
-        peak = float(peak)
-        edge = None if edge is None else float(edge)
-        off_peak_max = float(off_peak_max)
-        op = float(op)
-    return CorrelationResult(values, peak, edge, off_peak_max, op, zero)
+    scalar = int if values.mode == "int" else float
+    return CorrelationResult(values, scalar(values.data[zero]), scalar(off_peak_max), scalar(op), zero)
 
 
 def convolve(a, b) -> Tensor:

@@ -17,7 +17,7 @@ import numpy as np
 from .lattice import (
     CorrelationResult,
     Tensor,
-    _edge_shift_indices,
+    _edge_sets,
     _square_sum,
     as_tensor,
     correlate,
@@ -138,51 +138,6 @@ def span_bits(a) -> int:
     return max(1, (span - 1).bit_length())
 
 
-def _edge_mask(corr_shape: tuple[int, ...], zero_index: tuple[int, ...]) -> np.ndarray:
-    """Boolean mask of the edge-correlation entries in a full auto-correlation:
-    the outer ring (any axis at an extreme shift) plus the maximal-overlap
-    diagonal tips, with the zero-shift peak excluded."""
-    shape = tuple((n + 1) // 2 for n in corr_shape)
-    ring = np.zeros(corr_shape, dtype=bool)
-    for ax in range(len(corr_shape)):
-        sl = [slice(None)] * len(corr_shape)
-        sl[ax] = 0
-        ring[tuple(sl)] = True
-        sl[ax] = -1
-        ring[tuple(sl)] = True
-    for idx in _edge_shift_indices(shape):
-        ring[idx] = True
-    ring[zero_index] = False
-    return ring
-
-
-def _edge_value(c: CorrelationResult):
-    """Classification C_edge: max |C| over the edge-correlation entry set."""
-    arr = c.values.data
-    best = 0
-    vals = arr[_edge_mask(c.values.shape, c.zero_index)]
-    if not vals.size:
-        return best
-    if arr.dtype == object:
-        return max(abs(int(v)) for v in vals.flat)
-    if c.values.mode == "int":
-        return int(np.abs(vals).max())
-    return float(np.abs(vals).max())
-
-
-def _is_canonical(c: CorrelationResult) -> bool:
-    """Off-peak entries vanish except on the outer ring of the correlation."""
-    arr = c.values.data
-    interior = tuple(slice(1, -1) for _ in range(arr.ndim))
-    inner = arr[interior]
-    if inner.size == 0:  # an extent-1 axis puts everything on the ring
-        return True
-    inner = inner.copy()
-    zero_inner = tuple(z - 1 for z in c.zero_index)
-    inner[zero_inner] = 0
-    return not np.any(inner)
-
-
 @dataclass
 class QualityReport:
     """The five quality measures plus the auxiliary correlation scalars."""
@@ -212,14 +167,19 @@ class QualityReport:
 def classify(a) -> QualityReport:
     """Full report; canonical / quasi / other per the off-peak structure.
 
-    canonical: every off-peak entry away from the correlation's outer ring is
-    exactly zero.  quasi: all off-peak magnitudes are bounded by the edge
-    correlation value.  other: anything else.
+    The entry sets are ``lattice._edge_sets(a.shape)``.  canonical: every
+    off-peak entry off the correlation's outer ring (``interior``) is
+    exactly zero.  quasi: all off-peak magnitudes are bounded by ``C_edge``,
+    the largest magnitude on the outer ring and the diagonal tips
+    (``edge``).  other: anything else.
     """
     a = as_tensor(a)
     c = correlate(a, a)
-    c_edge = _edge_value(c)
-    if _is_canonical(c):
+    sets = _edge_sets(a.shape)
+    flat = c.values.data.reshape(-1)
+    edge = flat[sets.edge]
+    c_edge = Tensor(edge, c.values.mode).max_abs() if edge.size else 0
+    if not np.any(flat[sets.interior]):
         kind = "canonical"
     elif c.off_peak_max <= c_edge:
         kind = "quasi"

@@ -192,7 +192,10 @@ def twin(a) -> Tensor:
     signs = np.ones(a.shape[0], dtype=np.int64)
     signs[1::2] = -1
     shaped = signs.reshape((-1,) + (1,) * (a.ndim - 1))
-    return Tensor(a.data * shaped, a.mode)
+    data = a.data
+    if data.dtype == np.int64 and np.any(data[1::2] == np.iinfo(np.int64).min):
+        data = data.astype(object)  # -(-2^63) leaves int64: flip in Python ints
+    return Tensor(data * shaped, a.mode)
 
 
 def default_directions(max_n: int = 5) -> tuple[ProjectionDirection, ...]:

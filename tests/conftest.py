@@ -76,3 +76,56 @@ def h15():
     from huffkit.construct import fibonacci_huffman
 
     return fibonacci_huffman(15, 2)
+
+
+def oracle_ring(shape):
+    """Indices of an array of ``shape`` with some axis at its first or last entry, row-major."""
+    return [
+        idx
+        for idx in itertools.product(*(range(n) for n in shape))
+        if any(i in (0, n - 1) for i, n in zip(idx, shape))
+    ]
+
+
+def oracle_edge_sets(shape):
+    """The index sets of the full auto-correlation of an operand of ``shape``.
+
+    Written from the definitions, one index at a time: the zero shift sits at
+    N - 1 per axis; the ends are the corners (every axis at an extreme shift)
+    plus, when every extent is odd and at least 3, the diagonal tips at
+    shifts (+/-(N_1 - 1)/2, ..., +/-(N_n - 1)/2).  ``edge`` is the outer ring
+    plus the tips, ``interior`` everything off the ring, ``off_peak``
+    everything; the zero shift is in none of these three.
+    """
+    full = tuple(2 * n - 1 for n in shape)
+    zero = tuple(n - 1 for n in shape)
+    every = set(itertools.product(*(range(f) for f in full)))
+    ring = set(oracle_ring(full))
+    corners = set(itertools.product(*((0, f - 1) for f in full)))
+    tips = set()
+    if all(n % 2 == 1 and n >= 3 for n in shape):
+        steps = itertools.product(*((-((n - 1) // 2), (n - 1) // 2) for n in shape))
+        tips = {tuple(z + s for z, s in zip(zero, step)) for step in steps}
+    return {
+        "ends": corners | tips,
+        "edge": (ring | tips) - {zero},
+        "interior": every - ring - {zero},
+        "off_peak": every - {zero},
+    }
+
+
+def oracle_edge_values(c, shape):
+    """(op, C_edge, classification) of auto-correlation values ``c`` from the index sets."""
+    sets = oracle_edge_sets(shape)
+
+    def top(indices):
+        return max((abs(c[i]) for i in indices), default=0)
+
+    c_edge = top(sets["edge"])
+    if not any(c[i] for i in sets["interior"]):
+        kind = "canonical"
+    elif top(sets["off_peak"]) <= c_edge:
+        kind = "quasi"
+    else:
+        kind = "other"
+    return top(sets["off_peak"] - sets["ends"]), c_edge, kind

@@ -46,6 +46,25 @@ def test_failed_sum_check_exits_numerical(tmp_path, monkeypatch):
     assert result.exit_code == 4, result.output
 
 
+def test_table2_classifies_each_solution_once_and_each_row_once_more(tmp_path, monkeypatch):
+    import huffkit.cli
+    from huffkit import construct, metrics
+
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return metrics.classify(a)
+
+    for module in (construct, huffkit.cli):
+        monkeypatch.setattr(module, "classify", counted)
+    result = CliRunner().invoke(main, ["tables", "--table", "2", "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    assert "66 rows" in result.output
+    # diamond7_solve(3) finds 124 solutions; build_diamond rechecks each of the 66 rows
+    assert len(calls) <= 124 + 66
+
+
 def test_run_record_reads_click_version_without_deprecation(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from huffkit.construct import (
-    _materialize,
     _search,
     ConstructError,
     HuffmanSpec,
@@ -22,15 +21,16 @@ from huffkit.construct import (
     diamond5_solve,
     diamond7_closed_form,
     diamond7_solve,
+    diamond_array,
     fibonacci_huffman,
     h5_family,
     phi_value,
     tensor_huffman,
 )
 from huffkit.lattice import correlate
-from huffkit.metrics import _edge_mask, classify
+from huffkit.metrics import classify
 
-from conftest import DATA, oracle_autocorrelate
+from conftest import DATA, oracle_autocorrelate, oracle_edge_sets
 
 H15_SEQUENCE = [1, 2, 2, 4, 6, 10, 16, -3, -16, 10, -6, 4, -2, 2, -1]
 
@@ -282,11 +282,9 @@ def window(polys, var, bound, lo, hi):
 
 def oracle_polys(template, base, nfree, edge=False):
     def entries(free_vals):
-        arr = _materialize(template, base + tuple(free_vals))
-        c = correlate(arr, arr)
-        keep = _edge_mask(c.values.shape, c.zero_index) if edge else np.ones(c.values.shape, dtype=bool)
-        keep[c.zero_index] = False
-        return c.values.data[keep].astype(object).tolist()
+        arr = diamond_array(template, base + tuple(free_vals))
+        c = correlate(arr, arr).values.data
+        return [c[i] for i in sorted(oracle_edge_sets(arr.shape)["edge" if edge else "off_peak"])]
 
     return Quadratic.probe(entries, nfree)
 

@@ -4,10 +4,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from huffkit.construct import build_diamond, catalog
-from huffkit.lattice import Tensor, correlate, flip
+from huffkit.imaging import ghost_image, valid_region
+from huffkit.lattice import Tensor, convolve, correlate, flip
 from huffkit.metrics import (
     bits,
     classify,
@@ -19,6 +20,8 @@ from huffkit.metrics import (
     span_bits,
     spectral_flatness,
 )
+
+from conftest import oracle_edge_values, oracle_ring
 
 # Two published 7x7 example alphabets, used all over this suite.
 ALPHA_A = (0, 0, 1, 2, 6, 7, 17, 20)
@@ -147,3 +150,43 @@ def test_delta_function_classifies_canonical():
     rep = classify(Tensor.from_values([[5]]))
     assert rep.classification == "canonical"
     assert rep.R == np.inf and rep.M == np.inf  # no off-peak at all
+
+
+# Extents 1, 2, even and odd; entries mostly small or zero so that canonical and
+# quasi arrays turn up, and up to 2^40 so the correlations leave int64.
+_ENTRIES = st.one_of(st.just(0), st.integers(-2, 2), st.integers(-(2**40), 2**40))
+
+
+@st.composite
+def _same_ndim_pair(draw):
+    ndim = draw(st.integers(1, 3))
+
+    def array():
+        shape = tuple(draw(st.lists(st.sampled_from([1, 2, 3, 4, 5]), min_size=ndim, max_size=ndim)))
+        count = int(np.prod(shape))
+        return np.array(draw(st.lists(_ENTRIES, min_size=count, max_size=count))).reshape(shape)
+
+    return array(), array()
+
+
+@given(_same_ndim_pair())
+@example((np.array([1, 2, 2, 4, 6, 10, 16, -3, -16, 10, -6, 4, -2, 2, -1]), np.arange(3)))
+@example((catalog("H9").data, np.arange(4)))
+@example((np.array([1, 3, 4, -3, 1]), np.arange(2)))  # quasi: only the tips C(+/-2) break canonical
+@example((np.array([[1, 2, 1]]), np.ones((2, 2), dtype=np.int64)))  # no tips along an extent-1 axis
+@example((catalog("H8x8").data, np.ones((2, 3), dtype=np.int64)))
+@example((build_diamond(7, ALPHA_B).data, np.arange(9).reshape(3, 3)))
+def test_edge_sets_match_the_oracle(pair):
+    """op, C_edge, the class and the boundary kappa' read the documented index sets."""
+    a, obj = pair
+    assume(a.any())  # an all-zero mask has no C0 to normalise by
+    c = correlate(a, a)
+    rep = classify(a)
+    op, c_edge, kind = oracle_edge_values(c.values.data, a.shape)
+    assert (c.op, rep.C_edge, rep.classification) == (op, c_edge, kind)
+
+    kappa = max(0, -int(a.min()))
+    ghost = ghost_image(obj, a, kappa, kappa_prime="boundary")
+    raw = convolve(ghost.bucket, a).data[valid_region(ghost.bucket.shape, a.shape)]
+    raw = np.asarray(raw, dtype=np.float64)
+    assert ghost.kappa_prime == float(np.mean([raw[i] for i in oracle_ring(raw.shape)]))

@@ -218,6 +218,22 @@ def test_twin_of_square_alternates_along_first_axis_only():
     assert np.array_equal(twin(t).data, sq.data)
 
 
+def test_twin_flips_the_int64_minimum_into_python_ints():
+    t = twin([1, -(2**63)])
+    assert t.data.tolist() == [1, 2**63] and t.mode == "int"
+
+
+_INT64_EDGES = st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from([-(2**63), -(2**63) + 1, 2**63 - 1]))
+
+
+@given(st.integers(1, 6), st.integers(1, 3), st.data())
+def test_twin_matches_a_python_int_oracle(rows, cols, data):
+    values = data.draw(st.lists(st.lists(_INT64_EDGES, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    expected = [[(-1) ** i * v for v in row] for i, row in enumerate(values)]
+    assert twin(values).data.tolist() == expected
+    assert twin([row[0] for row in values]).data.tolist() == [row[0] for row in expected]
+
+
 def test_twin_cross_correlation_stays_low():
     h9 = catalog("H9")
     r, m = cross_metrics(correlate(h9, twin(h9)))
