@@ -187,7 +187,7 @@ _FAMILY_ALIASES = {
     "fibonacci": "fibonacci_binet",
     "h5": "h5_family",
     "catalog": "catalog",
-    "even": "even_length",
+    "even": "catalog",
     "diamond5": "diamond5",
     "diamond7": "diamond7",
     "outer": "outer_product",
@@ -225,7 +225,7 @@ def generate(family, length, b, n, variant, key, alphabet, e, f, g, h_letter, fa
         if n is None:
             raise click.UsageError("--n is required for the h5 family")
         parts += [f"n={n}", f"variant={variant}"]
-    elif family in ("catalog", "even_length"):
+    elif family == "catalog":
         if key is None:
             raise click.UsageError("--key is required for catalog entries")
         parts.append(f"key={key}")

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lattice import _INT64_MAX, Tensor, _edge_sets, as_tensor, correlate, outer_product
+from .lattice import Tensor, _edge_sets, _int_dtype, as_tensor, correlate, outer_product
 from .metrics import QualityReport, classify
 
 __all__ = [
@@ -302,7 +302,7 @@ def _search(quads: np.ndarray, bound: int, first, highs) -> list[tuple[int, ...]
     p, q = _columns(len(highs) + 1)
     reach = max([1, *(abs(x) for x in first), *highs])
     worst = max(1, int(np.abs(quads).sum(axis=1).max()))
-    dtype = np.int64 if worst * reach * reach + bound <= _INT64_MAX else object
+    dtype = _int_dtype(worst * reach * reach + bound)
     quads = quads.astype(dtype)
     prefix = np.array([[1, x] for x in first], dtype=dtype).reshape(-1, 2)
 
@@ -476,7 +476,6 @@ _FAMILIES = (
     "outer_product",
     "diamond5",
     "diamond7",
-    "even_length",
 )
 
 
@@ -519,7 +518,7 @@ class HuffmanSpec:
             parts += [f"N={self.length}", f"b={self.b}"]
         elif self.family == "h5_family":
             parts += [f"n={self.n}", f"variant={self.variant}"]
-        elif self.family in ("catalog", "even_length"):
+        elif self.family == "catalog":
             parts.append(f"key={self.key}")
         elif self.family in ("diamond5", "diamond7"):
             parts.append("alphabet=" + ",".join(str(v) for v in self.alphabet))
@@ -532,7 +531,7 @@ class HuffmanSpec:
             return f"fibonacci_binet:{self.length}:{self.b}"
         if self.family == "h5_family":
             return f"h5_family:{self.n}:{self.variant}"
-        if self.family in ("catalog", "even_length"):
+        if self.family == "catalog":
             return f"catalog:{self.key}"
         raise ConstructError(f"{self.family} cannot be an outer-product factor")
 
@@ -559,11 +558,13 @@ class HuffmanSpec:
         family = kv.pop("family", None)
         if family is None:
             raise ConstructError("spec line is missing family=")
+        if family == "even_length":  # an old name of the catalog family
+            family = "catalog"
         if family == "fibonacci_binet":
             return cls(family, length=int(kv["N"]), b=int(kv.get("b", 2)))
         if family == "h5_family":
             return cls(family, n=int(kv["n"]), variant=kv.get("variant", "even"))
-        if family in ("catalog", "even_length"):
+        if family == "catalog":
             return cls(family, key=kv["key"])
         if family in ("diamond5", "diamond7"):
             alphabet = tuple(int(v) for v in kv["alphabet"].split(","))
@@ -582,7 +583,7 @@ def build(spec: HuffmanSpec) -> Tensor:
         return fibonacci_huffman(spec.length, spec.b)
     if spec.family == "h5_family":
         return h5_family(spec.n, spec.variant)
-    if spec.family in ("catalog", "even_length"):
+    if spec.family == "catalog":
         return catalog(spec.key)
     if spec.family == "diamond5":
         return build_diamond(5, spec.alphabet)

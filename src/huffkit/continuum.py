@@ -31,8 +31,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .lattice import (
-    _INT64_MAX,
     Tensor,
+    _int_dtype,
     _off_peak_magnitudes,
     _square_sum,
     as_tensor,
@@ -414,7 +414,7 @@ def _tweak_scan(
     a = start.reshape(-1)
     c0 = int(corr[zero])
     amax = int(np.abs(a).max())
-    if c0 + 2 * amax + 1 > _INT64_MAX:  # bounds every |C'(s)| by Cauchy-Schwarz
+    if _int_dtype(c0 + 2 * amax + 1) is object:  # bounds every |C'(s)| by Cauchy-Schwarz
         raise ArithmeticError("a +/-1 move would take the auto-correlation past int64")
     energy = int(_square_sum(corr.reshape(-1)))
     maxoff = int(_off_peak_magnitudes(corr, zero).max())
@@ -423,7 +423,7 @@ def _tweak_scan(
     s_full = convolve(Tensor(start, "int"), Tensor(start, "int"))
     base = energy + 4 * c0 + 1
     bound = base + 2 * s_full.max_abs() + 4 * (d_full.max_abs() + amax)
-    dtype = np.int64 if bound <= _INT64_MAX else object
+    dtype = _int_dtype(bound)
     window = tuple(slice(n - 1, 2 * n - 1) for n in start.shape)
     d = d_full.data[window].reshape(-1).astype(dtype)
     s = s_full.data[(slice(None, None, 2),) * start.ndim].reshape(-1).astype(dtype)

@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .lattice import Tensor, _auto_lags, _auto_peak, _ring, as_tensor, convolve, correlate
+from .lattice import Tensor, _auto_lags, _auto_peak, _int_dtype, _ring, as_tensor, convolve, correlate
 from .metrics import _lag_scores
 
 __all__ = [
@@ -79,6 +79,14 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
 # encode / decode
 
 
+def _operands(x, y) -> tuple[Tensor, Tensor]:
+    """Both operands as tensors; refused unless their dimensionalities match."""
+    x, y = as_tensor(x), as_tensor(y)
+    if x.ndim != y.ndim:
+        raise ImagingError(f"dimensionality mismatch: {x.ndim}D vs {y.ndim}D")
+    return x, y
+
+
 def valid_region(outer_shape: Sequence[int], inner_shape: Sequence[int]) -> tuple[slice, ...]:
     """Fully-overlapped slice of correlate(outer, inner): length No - Ni + 1.
 
@@ -114,9 +122,7 @@ def encode(obj, mask) -> Tensor:
     flipped, shifted copy of the mask; a 1x1 delta mask leaves the object
     unchanged.
     """
-    obj, mask = as_tensor(obj), as_tensor(mask)
-    if obj.ndim != mask.ndim:
-        raise ImagingError(f"dimensionality mismatch: {obj.ndim}D vs {mask.ndim}D")
+    obj, mask = _operands(obj, mask)
     return correlate(mask, obj).values
 
 
@@ -128,9 +134,7 @@ def decode(blurred, mask) -> Tensor:
     the mask's C0 for grey values; O1/C0 then differs from the object by
     aliases bounded by the mask's 1/R.
     """
-    blurred, mask = as_tensor(blurred), as_tensor(mask)
-    if blurred.ndim != mask.ndim:
-        raise ImagingError(f"dimensionality mismatch: {blurred.ndim}D vs {mask.ndim}D")
+    blurred, mask = _operands(blurred, mask)
     full = convolve(blurred, mask)
     sel = valid_region(blurred.shape, mask.shape)
     return Tensor(np.ascontiguousarray(full.data[sel]), full.mode)
@@ -159,9 +163,7 @@ def deblur(blurred, mask, iterations: int = 2) -> DeblurResult:
     """
     if iterations < 1:
         raise ImagingError("iterations must be >= 1")
-    blurred, mask = as_tensor(blurred), as_tensor(mask)
-    if blurred.ndim != mask.ndim:
-        raise ImagingError(f"dimensionality mismatch: {blurred.ndim}D vs {mask.ndim}D")
+    blurred, mask = _operands(blurred, mask)
     if any(b < 2 * m - 1 for b, m in zip(blurred.shape, mask.shape)):
         raise ImagingError("blurred image smaller than encode(object, mask) output")
 
@@ -205,28 +207,26 @@ def pedestal_pair(obj, mask, kappa) -> Tensor:
     """Difference of the two non-negative-mask exposures: I1 - I2 = 2 * O (x) H.
 
     Both H + kappa and -H + kappa must be physically non-negative, so kappa
-    must reach max|H|.  Exact in integer mode for integer kappa.
+    must reach max|H|.  Exact for integer operands and integer kappa: both
+    exposures and their difference are int64 when their bounds fit, Python
+    ints otherwise.
     """
-    obj, mask = as_tensor(obj), as_tensor(mask)
-    if obj.ndim != mask.ndim:
-        raise ImagingError(f"dimensionality mismatch: {obj.ndim}D vs {mask.ndim}D")
+    obj, mask = _operands(obj, mask)
     need = float(mask.max_abs())
     if float(kappa) < need:
         raise ImagingError(
             f"pedestal kappa={kappa} leaves a mask exposure negative (needs >= {need})"
         )
-    exact = obj.mode == "int" and mask.mode == "int" and float(kappa) == int(kappa)
-    if exact:
-        k = int(kappa)
-        plus = Tensor(mask.data + k, "int")
-        minus = Tensor(-mask.data + k, "int")
+    if obj.mode == "int" and mask.mode == "int" and float(kappa) == int(kappa):
+        k, mode = int(kappa), "int"
+        data = mask.data.astype(_int_dtype(mask.max_abs() + abs(k)))  # bounds |+-H + k|
     else:
-        k = float(kappa)
-        plus = Tensor(mask.data.astype(np.float64) + k, "real")
-        minus = Tensor(-mask.data.astype(np.float64) + k, "real")
-    i1 = correlate(plus, obj).values
-    i2 = correlate(minus, obj).values
-    return Tensor(i1.data - i2.data, i1.mode)
+        k, mode = float(kappa), "real"
+        data = mask.data.astype(np.float64)
+    i1 = correlate(Tensor(data + k, mode), obj).values
+    i2 = correlate(Tensor(-data + k, mode), obj).values
+    dtype = _int_dtype(i1.max_abs() + i2.max_abs()) if mode == "int" else np.float64
+    return Tensor(i1.data.astype(dtype, copy=False) - i2.data.astype(dtype, copy=False), mode)
 
 
 # ---------------------------------------------------------------------------
@@ -255,24 +255,24 @@ def ghost_image(obj, mask, kappa, kappa_prime="exact", scan=None) -> GhostResult
     compact support), ``"boundary"`` averages the raw back-correlation on the
     border of the scanned region, ``lattice._ring`` (the empirical rule), or
     pass a number directly.  ``scan`` optionally restricts the recorded
-    bucket positions (slices into the full correlation extent); anything
-    outside is lost and the result is flagged partial.
+    bucket positions to one slice per axis of the full correlation extent;
+    anything outside is lost and the result is flagged partial.  The bucket
+    is exact for integer operands and integer kappa (int64 when its bound
+    fits, Python ints otherwise).
     """
-    obj, mask = as_tensor(obj), as_tensor(mask)
-    if obj.ndim != mask.ndim:
-        raise ImagingError(f"dimensionality mismatch: {obj.ndim}D vs {mask.ndim}D")
+    obj, mask = _operands(obj, mask)
+    if scan is not None and len(scan) != obj.ndim:
+        raise ImagingError(f"scan gives {len(scan)} slices for {obj.ndim}D data; give one per axis")
     need = max(0.0, -float(np.asarray(mask.data, dtype=np.float64).min()))
     if float(kappa) < need:
         raise ImagingError(
             f"pedestal kappa={kappa} leaves the mask negative (needs >= {need})"
         )
     signed = correlate(mask, obj).values
-    exact_int = (
-        obj.mode == "int" and mask.mode == "int" and float(kappa) == int(kappa)
-    )
-    if exact_int:
+    if obj.mode == "int" and mask.mode == "int" and float(kappa) == int(kappa):
         backdrop = int(kappa) * int(np.asarray(obj.data, dtype=object).sum())
-        bucket = Tensor(signed.data + backdrop, "int")
+        data = signed.data.astype(_int_dtype(signed.max_abs() + abs(backdrop)), copy=False)
+        bucket = Tensor(data + backdrop, "int")
     else:
         backdrop = float(kappa) * float(np.asarray(obj.data, dtype=np.float64).sum())
         bucket = Tensor(signed.data.astype(np.float64) + backdrop, "real")
@@ -312,10 +312,12 @@ def ghost_image(obj, mask, kappa, kappa_prime="exact", scan=None) -> GhostResult
 
 
 def watermark_embed(host, mark, offset: Sequence[int]) -> Tensor:
-    """Add the mark into the host with its first corner at ``offset``."""
-    host, mark = as_tensor(host), as_tensor(mark)
-    if host.ndim != mark.ndim:
-        raise ImagingError(f"dimensionality mismatch: {host.ndim}D vs {mark.ndim}D")
+    """Add the mark into the host with its first corner at ``offset``.
+
+    Exact for an integer host and mark: int64 when max|host| + max|mark|
+    fits, Python ints otherwise.
+    """
+    host, mark = _operands(host, mark)
     offset = tuple(int(v) for v in offset)
     if len(offset) != host.ndim:
         raise ImagingError("offset rank mismatch")
@@ -323,13 +325,9 @@ def watermark_embed(host, mark, offset: Sequence[int]) -> Tensor:
         raise ImagingError(f"mark {mark.shape} at {offset} exceeds host {host.shape}")
     mode = "int" if host.mode == mark.mode == "int" else "real"
     sel = tuple(slice(o, o + m) for o, m in zip(offset, mark.shape))
-    if mode == "real":
-        data = host.data.astype(np.float64)
-        data[sel] = data[sel] + mark.data.astype(np.float64)
-    else:
-        promote = host.data.dtype == object or mark.data.dtype == object
-        data = host.data.astype(object) if promote else host.data.copy()
-        data[sel] = data[sel] + mark.data
+    dtype = _int_dtype(host.max_abs() + mark.max_abs()) if mode == "int" else np.float64
+    data = host.data.astype(dtype)
+    data[sel] = data[sel] + mark.data.astype(dtype)
     return Tensor(data, mode)
 
 
@@ -349,9 +347,7 @@ def watermark_locate(marked, mark) -> WatermarkMatch:
     top-left embed offset is recovered exactly; detection threshold is half
     the mark's C0.
     """
-    marked, mark = as_tensor(marked), as_tensor(mark)
-    if marked.ndim != mark.ndim:
-        raise ImagingError(f"dimensionality mismatch: {marked.ndim}D vs {mark.ndim}D")
+    marked, mark = _operands(marked, mark)
     if any(h < m for h, m in zip(marked.shape, mark.shape)):
         raise ImagingError("mark larger than the image searched")
     flat_img = np.asarray(marked.data, dtype=np.float64)
@@ -453,9 +449,7 @@ def multiplex_noise_study(obj, mask, sigma: float, trials: int = 500, seed: int 
     noise, and each scheme's MSE is taken against its own noiseless output —
     isolating noise propagation.  The expected MSE ratio is N.
     """
-    obj, mask = as_tensor(obj), as_tensor(mask)
-    if obj.ndim != mask.ndim:
-        raise ImagingError(f"dimensionality mismatch: {obj.ndim}D vs {mask.ndim}D")
+    obj, mask = _operands(obj, mask)
     if sigma < 0 or not math.isfinite(sigma):
         raise ImagingError("sigma must be finite and >= 0")
     if trials < 1:

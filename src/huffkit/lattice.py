@@ -3,9 +3,13 @@
 Everything downstream (constructions, metrics, projections, imaging) is built
 on top of the two dtype modes defined here:
 
-* ``"int"``   — exact signed integers.  Stored as int64 whenever the worst-case
-  correlation accumulator provably fits, otherwise as an object array of
-  Python ints, so overflow is impossible rather than unlikely.
+* ``"int"``   — exact signed integers, stored as int64 or as an object array
+  of Python ints by one rule: ``_int_dtype(bound)`` gives int64 when
+  ``bound``, a worst-case magnitude of every value about to be computed, is
+  at most 2^63 - 1, and object otherwise, so overflow is impossible rather
+  than unlikely.  Every integer sum, product and sign flip outside the
+  correlation engine takes its dtype from it; the engine applies it to its
+  accumulator bound (below).
 * ``"real"``  — float64.
 
 Correlation convention: ``correlate(a, b)`` computes
@@ -99,6 +103,19 @@ class LatticeError(ValueError):
     """Domain error raised for malformed tensors or incompatible operands."""
 
 
+def _int_dtype(bound: int):
+    """int64 when ``bound`` fits it, else object: the one exact-integer rule.
+
+    ``bound`` must cover every value computed in the returned dtype.
+    """
+    return np.int64 if bound <= _INT64_MAX else object
+
+
+def _peak(values: np.ndarray) -> int:
+    """max|values| of an integer array as a Python int, 0 when empty (np.abs wraps -2^63)."""
+    return max(-int(values.min(initial=0)), int(values.max(initial=0)))
+
+
 def _is_int_array(arr: np.ndarray) -> bool:
     return arr.dtype.kind in "iu" or (
         arr.dtype == object and all(isinstance(v, (int, np.integer)) for v in arr.flat)
@@ -129,11 +146,15 @@ class Tensor:
     @staticmethod
     def from_values(values, mode: str | None = None) -> "Tensor":
         arr = np.asarray(values)
+        if arr.dtype.kind in "uf" and not isinstance(values, np.ndarray):
+            # numpy reads Python ints >= 2^63 as uint64, or as float64 beside other ints
+            exact = np.array(values, dtype=object)
+            if _is_int_array(exact):
+                arr = exact
         if mode is None:
             mode = "int" if _is_int_array(arr) else "real"
         if mode == "int":
-            if arr.dtype != object:
-                arr = arr.astype(np.int64)
+            arr = arr.astype(_int_dtype(_peak(arr)))
         else:
             arr = arr.astype(np.float64)
         return Tensor(arr, mode)
@@ -156,10 +177,8 @@ class Tensor:
         return Tensor(self.data.astype(np.float64), "real")
 
     def max_abs(self):
-        if self.data.dtype == object:
-            return max(abs(int(v)) for v in self.data.flat)
-        if self.mode == "int":  # not np.abs: it wraps -2^63 to itself
-            return max(-int(self.data.min()), int(self.data.max()))
+        if self.mode == "int":
+            return _peak(self.data)
         return float(np.abs(self.data).max())
 
     def tolist(self):
@@ -336,8 +355,8 @@ def _int_correlate(a: Tensor, b: Tensor, out_shape: tuple[int, ...], macs: int) 
     # worst-case |accumulator|; it alone (with the operand dtypes) fixes the
     # output dtype, whatever path computes the values
     fits = min(a.size, b.size) * max_a * max_b <= _INT64_MAX
-    x = np.asarray(a.data, dtype=np.int64) if max_a <= _INT64_MAX else a.data
-    y = np.asarray(b.data, dtype=np.int64) if max_b <= _INT64_MAX else b.data
+    x = np.asarray(a.data, dtype=_int_dtype(max_a))
+    y = np.asarray(b.data, dtype=_int_dtype(max_b))
     if fits and macs <= _INT_DIRECT_MACS:
         out = _direct(x, y, out_shape)
     else:
@@ -375,11 +394,10 @@ def _square_sum(values: np.ndarray):
 
     int64 when no partial sum can wrap, Python ints otherwise.
     """
-    peak = max(-int(values.min()), int(values.max()))
-    if values.dtype != object and values.shape[-1] * peak * peak <= _INT64_MAX:
-        return np.einsum("...i,...i->...", values, values)
-    values = values.astype(object)
-    return (values * values).sum(axis=-1)
+    values = values.astype(_int_dtype(values.shape[-1] * _peak(values) ** 2), copy=False)
+    if values.dtype == object:  # einsum takes object arrays only from numpy 1.25
+        return (values * values).sum(axis=-1)
+    return np.einsum("...i,...i->...", values, values)
 
 
 def _auto_peak(t: Tensor):
@@ -394,21 +412,18 @@ def _auto_peak(t: Tensor):
 def _stacked_lags(stack: np.ndarray, out_shape: tuple[int, ...], length: int) -> np.ndarray:
     """Lags k = 0..length-1 of each int64 array's flat auto-correlation, one vector op per lag."""
     count = math.prod(stack.shape[1:])
-    peak = max(-int(stack.min()), int(stack.max()))
-    bound = count * peak * peak  # worst-case |C(k)|, as in _int_correlate
-    dtype = np.int64 if bound <= _INT64_MAX else object
+    bound = count * _peak(stack) ** 2  # worst-case |C(k)|, as in _int_correlate
+    dtype = _int_dtype(bound)
     flat = _flat(stack.astype(dtype, copy=False), out_shape)
     lags = np.empty((len(stack), length), dtype=dtype)
     for k in range(length):
         x, y = flat[:, : length - k], flat[:, k:]
         # einsum needs no temporary, but takes object arrays only from numpy 1.25
         lags[:, k] = (x * y).sum(axis=1) if dtype is object else np.einsum("ij,ij->i", x, y)
-    # |sum C| <= (2L - 1) * bound and (sum a)^2 <= count * bound, so neither
-    # side of the sum check wraps in int64 while that fits
-    if dtype is object or (2 * length - 1) * bound > _INT64_MAX:
-        lags_sum, cells = lags.astype(object), stack.astype(object)
-    else:
-        lags_sum, cells = lags, stack
+    # |sum C| <= (2L - 1) * bound and (sum a)^2 <= count * bound <= (2L - 1) * bound,
+    # so that bounds both sides of the sum check
+    check = _int_dtype((2 * length - 1) * bound)
+    lags_sum, cells = lags.astype(check, copy=False), stack.astype(check, copy=False)
     total = lags_sum[:, 0] + 2 * lags_sum[:, 1:].sum(axis=1)
     row_sums = cells.reshape(len(stack), -1).sum(axis=1)
     if np.any(total != row_sums * row_sums):
@@ -537,7 +552,11 @@ def flip(a) -> Tensor:
 
 
 def outer_product(factors: Sequence) -> Tensor:
-    """Outer product of 1D factors; correlation factorizes over the result."""
+    """Outer product of 1D factors; correlation factorizes over the result.
+
+    Exact for integer factors: int64 when the product of their max(1, max|f|),
+    which bounds every factor and partial product, fits; Python ints otherwise.
+    """
     factors = [as_tensor(f) for f in factors]
     if not factors:
         raise LatticeError("empty factor list")
@@ -545,10 +564,11 @@ def outer_product(factors: Sequence) -> Tensor:
         if f.ndim != 1:
             raise LatticeError("outer_product factors must be 1D")
     mode = "int" if all(f.mode == "int" for f in factors) else "real"
-    out = factors[0].data
+    dtype = _int_dtype(math.prod(max(1, f.max_abs()) for f in factors)) if mode == "int" else np.float64
+    out = factors[0].data.astype(dtype)
     for f in factors[1:]:
-        out = np.multiply.outer(out, f.data)
-    return Tensor.from_values(out, mode)
+        out = np.multiply.outer(out, f.data.astype(dtype))
+    return Tensor(out, mode)
 
 
 def dft_magnitudes(a, oversample: int = 1) -> Tensor:
@@ -602,10 +622,7 @@ def read_text(path) -> Tensor:
         mode = "real"
     else:
         ints = [int(v) for v in body]
-        if max((abs(v) for v in ints), default=0) <= _INT64_MAX:
-            arr = np.array(ints, dtype=np.int64)
-        else:
-            arr = np.array(ints, dtype=object)
+        arr = np.array(ints, dtype=_int_dtype(max(map(abs, ints), default=0)))
         mode = "int"
     if len(body) != math.prod(shape):
         raise LatticeError(f"{path}: expected {math.prod(shape)} values, got {len(body)}")

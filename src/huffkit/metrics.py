@@ -130,11 +130,7 @@ def span_bits(a) -> int:
     not just the largest magnitude).
     """
     a = as_tensor(a)
-    if a.data.dtype == object:
-        vals = [int(v) for v in a.data.flat]
-        span = max(vals) - min(vals) + 1
-    else:
-        span = int(a.data.max()) - int(a.data.min()) + 1
+    span = int(a.data.max()) - int(a.data.min()) + 1
     return max(1, (span - 1).bit_length())
 
 

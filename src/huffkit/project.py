@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .lattice import Tensor, as_tensor, outer_product, write_text
+from .lattice import Tensor, _int_dtype, as_tensor, outer_product, write_text
 from .metrics import QualityReport, classify
 
 __all__ = [
@@ -40,8 +40,6 @@ __all__ = [
     "spectrally_equivalent_family",
     "write_family",
 ]
-
-_INT64_MAX = 2**63 - 1
 
 
 class ProjectionError(ValueError):
@@ -108,19 +106,11 @@ def as_direction(d, ndim: int | None = None) -> ProjectionDirection:
 
 def _bin_sums(a: Tensor, flat_bins: np.ndarray, shape: tuple[int, ...]) -> Tensor:
     """Accumulate a's elements into bins; exact in integer mode."""
-    values = a.data.reshape(-1)
-    if a.mode == "int":
-        # |bin sum| <= sum |a|; fall back to Python ints when int64 could clip
-        if a.data.dtype == object or a.size * int(a.max_abs()) > _INT64_MAX:
-            out = np.zeros(shape, dtype=object)
-            np.add.at(out.reshape(-1), flat_bins, values.astype(object))
-        else:
-            out = np.zeros(shape, dtype=np.int64)
-            np.add.at(out.reshape(-1), flat_bins, values)
-        return Tensor(out, "int")
-    out = np.zeros(shape, dtype=np.float64)
-    np.add.at(out.reshape(-1), flat_bins, values.astype(np.float64))
-    return Tensor(out, "real")
+    # |bin sum| <= sum |a| <= size * max|a|
+    dtype = _int_dtype(a.size * a.max_abs()) if a.mode == "int" else np.float64
+    out = np.zeros(shape, dtype=dtype)
+    np.add.at(out.reshape(-1), flat_bins, a.data.reshape(-1).astype(dtype, copy=False))
+    return Tensor(out, a.mode)
 
 
 def project(a, direction) -> Tensor:
@@ -193,8 +183,8 @@ def twin(a) -> Tensor:
     signs[1::2] = -1
     shaped = signs.reshape((-1,) + (1,) * (a.ndim - 1))
     data = a.data
-    if data.dtype == np.int64 and np.any(data[1::2] == np.iinfo(np.int64).min):
-        data = data.astype(object)  # -(-2^63) leaves int64: flip in Python ints
+    if a.mode == "int":  # |-a| <= max|a|, which is 2^63 for an entry of -2^63
+        data = data.astype(_int_dtype(a.max_abs()), copy=False)
     return Tensor(data * shaped, a.mode)
 
 

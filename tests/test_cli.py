@@ -1,6 +1,7 @@
 """CLI exit codes, run-record versions and start-up imports."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -134,3 +135,20 @@ def test_zero_mask_decode_is_a_domain_error(tmp_path):
     assert "finite" in result.output
     assert "zero-energy mask" in result.output
     assert not out.exists()  # refused before any work, so not even the out dir is made
+
+
+@pytest.mark.parametrize(
+    "shape, scan",
+    [((6,), "0:6,0:6"), ((3, 3), "0:6")],
+    ids=["two-slices-for-1d", "one-slice-for-2d"],
+)
+def test_ghost_scan_needs_one_slice_per_axis(tmp_path, shape, scan):
+    values = " ".join(["1"] * math.prod(shape))
+    (tmp_path / "obj.txt").write_text(" ".join(map(str, shape)) + "\n" + values + "\n")
+    (tmp_path / "mask.txt").write_text(" ".join(["2"] * len(shape)) + "\n" + " ".join(["1"] * 2 ** len(shape)) + "\n")
+    out = tmp_path / "out"
+    argv = ["ghost", str(tmp_path / "obj.txt"), str(tmp_path / "mask.txt"), "--scan", scan, "--out", str(out)]
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code == 3, result.output
+    assert "one per axis" in result.output
+    assert not out.exists()

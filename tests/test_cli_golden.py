@@ -55,6 +55,8 @@ CASES = {
     "generate-diamond7": (0, ["generate", "--family", "diamond7", "--e", "3", "--f", "6"]),
     "generate-diamond7-odd": (3, ["generate", "--family", "diamond7", "--e", "3", "--f", "5"]),
     "generate-outer": (0, ["generate", "--family", "outer", "--factor", "catalog:H4", "--factor", "catalog:H4"]),
+    "generate-outer-exact": (0, ["generate", "--family", "outer", "--factor", "fibonacci_binet:127:2",
+                                 "--factor", "fibonacci_binet:127:2"]),
     "generate-usage": (1, ["generate", "--family", "fibonacci"]),
     "analyze": (0, ["analyze", "in/mask.txt", "--oversample", "2", "--plot"]),
     "analyze-missing": (2, ["analyze", "in/missing.txt"]),
@@ -126,6 +128,13 @@ def test_golden_run(case, tmp_path, monkeypatch):
     digests = {name: hashlib.sha256(data).hexdigest()
                for name, data in files.items() if _pinnable(case, name, data)}
     assert digests == PINNED.get(case, {})
+
+
+def test_paper_scale_outer_product_stays_exact(tmp_path, monkeypatch):
+    # 43-bit factors: the 86-bit products wrap in int64 and score as class "other"
+    result, _ = _run(tmp_path, CASES["generate-outer-exact"][1], monkeypatch)
+    report = json.loads(result.output)
+    assert (report["class"], report["bits"]) == ("canonical", 86)
 
 
 def test_failed_write_leaves_no_artefacts(tmp_path, monkeypatch):

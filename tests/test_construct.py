@@ -407,7 +407,7 @@ SPEC_LINES = [
     "family=fibonacci_binet N=15 b=2",
     "family=h5_family n=3 variant=odd",
     "family=catalog key=H8x8",
-    "family=even_length key=H8",
+    "family=catalog key=H8",
     "family=diamond5 alphabet=0,1,4,8,28,99",
     "family=diamond7 alphabet=0,0,0,1,3,6,20,36",
     "family=outer_product factors=catalog:H9,fibonacci_binet:15:2",
@@ -420,6 +420,12 @@ def test_spec_roundtrip(line):
     assert spec.to_text() == line
     again = HuffmanSpec.from_text(spec.to_text())
     assert np.array_equal(build(spec).data, build(again).data)
+
+
+def test_even_length_spec_parses_to_catalog():
+    spec = HuffmanSpec.from_text("family=even_length key=H8")
+    assert spec == HuffmanSpec("catalog", key="H8")
+    assert spec.to_text() == "family=catalog key=H8"
 
 
 def test_spec_build_dispatch_matches_direct(h15):
