@@ -20,8 +20,8 @@ from __future__ import annotations
 import json
 import os
 import platform
+import re
 import sys
-from importlib import metadata
 from pathlib import Path
 
 import click
@@ -120,6 +120,11 @@ def _finish(name: str | None, out: str | None, stem: str, arguments: dict, artef
     ``--name`` option) overrides the default ``stem``.  If any write fails,
     every file this call began writing is removed and the error re-raised.
     Returns the artefact file names in writing order.
+
+    The record's ``versions`` come from ``huffkit.__version__``,
+    ``np.__version__``, ``platform.python_version()`` and, for click and
+    scipy (which scipy is never imported to learn), the ``Version:`` header
+    of their installed metadata, read by ``_version``.
     """
     stem = name or stem
     base = Path(out) if out else Path(os.environ.get("HUFFKIT_OUT", "."))
@@ -136,10 +141,10 @@ def _finish(name: str | None, out: str | None, stem: str, arguments: dict, artef
         "seed": seed,
         "package": {"name": "huffkit", "version": __version__},
         "versions": {
-            "click": metadata.version("click"),
+            "click": _version("click"),
             "numpy": np.__version__,
             "python": platform.python_version(),
-            "scipy": metadata.version("scipy"),
+            "scipy": _version("scipy"),
         },
     }
     if results is not None:
@@ -161,6 +166,64 @@ def _finish(name: str | None, out: str | None, stem: str, arguments: dict, artef
     return list(payloads)[:-1]
 
 
+def _version(name: str) -> str | None:
+    """The installed version of distribution ``name``, as ``importlib.metadata.version`` gives it.
+
+    Searches ``sys.path`` in order, as ``importlib.metadata`` does, for the
+    first ``<name>-*.dist-info`` or ``<name>-*.egg-info`` entry (names
+    compared case-insensitively, with runs of ``-``, ``_`` and ``.`` alike).
+    Its metadata is the first non-empty one of ``METADATA``, ``PKG-INFO`` and
+    the entry itself (a plain ``.egg-info`` file); the result is that
+    metadata's first ``Version:`` header, or None if it has none.  Importing
+    ``importlib.metadata`` instead would load the ``email`` package and parse
+    each whole file, about 35 ms a command.  Zip archives and ``.egg``
+    directories on ``sys.path`` are not searched.  Raises ModuleNotFoundError
+    when no entry matches.
+    """
+    want = _dist_key(name)
+    for entry in sys.path:
+        root = entry or "."
+        try:
+            children = os.listdir(root)
+        except OSError:  # a missing directory or a zip archive
+            continue
+        for child in children:
+            low = child.lower()
+            if low.endswith((".dist-info", ".egg-info")) and (
+                _dist_key(low.rpartition(".")[0].partition("-")[0]) == want
+            ):
+                return _metadata_version(os.path.join(root, child))
+    raise ModuleNotFoundError(f"No package metadata was found for {name}", name=name)
+
+
+def _dist_key(name: str) -> str:
+    return re.sub(r"[-_.]+", "_", name).lower()
+
+
+_HEADER = re.compile(r"([!-9;-~]+):[ \t]*(.*)")
+
+
+def _metadata_version(info: str) -> str | None:
+    for path in (os.path.join(info, "METADATA"), os.path.join(info, "PKG-INFO"), info):
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except OSError:  # absent, or a directory or file where the other was looked for
+            continue
+        if text:
+            break
+    else:
+        return None
+    for line in text.split("\n"):
+        if line[:1] in (" ", "\t"):  # the folded tail of the previous header
+            continue
+        header = _HEADER.fullmatch(line)
+        if header is None:  # a blank or non-header line ends the headers
+            return None
+        if header[1].lower() == "version":
+            return header[2]
+    return None
+
+
 def _report_payload(report) -> dict:
     return json.loads(report.to_json())
 
@@ -176,7 +239,7 @@ def _parse_kappa(text: str, mask: Tensor, floor: str) -> float:
     """'auto' resolves to the smallest admissible pedestal for the mask."""
     if text == "auto":
         data = np.asarray(mask.data, dtype=np.float64)
-        return float(data.max()) if floor == "maxabs" else max(0.0, -float(data.min()))
+        return float(np.abs(data).max()) if floor == "maxabs" else max(0.0, -float(data.min()))
     try:
         return float(text)
     except ValueError:
@@ -317,16 +380,14 @@ def twin_cmd(input_path, name, out):
 
 
 def _parse_coeff(text: str) -> tuple[tuple[int, ...], float]:
-    if "=" not in text:
-        raise click.UsageError(f"--coeff needs EXPONENTS=VALUE, got {text!r}")
-    key, _, value = text.partition("=")
-    exps = tuple(int(v) for v in key.split(","))
-    if "/" in value:
-        num, _, den = value.partition("/")
-        coeff = float(num) / float(den)
-    else:
-        coeff = float(value)
-    return exps, coeff
+    key, eq, value = text.partition("=")
+    num, slash, den = value.partition("/")
+    try:
+        if eq:
+            return tuple(int(v) for v in key.split(",")), float(num) / float(den) if slash else float(num)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise click.UsageError(f"--coeff needs EXPONENTS=VALUE, e.g. 3=1/3 or 1,2=0.5, got {text!r}")
 
 
 @main.command()

@@ -195,8 +195,8 @@ _SIGNS7 = (1, 1, 1, 1, -1, 1, -1)
 
 def _fold_template(letters_to_block, signs: tuple[int, ...], letters) -> np.ndarray:
     n = len(signs)
-    block = letters_to_block(letters)
-    out = np.zeros((n, n), dtype=np.int64)
+    block = letters_to_block(letters)  # Python ints, so 2(c + f) of the 7x7 block is exact
+    out = np.zeros((n, n), dtype=_int_dtype(max(abs(v) for row in block for v in row)))
     for i in range(n):
         for j in range(n):
             out[i, j] = signs[i] * signs[j] * block[min(i, n - 1 - i)][min(j, n - 1 - j)]

@@ -398,6 +398,8 @@ def random_baseline(
     trial at a time through the engine.
     """
     shape = tuple(int(n) for n in shape)
+    if any(n < 1 for n in shape):
+        raise ImagingError(f"baseline shape extents must be >= 1, got {shape}")
     count = math.prod(shape)
     pool = np.asarray(list(values), dtype=np.int64)
     if trials < 1:

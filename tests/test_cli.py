@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 from huffkit import lattice
-from huffkit.cli import main
+from huffkit.cli import _version, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -75,6 +75,30 @@ def test_run_record_reads_click_version_without_deprecation(tmp_path):
     assert result.exit_code == 0, result.output
     record = json.loads((tmp_path / "h5.run.json").read_text())
     assert record["versions"]["click"] == metadata.version("click")
+    assert record["versions"]["scipy"] == metadata.version("scipy")
+    for name in ("click", "numpy", "scipy"):
+        assert _version(name) == metadata.version(name)
+
+
+def test_version_search_agrees_with_importlib_metadata(tmp_path, monkeypatch):
+    first, second = tmp_path / "first", tmp_path / "second"
+    meta = ("Metadata-Version: 2.1\nName: {name}\nSummary: folded\n  over two lines\n"
+            "Version: {version}\n\nVersion: 9.9\n")  # the second Version is in the body
+    for root, dist, version in [(first, "Foo.Bar-1.0.dist-info", "1.0"), (second, "foo_bar-0.5.dist-info", "0.5")]:
+        (root / dist).mkdir(parents=True)
+        (root / dist / "METADATA").write_text(meta.format(name="Foo.Bar", version=version))
+        (root / dist / "PKG-INFO").write_text(meta.format(name="Foo.Bar", version="0.0"))
+    (second / "Baz_Qux-2.0-py3.egg-info").mkdir()
+    (second / "Baz_Qux-2.0-py3.egg-info" / "PKG-INFO").write_text(meta.format(name="Baz_Qux", version="2.0rc1"))
+    (second / "legacy-3.1.egg-info").write_text(meta.format(name="legacy", version="3.1.post2"))
+    monkeypatch.setattr(sys, "path", [str(tmp_path / "absent"), str(first), str(second)])
+    for name in ("foo-bar", "FOO_BAR", "foo.bar", "baz-qux", "Baz.Qux", "legacy"):
+        assert _version(name) == metadata.version(name), name
+    assert [_version(n) for n in ("foo-bar", "baz-qux", "legacy")] == ["1.0", "2.0rc1", "3.1.post2"]
+    with pytest.raises(ModuleNotFoundError):
+        metadata.version("missing")
+    with pytest.raises(ModuleNotFoundError, match="missing"):
+        _version("missing")
 
 
 @pytest.mark.parametrize(
@@ -106,11 +130,12 @@ def test_command_loads_only_its_own_domain_module(tmp_path, argv, own):
         f"main({argv!r})\n"
         "lazy = ('huffkit.construct', 'huffkit.continuum', 'huffkit.imaging')\n"
         "print([m for m in lazy if m in sys.modules])\n"
+        "print([m for m in ('importlib.metadata', 'email') if m in sys.modules])\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == repr(own)
+    assert proc.stdout.splitlines()[-2:] == [repr(own), "[]"]
 
 
 def test_non_finite_plot_is_a_domain_error(tmp_path):
@@ -152,3 +177,26 @@ def test_ghost_scan_needs_one_slice_per_axis(tmp_path, shape, scan):
     assert result.exit_code == 3, result.output
     assert "one per axis" in result.output
     assert not out.exists()
+
+
+def test_pedestal_auto_kappa_is_the_largest_magnitude(tmp_path):
+    (tmp_path / "obj.txt").write_text("3\n1 2 3\n")
+    (tmp_path / "mask.txt").write_text("2\n1 -5\n")
+    argv = ["pedestal", str(tmp_path / "obj.txt"), str(tmp_path / "mask.txt"), "--name", "p", "--out", str(tmp_path)]
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code == 0, result.output
+    assert json.loads((tmp_path / "p.run.json").read_text())["arguments"]["kappa"] == 5.0
+
+
+@pytest.mark.parametrize("coeff", ["3=abc", "x=1", "3=1/x", "3=1/0"])
+def test_malformed_probe_coeff_is_a_usage_error(tmp_path, coeff):
+    result = CliRunner().invoke(main, ["probe", "--coeff", coeff, "--samples", "9", "--out", str(tmp_path)])
+    assert result.exit_code == 1, result.output
+    assert f"got {coeff!r}" in result.output
+
+
+@pytest.mark.parametrize("shape", ["0,5", "-1,5", "-2,-3"])
+def test_baseline_shape_below_one_is_a_domain_error(tmp_path, shape):
+    result = CliRunner().invoke(main, ["baseline", "--shape", shape, "--trials", "3", "--out", str(tmp_path)])
+    assert result.exit_code == 3, result.output
+    assert f"got ({shape.replace(',', ', ')})" in result.output

@@ -11,6 +11,7 @@ import math
 import numpy as np
 from hypothesis import example, given, strategies as st
 
+from huffkit.construct import diamond_array
 from huffkit.imaging import ghost_image, pedestal_pair, watermark_embed
 from huffkit.lattice import Tensor, as_tensor, outer_product
 from huffkit.project import project, project3
@@ -134,3 +135,38 @@ def test_project3_bin_sums_are_exact(cube):
     expected = [[sum(plane[y][x] for plane in cube) for x in range(len(cube[0][0]))] for y in range(len(cube[0]))]
     assert got.mode == "int"
     assert got.data.tolist() == expected
+
+
+def _diamond5_oracle(a, b, c, d, e, f):
+    return [
+        [a, b, c, -b, a],
+        [b, d, e, -d, b],
+        [c, e, f, -e, c],
+        [-b, -d, -e, d, -b],
+        [a, b, c, -b, a],
+    ]
+
+
+def _diamond7_oracle(a, b, c, d, e, f, g, h):
+    cf = 2 * (c + f)
+    return [
+        [a, b, c, d, -c, b, -a],
+        [b, 2 * c, e, f, -e, 2 * c, -b],
+        [c, e, cf, g, -cf, e, -c],
+        [d, f, g, h, -g, f, -d],
+        [-c, -e, -cf, -g, cf, -e, c],
+        [b, 2 * c, e, f, -e, 2 * c, -b],
+        [-a, -b, -c, -d, c, -b, a],
+    ]
+
+
+@given(st.sampled_from([(5, _diamond5_oracle), (7, _diamond7_oracle)]).flatmap(
+    lambda t: st.tuples(st.just(t), _vectors(t[0] + 1, t[0] + 1))
+))
+@example(((5, _diamond5_oracle), [0, 1, 3, 6, 16, 99999999999999999999]))
+@example(((7, _diamond7_oracle), [0, 0, 2**62, 0, 0, 2**62, 0, 0]))
+def test_diamond_arrays_are_exact(case):
+    (template, oracle), letters = case
+    got = diamond_array(template, letters)
+    assert got.mode == "int"
+    assert got.data.tolist() == oracle(*letters)
