@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 usage, 2 I/O, 3 domain (constraint violation),
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 import re
@@ -241,9 +242,12 @@ def _parse_kappa(text: str, mask: Tensor, floor: str) -> float:
         data = np.asarray(mask.data, dtype=np.float64)
         return float(np.abs(data).max()) if floor == "maxabs" else max(0.0, -float(data.min()))
     try:
-        return float(text)
+        kappa = float(text)
     except ValueError:
-        raise click.UsageError(f"--kappa must be a number or 'auto', got {text!r}")
+        kappa = math.nan  # refused below, with the non-finite values
+    if not math.isfinite(kappa):
+        raise click.UsageError(f"--kappa must be a finite number or 'auto', got {text!r}")
+    return kappa
 
 
 _FAMILY_ALIASES = {
@@ -641,10 +645,11 @@ def baseline(shape, values, trials, seed, dump_values, name, out):
     """Monte-Carlo R and M statistics of random non-repeating arrays."""
     from . import imaging
     shp = _parse_ints(shape, "--shape")
-    lo, _, hi = values.partition(":")
-    if not _:
-        raise click.UsageError(f"--values must be LO:HI, got {values!r}")
-    stats = imaging.random_baseline(shape=shp, values=range(int(lo), int(hi)),
+    try:
+        lo, hi = (int(v) for v in values.split(":"))
+    except ValueError:
+        raise click.UsageError(f"--values must be LO:HI integers, got {values!r}")
+    stats = imaging.random_baseline(shape=shp, values=range(lo, hi),
                                     trials=trials, seed=seed)
     payload = {
         "trials": stats.trials,

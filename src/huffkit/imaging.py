@@ -355,7 +355,7 @@ def watermark_locate(marked, mark) -> WatermarkMatch:
     c = correlate(centered, mark)
     arr = np.asarray(c.values.data, dtype=np.float64)
     where = np.unravel_index(int(np.argmax(arr)), arr.shape)
-    offset = tuple(z - w for z, w in zip(c.zero_index, where))
+    offset = tuple(z - int(w) for z, w in zip(c.zero_index, where))
     c0 = float(_auto_peak(mark))
     peak = float(arr[where])
     return WatermarkMatch(offset, peak, c0 / 2.0, peak >= c0 / 2.0)

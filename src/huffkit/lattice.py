@@ -43,7 +43,11 @@ The engine is numpy only and picks one of four paths from its operands:
   are recombined exactly (in int64 when the result is known to fit, where
   wrap-around arithmetic mod 2^64 is exact, otherwise in Python ints).
 * **Real** — float64 operands go direct (one flattened ``np.correlate``) up
-  to ``_REAL_DIRECT_MACS`` products and through ``rfftn`` above.
+  to ``_REAL_DIRECT_MACS`` products and through ``rfftn`` above, padded per
+  axis to the smallest 2^a 3^b 5^c at least the output extent
+  (``_fast_len``).  The certified path keeps power-of-two lengths, because
+  Percival's bound is proved for radix-2 transforms of length 2^n; the real
+  path certifies nothing, so it takes the shorter lengths.
 
 The output dtype does not depend on the path: int64 iff the worst-case
 accumulator fits int64 and neither operand is an object array, otherwise an
@@ -258,7 +262,28 @@ def _reversed(x: np.ndarray) -> np.ndarray:
 
 
 def _fft_shape(out_shape: tuple[int, ...]) -> tuple[int, ...]:
+    """Power-of-two FFT lengths for the certified integer path.
+
+    Percival's bound is stated for radix-2 transforms of length 2^n, so the
+    exact path keeps these lengths even where a 5-smooth one is shorter.
+    """
     return tuple(1 << (n - 1).bit_length() for n in out_shape)
+
+
+def _fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: the real path's FFT length for extent ``n``.
+
+    Only the real path uses it, since no error bound certifies these lengths
+    (see :func:`_fft_shape`); there it cuts a 312-point axis to 320 from 512.
+    """
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:  # the smallest p35 * 2^k >= n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _spectrum(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -384,7 +409,7 @@ def _raw_correlate(a: Tensor, b: Tensor) -> Tensor:
     x, y = np.asarray(a.data, dtype=np.float64), np.asarray(b.data, dtype=np.float64)
     if macs <= _REAL_DIRECT_MACS:
         return Tensor(_direct(x, y, out_shape), "real")
-    shape = _fft_shape(out_shape)
+    shape = tuple(_fast_len(n) for n in out_shape)
     out = _fft_convolve(_spectrum(_reversed(x), shape), _spectrum(y, shape), shape, out_shape)
     return Tensor(np.ascontiguousarray(out), "real")
 
@@ -589,41 +614,60 @@ def dft_magnitudes(a, oversample: int = 1) -> Tensor:
 
 
 def write_text(t: Tensor, path) -> None:
-    """First line: extents.  Following lines: row-major values (finite only)."""
+    """Write ``t`` as text, one output row at a time.
+
+    Line 1 holds the extents, space-separated.  The values follow in
+    row-major order, separated by single spaces: one line per row for a 2D
+    tensor, a single line otherwise.  An integer is written as ``str`` of the
+    Python int, a real as ``repr`` of the Python float (the shortest text
+    that reads back to the same float64); reals must be finite.
+    """
     t = as_tensor(t)
-    if t.mode == "real" and not np.isfinite(t.data.astype(np.float64)).all():
-        raise LatticeError("text output needs finite values")
+    if t.mode == "real":
+        data, fmt = t.data.astype(np.float64, copy=False), repr
+        if not np.isfinite(data).all():
+            raise LatticeError("text output needs finite values")
+    else:  # object storage may hold numpy integers or bools, which print as ints only via int()
+        data, fmt = t.data, str if t.data.dtype.kind in "iu" else (lambda v: str(int(v)))
+    sep = "\n" if t.ndim == 2 else " "
     with open(path, "w") as fh:
         fh.write(" ".join(str(n) for n in t.shape) + "\n")
-        flat = t.data.reshape(-1)
-        if t.mode == "int":
-            vals = [str(int(v)) for v in flat]
-        else:
-            vals = [repr(float(v)) for v in flat]
-        # one logical row per line for 2D, single line otherwise
-        if t.ndim == 2:
-            ncol = t.shape[1]
-            for r in range(t.shape[0]):
-                fh.write(" ".join(vals[r * ncol : (r + 1) * ncol]) + "\n")
-        else:
-            fh.write(" ".join(vals) + "\n")
+        for i, row in enumerate(data.reshape(-1, t.shape[-1] if t.ndim else 1)):
+            fh.write((sep if i else "") + " ".join(map(fmt, row.tolist())))
+        fh.write("\n")
 
 
 def read_text(path) -> Tensor:
-    """Inverse of :func:`write_text`; ``nan``, ``inf`` and overflowing reals are refused."""
+    """Inverse of :func:`write_text`.
+
+    Line 1 gives the extents; every whitespace-separated token after it is
+    one value in row-major order, however it is split into lines.  If any
+    token contains ``.``, ``e`` or ``E`` or is ``inf``, ``-inf`` or ``nan``,
+    every token is read with ``float`` and the tensor is real; a non-finite
+    value is refused.  Otherwise every token is read with ``int`` (so ``+7``,
+    ``007`` and ``1_000`` are integers) and the tensor is exact: int64 when
+    every value lies within +/-(2^63 - 1), Python ints otherwise.  A token
+    that neither reads raises ``ValueError``, and a token count other than
+    the product of the extents raises :class:`LatticeError`.
+    """
     with open(path) as fh:
         header = fh.readline().split()
         shape = tuple(int(x) for x in header)
         body = fh.read().split()
-    if any("." in v or "e" in v or "E" in v or v in ("inf", "-inf", "nan") for v in body):
-        arr = np.array([float(v) for v in body], dtype=np.float64)
-        if not np.isfinite(arr).all():
-            raise LatticeError(f"{path}: text input needs finite values")
-        mode = "real"
-    else:
-        ints = [int(v) for v in body]
-        arr = np.array(ints, dtype=_int_dtype(max(map(abs, ints), default=0)))
-        mode = "int"
+    try:
+        arr = np.array(body, dtype=np.int64)  # int() of each token, in C
+    except (ValueError, OverflowError):
+        arr = None
+    mode = "int"
+    if arr is None or arr.min(initial=0) == -_INT64_MAX - 1:  # _int_dtype sends -2^63 to object
+        if any("." in v or "e" in v or "E" in v or v in ("inf", "-inf", "nan") for v in body):
+            arr = np.array([float(v) for v in body], dtype=np.float64)
+            if not np.isfinite(arr).all():
+                raise LatticeError(f"{path}: text input needs finite values")
+            mode = "real"
+        else:
+            ints = [int(v) for v in body]
+            arr = np.array(ints, dtype=_int_dtype(max(map(abs, ints), default=0)))
     if len(body) != math.prod(shape):
         raise LatticeError(f"{path}: expected {math.prod(shape)} values, got {len(body)}")
     return Tensor(arr.reshape(shape), mode)

@@ -200,3 +200,21 @@ def test_baseline_shape_below_one_is_a_domain_error(tmp_path, shape):
     result = CliRunner().invoke(main, ["baseline", "--shape", shape, "--trials", "3", "--out", str(tmp_path)])
     assert result.exit_code == 3, result.output
     assert f"got ({shape.replace(',', ', ')})" in result.output
+
+
+@pytest.mark.parametrize("kappa", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["ghost", "pedestal"])
+def test_non_finite_kappa_is_a_usage_error(tmp_path, command, kappa):
+    (tmp_path / "obj.txt").write_text("3\n1 2 3\n")
+    (tmp_path / "mask.txt").write_text("2\n1 -5\n")
+    argv = [command, str(tmp_path / "obj.txt"), str(tmp_path / "mask.txt"), "--kappa", kappa, "--out", str(tmp_path)]
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code == 1, result.output
+    assert f"--kappa must be a finite number or 'auto', got {kappa!r}" in result.output
+
+
+@pytest.mark.parametrize("values", ["a:b", "1.5:9", "3", "1:2:3"])
+def test_baseline_non_integer_values_is_a_usage_error(tmp_path, values):
+    result = CliRunner().invoke(main, ["baseline", "--values", values, "--trials", "3", "--out", str(tmp_path)])
+    assert result.exit_code == 1, result.output
+    assert f"--values must be LO:HI integers, got {values!r}" in result.output

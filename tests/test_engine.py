@@ -198,9 +198,42 @@ def test_real_paths_within_rounding_of_oracle(fft_only, pair):
     with _paths(fft_only):
         got = correlate(a, b).values.data
     want = oracle_correlate(a.data, b.data).astype(np.float64)
-    points = math.prod(lattice._fft_shape(got.shape))
-    tol = 8 * np.finfo(np.float64).eps * (math.log2(points) + 2)
-    assert np.abs(got - want).max() <= tol * np.linalg.norm(a.data) * np.linalg.norm(b.data)
+    assert np.abs(got - want).max() <= _real_tolerance(a.data, b.data, got.shape)
+
+
+def _real_tolerance(a, b, out_shape):
+    """|a|_2 |b|_2 eps, times 8 (log2 of the real FFT's point count + 2)."""
+    points = math.prod(lattice._fast_len(n) for n in out_shape)
+    return 8 * np.finfo(np.float64).eps * (math.log2(points) + 2) * np.linalg.norm(a) * np.linalg.norm(b)
+
+
+def _five_smooth(n):
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def test_fast_len_is_the_next_five_smooth_number():
+    smooth = [n for n in range(1, 5000) if _five_smooth(n)]
+    for n in range(1, 4097):
+        assert lattice._fast_len(n) == next(m for m in smooth if m >= n)
+
+
+@pytest.mark.parametrize(
+    "shape_a, shape_b",
+    [((200,), (113,)), ((50, 40), (45, 58)), ((10, 7, 12), (9, 8, 4))],
+    ids=["312", "94x97", "18x14x15"],
+)
+def test_real_fft_at_five_smooth_sizes_matches_direct(shape_a, shape_b):
+    rng = np.random.default_rng(len(shape_a))
+    a, b = rng.normal(size=shape_a), rng.normal(size=shape_b) * 1e3
+    out_shape = tuple(m + n - 1 for m, n in zip(shape_a, shape_b))
+    assert any(lattice._fast_len(n) < lattice._fft_shape((n,))[0] for n in out_shape)
+    with _paths(fft_only=True):
+        got = correlate(Tensor(a, "real"), Tensor(b, "real")).values.data
+    want = lattice._direct(a, b, out_shape)
+    assert np.abs(got - want).max() <= _real_tolerance(a, b, out_shape)
 
 
 def _oracle_deblur(blurred, mask, p):

@@ -103,6 +103,21 @@ def test_deblur_converges_for_an_h9_outer_product():
     assert np.max(np.abs(result.estimate.data - obj)) < 1e-3
 
 
+def test_deblur_converges_for_an_h15_outer_product(h15):
+    obj = np.arange(400).reshape(20, 20) * 7 % 13
+    mask = tensor_huffman([h15, h15])
+    result = deblur(encode(obj, mask), mask, iterations=4)
+    assert not result.diverged and result.iterations == 4
+    assert all(b < a for a, b in zip(result.step_sizes, result.step_sizes[1:]))
+    assert np.max(np.abs(result.estimate.data - obj)) < 1e-6
+
+
+def test_watermark_offset_is_python_ints():
+    match = watermark_locate(watermark_embed(np.zeros((12, 12), dtype=np.int64), _MASK, (5, 7)), _MASK)
+    assert match.offset == (5, 7)
+    assert all(type(v) is int for v in match.offset)
+
+
 def test_deblur_diverges_for_a_random_mask():
     result = deblur(encode(_OBJ, _RANDOM_MASK), _RANDOM_MASK, iterations=8)
     assert result.diverged
