@@ -29,7 +29,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .lattice import Tensor, _auto_peak, correlate, read_pgm, read_text, write_pgm, write_text
+from .lattice import LatticeError, Tensor, _auto_peak, correlate, read_pgm, read_text, write_pgm, write_text
 from .metrics import classify, cross_metrics, span_bits, spectral_flatness
 from .project import as_direction, project, project3, twin as twin_of
 
@@ -225,6 +225,13 @@ def _metadata_version(info: str) -> str | None:
     return None
 
 
+def _energetic(tensor: Tensor) -> Tensor:
+    """``tensor``, refused as a domain error when its energy C0 = sum(a^2) is 0."""
+    if _auto_peak(tensor) == 0:
+        raise LatticeError("zero-energy input: C0 = 0 leaves R, M and S undefined")
+    return tensor
+
+
 def _report_payload(report) -> dict:
     return json.loads(report.to_json())
 
@@ -283,35 +290,35 @@ def generate(family, length, b, n, variant, key, alphabet, e, f, g, h_letter, fa
     """Construct an array from a named family and score it."""
     from .construct import HuffmanSpec, build, diamond7_closed_form
     family = _FAMILY_ALIASES[family]
-    parts = [f"family={family}"]
     if family == "fibonacci_binet":
         if length is None:
             raise click.UsageError("--length is required for the fibonacci family")
-        parts += [f"N={length}", f"b={b}"]
+        spec = HuffmanSpec(family, length=length, b=b)
     elif family == "h5_family":
         if n is None:
             raise click.UsageError("--n is required for the h5 family")
-        parts += [f"n={n}", f"variant={variant}"]
+        spec = HuffmanSpec(family, n=n, variant=variant)
     elif family == "catalog":
         if key is None:
             raise click.UsageError("--key is required for catalog entries")
-        parts.append(f"key={key}")
+        spec = HuffmanSpec(family, key=key)
     elif family in ("diamond5", "diamond7"):
-        if alphabet is None and family == "diamond7" and e is not None and f is not None:
+        if alphabet is not None:
+            letters = _parse_ints(alphabet, "--alphabet")
+        elif family == "diamond7" and e is not None and f is not None:
             if g is None or h_letter is None:
                 if e != 3:
                     raise click.UsageError("--g/--h can only be omitted for --e 3 (closed form)")
                 g, h_letter = diamond7_closed_form(f)
-            alphabet = ",".join(str(v) for v in (0, 0, 0, 1, e, f, g, h_letter))
-        if alphabet is None:
+            letters = (0, 0, 0, 1, e, f, g, h_letter)
+        else:
             raise click.UsageError(f"--alphabet (or --e/--f for diamond7) is required for {family}")
-        _parse_ints(alphabet, "--alphabet")
-        parts.append(f"alphabet={alphabet}")
-    elif family == "outer_product":
+        spec = HuffmanSpec(family, alphabet=letters)
+    else:  # outer_product; a comma inside one --factor also separates factors
         if not factors:
             raise click.UsageError("at least one --factor is required for outer products")
-        parts.append("factors=" + ",".join(factors))
-    spec = HuffmanSpec.from_text(" ".join(parts))
+        tokens = (token for factor in factors for token in factor.split(","))
+        spec = HuffmanSpec(family, factors=tuple(HuffmanSpec._from_compact(token) for token in tokens))
     tensor = build(spec)
     report = classify(tensor)
     stem = "generate_" + spec.to_text().replace("family=", "").replace(" ", "_").replace("=", "-").replace(",", "_").replace(":", "-")
@@ -329,7 +336,7 @@ def generate(family, length, b, n, variant, key, alphabet, e, f, g, h_letter, fa
 @_artefact_options
 def analyze(input_path, oversample, plot, name, out):
     """Score an array: merit factor, side-lobe ratio, flatness, class."""
-    tensor = _read_tensor(input_path)
+    tensor = _energetic(_read_tensor(input_path))
     report = classify(tensor)
     payload = _report_payload(report)
     if oversample > 1:
@@ -367,7 +374,7 @@ def project_cmd(input_path, direction, name, out):
 @_artefact_options
 def twin_cmd(input_path, name, out):
     """Emit the parity-flipped twin and its cross-correlation metrics."""
-    tensor = _read_tensor(input_path)
+    tensor = _energetic(_read_tensor(input_path))
     tw = twin_of(tensor)
     cross_r, cross_m = cross_metrics(correlate(tensor, tw))
     report = classify(tw)

@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .lattice import Tensor, _auto_lags, _auto_peak, _int_dtype, _ring, as_tensor, convolve, correlate
+from .lattice import Tensor, _auto_lags, _auto_peak, _convolver, _int_dtype, _ring, as_tensor, convolve, correlate
 from .metrics import _lag_scores
 
 __all__ = [
@@ -160,6 +160,10 @@ def deblur(blurred, mask, iterations: int = 2) -> DeblurResult:
     full-size back-correlation and the final estimate is centrally cropped to
     the object extent.  Stops early (``diverged`` set) if the step size grows
     three times in a row — a mask too far from delta-correlated.
+
+    The off-peak auto-correlation A_off is transformed once for the whole
+    recursion by ``lattice._convolver``, the real path of ``convolve``, so
+    every step equals ``convolve(o, A_off)`` bit for bit.
     """
     if iterations < 1:
         raise ImagingError("iterations must be >= 1")
@@ -180,12 +184,13 @@ def deblur(blurred, mask, iterations: int = 2) -> DeblurResult:
     # the "same" part of convolve(o, A_off): centred on the full result, so
     # it starts (extent(A_off) - 1) // 2 in along each axis
     same = tuple(slice((n - 1) // 2, (n - 1) // 2 + m) for n, m in zip(a_off.shape, o1.shape))
+    convolve_a_off = _convolver(a_off, o1.shape)
     o = o1
     steps: list[float] = []
     diverged = False
     growth = 0
     for _ in range(iterations - 1):
-        nxt = o1 - convolve(Tensor(o, "real"), Tensor(a_off, "real")).data[same] / c0
+        nxt = o1 - convolve_a_off(o)[same] / c0
         steps.append(float(np.abs(nxt - o).max()))
         o = nxt
         if len(steps) >= 2 and steps[-1] > steps[-2]:
@@ -254,7 +259,8 @@ def ghost_image(obj, mask, kappa, kappa_prime="exact", scan=None) -> GhostResult
     ``"exact"`` uses that analytic value (needs the object sum, i.e. known
     compact support), ``"boundary"`` averages the raw back-correlation on the
     border of the scanned region, ``lattice._ring`` (the empirical rule), or
-    pass a number directly.  ``scan`` optionally restricts the recorded
+    pass a number directly.  A zero-energy mask (C0 = 0) is refused before
+    any work.  ``scan`` optionally restricts the recorded
     bucket positions to one slice per axis of the full correlation extent;
     anything outside is lost and the result is flagged partial.  The bucket
     is exact for integer operands and integer kappa (int64 when its bound
@@ -263,6 +269,9 @@ def ghost_image(obj, mask, kappa, kappa_prime="exact", scan=None) -> GhostResult
     obj, mask = _operands(obj, mask)
     if scan is not None and len(scan) != obj.ndim:
         raise ImagingError(f"scan gives {len(scan)} slices for {obj.ndim}D data; give one per axis")
+    c0 = float(_auto_peak(mask))
+    if c0 == 0.0:
+        raise ImagingError("zero-energy mask: C0 = 0 leaves no finite reconstruction")
     need = max(0.0, -float(np.asarray(mask.data, dtype=np.float64).min()))
     if float(kappa) < need:
         raise ImagingError(
@@ -285,7 +294,6 @@ def ghost_image(obj, mask, kappa, kappa_prime="exact", scan=None) -> GhostResult
         data[~kept] = 0
         bucket = Tensor(data, bucket.mode)
 
-    c0 = float(_auto_peak(mask))
     raw_full = convolve(bucket, mask)
     sel = valid_region(bucket.shape, mask.shape)
     raw = np.asarray(raw_full.data[sel], dtype=np.float64)
@@ -345,18 +353,20 @@ def watermark_locate(marked, mark) -> WatermarkMatch:
     background (host mean times the mark's element sum) swamps the mark's
     C0 spike.  The peak lands at host_extent - 1 - offset per axis, so the
     top-left embed offset is recovered exactly; detection threshold is half
-    the mark's C0.
+    the mark's C0, and a zero-energy mark (C0 = 0) is refused.
     """
     marked, mark = _operands(marked, mark)
     if any(h < m for h, m in zip(marked.shape, mark.shape)):
         raise ImagingError("mark larger than the image searched")
+    c0 = float(_auto_peak(mark))
+    if c0 == 0.0:
+        raise ImagingError("zero-energy mark: C0 = 0 leaves no detection threshold")
     flat_img = np.asarray(marked.data, dtype=np.float64)
     centered = Tensor(flat_img - flat_img.mean(), "real")
     c = correlate(centered, mark)
     arr = np.asarray(c.values.data, dtype=np.float64)
     where = np.unravel_index(int(np.argmax(arr)), arr.shape)
     offset = tuple(z - int(w) for z, w in zip(c.zero_index, where))
-    c0 = float(_auto_peak(mark))
     peak = float(arr[where])
     return WatermarkMatch(offset, peak, c0 / 2.0, peak >= c0 / 2.0)
 

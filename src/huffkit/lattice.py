@@ -19,7 +19,7 @@ Correlation convention: ``correlate(a, b)`` computes
 over every shift with any overlap ("full" output, extent ``Na + Nb - 1`` per
 axis), and the zero shift sits at flat index ``Na - 1`` along each axis.
 
-The engine is numpy only and picks one of four paths from its operands:
+The engine is numpy only and picks one of five paths from its operands:
 
 * **Direct int64** — integer operands whose worst-case accumulator
   ``min(Na, Nb) * max|a| * max|b|`` fits int64 and whose flattened product
@@ -27,6 +27,22 @@ The engine is numpy only and picks one of four paths from its operands:
   row strides of the output, so one 1D ``np.correlate`` gives the whole nD
   result: index sums never reach an output extent, so no flat shift carries
   from one axis into the next.  Exact, since no partial sum can overflow.
+* **Rank 1** — integer operands of two or more axes that leave the direct
+  path, when one or both is an exact outer product f_0 (x) ... (x) f_(n-1).
+  The test is exact and O(size): pivot on the first nonzero entry p at
+  (r, c) of the operand as a matrix (axis 0 by the rest), check one other
+  row and then p a == outer(a[:, c], a[r, :]) in ``_int_dtype(peak^2)``;
+  the factor along axis 0 is the column over the gcd of its entries, the
+  rest is divided by it exactly and factored the same way.  Both operands
+  rank 1: the result is the outer product of the factors' 1D engine
+  correlations, C(u (x) v, u' (x) v') = C(u, u') (x) C(v, v').  One: one
+  int64 ``_direct`` pass per axis over the other operand, the axis moved
+  last so the kernel is its factor's contiguous entries (reversed factors
+  over the reversed operand when the rank-1 operand is the second).  Every
+  pass stays within max|y| G, G = prod_i sum|f_i|; past 2^63 - 1 the
+  operand is split into signed limbs of the widest width w with
+  2^w G <= 2^63 - 1 and the digits are joined as in the limb split below.
+  When no w >= 1 exists the FFT paths below take over.
 * **Certified float FFT** — larger integer operands, correlated with
   ``rfftn`` on power-of-two padded shapes and rounded with ``rint``.
   Percival ("Rapid multiplication modulo the sum and difference of highly
@@ -60,6 +76,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 from itertools import islice
 from itertools import product as _iproduct
@@ -307,17 +324,14 @@ def _fft_error_factor(shape: tuple[int, ...]) -> float:
 
 
 def _limbs(x: np.ndarray, width: int, max_abs: int) -> list[np.ndarray]:
-    """Signed limbs d_i, x = sum_i d_i 2^(width i), |d_i| < 2^width, as float64."""
+    """Signed limbs d_i, x = sum_i d_i 2^(width i), |d_i| < 2^width, as int64."""
     count = max(1, -(-max_abs.bit_length() // width))
     if x.dtype == object:
         mag, sign = np.abs(x), np.sign(x).astype(np.int64)
     else:
         mag, sign = np.abs(x).astype(np.uint64), np.sign(x)  # |-2^63| fits uint64
     low = (1 << width) - 1
-    return [
-        (sign * ((mag >> (width * i)) & low).astype(np.int64)).astype(np.float64)
-        for i in range(count)
-    ]
+    return [sign * ((mag >> (width * i)) & low).astype(np.int64) for i in range(count)]
 
 
 def _certified_split(fa, b, max_a: int, max_b: int, limit: float):
@@ -333,7 +347,11 @@ def _certified_split(fa, b, max_a: int, max_b: int, limit: float):
     width = int(math.log2(limit / math.sqrt(fa.size * b.size)) / 2)
     if width < 1:
         raise ArithmeticError(f"no certified FFT limb width for {fa.shape} x {b.shape}")
-    return width, _limbs(fa, width, max_a), _limbs(b, width, max_b)
+
+    def floats(x, max_abs):
+        return [d.astype(np.float64) for d in _limbs(x, width, max_abs)]
+
+    return width, floats(fa, max_a), floats(b, max_b)
 
 
 def _fft_int_correlate(
@@ -354,6 +372,14 @@ def _fft_int_correlate(
         spectrum_a = _spectrum(x, shape)
         for j, spectrum_b in enumerate(spectra_b):
             digits[i + j] += np.rint(_fft_convolve(spectrum_a, spectrum_b, shape, out_shape)).astype(np.int64)
+    return _join_digits(digits, width, fits)
+
+
+def _join_digits(digits: list[np.ndarray], width: int, fits: bool) -> np.ndarray:
+    """sum_i digits[i] 2^(width i) of int64 digit arrays, exactly.
+
+    int64 when ``fits`` says the sum fits it, Python ints otherwise.
+    """
     if len(digits) == 1:
         return digits[0]
     if fits:  # wrap-around arithmetic mod 2^64 is exact for a result that fits
@@ -365,6 +391,113 @@ def _fft_int_correlate(
     for d in reversed(digits[:-1]):
         acc = (acc << width) + d.astype(object)
     return acc
+
+
+def _rank1_split(m: np.ndarray, peak: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """(u, v) with m = outer(u, v) and u primitive, or None unless the integer matrix is rank 1.
+
+    ``peak`` bounds |m|.  The pivot p = m[r, c] is the first nonzero entry.
+    One other row is tested against p m[r', :] == m[r', c] m[r, :] first, so
+    most matrices that are not rank 1 leave after one row; then the whole of
+    p m == outer(m[:, c], m[r, :]) is checked, in ``_int_dtype(peak^2)``.
+    u is m[:, c] over the gcd of its entries, and v = m[r, :] / u[r] is then
+    integral (z.u = 1 for some integer z, so each column's multiplier z.m[:, j]
+    is an integer).
+    """
+    r, c = divmod(int(np.argmax(m != 0)), m.shape[1])
+    dtype = _int_dtype(peak * peak)
+    p, row = int(m[r, c]), m[r].astype(dtype)
+    if p == 0:  # no nonzero entry
+        return None
+    other = (r + 1) % len(m)
+    for rows in (slice(other, other + 1), slice(None)):
+        block = m[rows].astype(dtype, copy=False)
+        if not np.array_equal(block * p, np.multiply.outer(block[:, c], row)):
+            return None
+    col = m[:, c].astype(dtype)
+    u = col // math.gcd(*col.tolist())
+    return u, row // u[r]
+
+
+def _rank1_factors(x: np.ndarray, peak: int) -> list[np.ndarray] | None:
+    """Integer vectors f_i with x = f_0 (x) ... (x) f_(n-1) exactly, or None if x is not rank 1.
+
+    Splits off one axis at a time with :func:`_rank1_split`; every factor is
+    bounded by ``peak``, which bounds |x|, and is stored by ``_int_dtype``.
+    """
+    factors = []
+    while x.ndim > 1:
+        split = _rank1_split(x.reshape(len(x), -1), peak)
+        if split is None:
+            return None
+        factors.append(split[0])
+        x = split[1].reshape(x.shape[1:])
+    return [f.astype(_int_dtype(_peak(f)), copy=False) for f in factors + [x]]
+
+
+def _axis_correlate(f: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
+    """The 1D correlation of kernel ``f`` with every line of ``y`` along ``axis``, full length.
+
+    One ``_direct`` pass with the axis moved last, so the flat kernel is
+    ``len(f)`` contiguous entries.
+    """
+    lines = np.moveaxis(y, axis, -1)
+    lead, n = lines.shape[:-1], lines.shape[-1] + len(f) - 1
+    out = _direct(f.reshape(1, -1), lines.reshape(-1, lines.shape[-1]), (math.prod(lead), n))
+    return np.moveaxis(out.reshape(lead + (n,)), -1, axis)
+
+
+def _separable_correlate(factors: list[np.ndarray], y: np.ndarray, max_y: int, fits: bool) -> np.ndarray | None:
+    """C(f_0 (x) ... (x) f_(n-1), y) by one exact int64 pass per axis, or None.
+
+    Every pass output is bounded by max|y| G, G = prod_i sum|f_i|.  When that
+    passes 2^63 - 1, y is split into signed limbs of the widest w with
+    2^w G <= 2^63 - 1, each limb's passes are a digit, and the digits are
+    joined as in the limb-split FFT.  None when no w >= 1 exists.
+    """
+    gain = math.prod(sum(map(abs, f.tolist())) for f in factors)
+    if max(max_y, 1) * gain <= _INT64_MAX:  # for y = 0 too, G must fit: it bounds every kernel entry
+        width, limbs = 0, [y.astype(np.int64, copy=False)]
+    else:
+        width = (_INT64_MAX // gain).bit_length() - 1
+        if width < 1:
+            return None
+        limbs = _limbs(y, width, max_y)
+    kernels = [f.astype(np.int64, copy=False) for f in factors]
+    digits = []
+    for digit in limbs:
+        for axis, f in enumerate(kernels):  # the last axis last, so the result is C-contiguous
+            digit = _axis_correlate(f, digit, axis)
+        digits.append(digit)
+    return _join_digits(digits, width, fits)
+
+
+def _rank1_correlate(x: np.ndarray, y: np.ndarray, max_x: int, max_y: int, fits: bool) -> np.ndarray | None:
+    """The exact correlation when an operand of 2 or more axes is rank 1, else None.
+
+    Both rank 1: the outer product of the factors' 1D engine correlations,
+    C(u (x) v, u' (x) v') = C(u, u') (x) C(v, v').  Only x rank 1:
+    :func:`_separable_correlate`.  Only y rank 1: the same with the reversed
+    factors of y as kernel over reversed x, which gives C(x, y) entry for
+    entry.  The result is int64 or Python ints as ``fits`` allows, like
+    :func:`_fft_int_correlate`'s.
+    """
+    if x.ndim < 2:
+        return None
+    fx, fy = _rank1_factors(x, max_x), _rank1_factors(y, max_y)
+    if fx and fy:
+        parts = [_raw_correlate(Tensor(f, "int"), Tensor(g, "int")).data for f, g in zip(fx, fy)]
+        # each part is nonzero, so the product of their peaks, max|C|, bounds every partial product
+        dtype = _int_dtype(math.prod(_peak(c) for c in parts))
+        out = parts[0].astype(dtype)
+        for c in parts[1:]:
+            out = np.multiply.outer(out, c.astype(dtype))
+        return out
+    if fx:
+        return _separable_correlate(fx, y, max_y, fits)
+    if fy:
+        return _separable_correlate([f[::-1] for f in fy], _reversed(x), max_x, fits)
+    return None
 
 
 def _exact_sum(x: np.ndarray, small: bool) -> int:
@@ -384,7 +517,7 @@ def _int_correlate(a: Tensor, b: Tensor, out_shape: tuple[int, ...], macs: int) 
     y = np.asarray(b.data, dtype=_int_dtype(max_b))
     if fits and macs <= _INT_DIRECT_MACS:
         out = _direct(x, y, out_shape)
-    else:
+    elif (out := _rank1_correlate(x, y, max_a, max_b, fits)) is None:
         out = _fft_int_correlate(x, y, max_a, max_b, out_shape, fits)
     if not fits or a.data.dtype == object or b.data.dtype == object:
         out = out.astype(object)
@@ -394,6 +527,28 @@ def _int_correlate(a: Tensor, b: Tensor, out_shape: tuple[int, ...], macs: int) 
             f"correlation of {a.shape} x {b.shape} failed its sum check; result withheld"
         )
     return out
+
+
+def _convolver(kernel: np.ndarray, shape: tuple[int, ...]):
+    """The real path: ``convolve(x, kernel)`` for float64 ``x`` of ``shape``, as float64.
+
+    Direct up to ``_REAL_DIRECT_MACS`` flat products, else ``rfftn`` at
+    ``_fast_len`` sizes.  The kernel's spectrum is computed once, so a caller
+    convolving many x with one kernel (``imaging.deblur``) pays for it once;
+    each product is formed in place, and x is never copied to flip it.
+    """
+    out_shape = tuple(m + n - 1 for m, n in zip(shape, kernel.shape))
+    if _flat_len(shape, out_shape) * _flat_len(kernel.shape, out_shape) <= _REAL_DIRECT_MACS:
+        return lambda x: _direct(_reversed(x), kernel, out_shape)
+    fft_shape = tuple(_fast_len(n) for n in out_shape)
+    spectrum = _spectrum(kernel, fft_shape)
+
+    def convolve_fft(x: np.ndarray) -> np.ndarray:
+        product = _spectrum(x, fft_shape)
+        product *= spectrum
+        return np.fft.irfftn(product, fft_shape, axes=tuple(range(x.ndim)))[tuple(slice(0, n) for n in out_shape)]
+
+    return convolve_fft
 
 
 def _raw_correlate(a: Tensor, b: Tensor) -> Tensor:
@@ -407,11 +562,8 @@ def _raw_correlate(a: Tensor, b: Tensor) -> Tensor:
     if a.mode == "int" and b.mode == "int":
         return Tensor(_int_correlate(a, b, out_shape, macs), "int")
     x, y = np.asarray(a.data, dtype=np.float64), np.asarray(b.data, dtype=np.float64)
-    if macs <= _REAL_DIRECT_MACS:
-        return Tensor(_direct(x, y, out_shape), "real")
-    shape = tuple(_fast_len(n) for n in out_shape)
-    out = _fft_convolve(_spectrum(_reversed(x), shape), _spectrum(y, shape), shape, out_shape)
-    return Tensor(np.ascontiguousarray(out), "real")
+    # correlate(x, y) = convolve(flip(x), y)
+    return Tensor(np.ascontiguousarray(_convolver(y, x.shape)(_reversed(x))), "real")
 
 
 def _square_sum(values: np.ndarray):
@@ -649,28 +801,53 @@ def read_text(path) -> Tensor:
     every value lies within +/-(2^63 - 1), Python ints otherwise.  A token
     that neither reads raises ``ValueError``, and a token count other than
     the product of the extents raises :class:`LatticeError`.
+
+    The values are first parsed one line at a time into one preallocated
+    int64 array, so the file's tokens are never all held at once.  If that
+    fails (a token int64 cannot hold, a value of -2^63, a count other than
+    the extents' product), the whole body is read again by the rules above.
     """
     with open(path) as fh:
-        header = fh.readline().split()
-        shape = tuple(int(x) for x in header)
+        shape = tuple(int(x) for x in fh.readline().split())
+        count = math.prod(shape)
+        # every value takes at least one byte, so no larger count can match
+        if 0 < count <= os.fstat(fh.fileno()).st_size and (arr := _int64_lines(fh, count)) is not None:
+            return Tensor(arr.reshape(shape), "int")
+        fh.seek(0)
+        fh.readline()
         body = fh.read().split()
-    try:
-        arr = np.array(body, dtype=np.int64)  # int() of each token, in C
-    except (ValueError, OverflowError):
-        arr = None
-    mode = "int"
-    if arr is None or arr.min(initial=0) == -_INT64_MAX - 1:  # _int_dtype sends -2^63 to object
-        if any("." in v or "e" in v or "E" in v or v in ("inf", "-inf", "nan") for v in body):
-            arr = np.array([float(v) for v in body], dtype=np.float64)
-            if not np.isfinite(arr).all():
-                raise LatticeError(f"{path}: text input needs finite values")
-            mode = "real"
-        else:
-            ints = [int(v) for v in body]
-            arr = np.array(ints, dtype=_int_dtype(max(map(abs, ints), default=0)))
+    if any("." in v or "e" in v or "E" in v or v in ("inf", "-inf", "nan") for v in body):
+        arr = np.array([float(v) for v in body], dtype=np.float64)
+        if not np.isfinite(arr).all():
+            raise LatticeError(f"{path}: text input needs finite values")
+        mode = "real"
+    else:
+        ints = [int(v) for v in body]
+        arr = np.array(ints, dtype=_int_dtype(max(map(abs, ints), default=0)))
+        mode = "int"
     if len(body) != math.prod(shape):
         raise LatticeError(f"{path}: expected {math.prod(shape)} values, got {len(body)}")
     return Tensor(arr.reshape(shape), mode)
+
+
+def _int64_lines(fh, count: int) -> np.ndarray | None:
+    """The rest of ``fh`` as ``count`` int64 values, or None.
+
+    Each line's tokens are parsed with one ``np.array(..., dtype=np.int64)``
+    straight into the result.  None if a token does not parse, a value is
+    -2^63 (which ``_int_dtype`` stores as object) or the count differs.
+    """
+    arr, filled = np.empty(count, dtype=np.int64), 0
+    for line in fh:
+        tokens = line.split()
+        if filled + len(tokens) > count:
+            return None
+        try:
+            arr[filled : filled + len(tokens)] = np.array(tokens, dtype=np.int64)
+        except (ValueError, OverflowError):
+            return None
+        filled += len(tokens)
+    return arr if filled == count and arr.min() != -_INT64_MAX - 1 else None
 
 
 def write_pgm(t: Tensor, path, maxval: int = 255) -> None:

@@ -13,32 +13,26 @@ linearly independent forms among (q, -p, 0), (0, r, -q), (r, 0, -p) applied to
 (x, y, z) — each of these is constant along the projection direction.
 
 Projections of delta-correlated arrays built as outer products inherit flat
-spectra, which is what `spectrally_equivalent_family` enumerates.
+spectra: each such projection is one ``project --dir p:q`` run on the
+outer product.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .lattice import Tensor, _int_dtype, as_tensor, outer_product, write_text
-from .metrics import QualityReport, classify
+from .lattice import Tensor, _int_dtype, as_tensor
 
 __all__ = [
     "ProjectionError",
     "ProjectionDirection",
-    "FamilyMember",
     "as_direction",
     "project",
     "project3",
     "twin",
-    "default_directions",
-    "spectrally_equivalent_family",
-    "write_family",
 ]
 
 
@@ -186,78 +180,3 @@ def twin(a) -> Tensor:
     if a.mode == "int":  # |-a| <= max|a|, which is 2^63 for an entry of -2^63
         data = data.astype(_int_dtype(a.max_abs()), copy=False)
     return Tensor(data * shaped, a.mode)
-
-
-def default_directions(max_n: int = 5) -> tuple[ProjectionDirection, ...]:
-    """All distinct 2D directions with |p| + |q| <= max_n, sign-normalized.
-
-    (p:q) and (-p:-q) project to reverses of each other, so only the
-    representative with p > 0 (or (0:1)) is listed.  Ordered by n, then p,
-    then q, so family output is deterministic.
-    """
-    dirs = []
-    for p in range(0, max_n + 1):
-        for q in range(-max_n, max_n + 1):
-            if p == 0 and q <= 0:
-                continue
-            if p + abs(q) > max_n or p + abs(q) == 0:
-                continue
-            if math.gcd(p, abs(q)) != 1:
-                continue
-            dirs.append(ProjectionDirection(p, q))
-    return tuple(sorted(dirs, key=lambda d: (d.n, d.p, d.q)))
-
-
-class FamilyMember(NamedTuple):
-    direction: ProjectionDirection
-    tensor: Tensor
-    report: QualityReport
-
-
-def spectrally_equivalent_family(
-    seed,
-    directions: Sequence | None = None,
-    out_dir=None,
-) -> list[FamilyMember]:
-    """Project outer_product([seed, seed]) along each direction.
-
-    Each member carries its own QualityReport; diagonal directions give the
-    seed's auto-correlation (peak C0^2 + 2 for a canonical seed), while mixed
-    directions keep the side-lobe ratio pinned at the seed's C0.  When
-    ``out_dir`` is given the family is also written to disk via
-    `write_family`.
-    """
-    seed = as_tensor(seed)
-    if seed.ndim != 1:
-        raise ProjectionError("family seed must be 1D")
-    seed_class = classify(seed).classification
-    if seed_class == "other":
-        raise ProjectionError(
-            "family seed must be delta-correlated (canonical or quasi), "
-            f"got {seed_class!r}"
-        )
-    if directions is None:
-        directions = default_directions()
-    grid = outer_product([seed, seed])
-    members = []
-    for d in directions:
-        d = as_direction(d, ndim=2)
-        t = project(grid, d)
-        members.append(FamilyMember(d, t, classify(t)))
-    if out_dir is not None:
-        write_family(out_dir, members)
-    return members
-
-
-def write_family(out_dir, members: Sequence[FamilyMember]) -> Path:
-    """Write one tensor text file per member plus index.csv; returns the index path."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    index = out / "index.csv"
-    with open(index, "w") as fh:
-        fh.write("direction,length,file,R,M,S,bits,OP\n")
-        for m in members:
-            name = "family_" + str(m.direction).replace(":", "_") + ".txt"
-            write_text(m.tensor, out / name)
-            fh.write(f"{m.direction},{m.tensor.size},{name},{m.report.csv_row()}\n")
-    return index

@@ -218,3 +218,54 @@ def test_baseline_non_integer_values_is_a_usage_error(tmp_path, values):
     result = CliRunner().invoke(main, ["baseline", "--values", values, "--trials", "3", "--out", str(tmp_path)])
     assert result.exit_code == 1, result.output
     assert f"--values must be LO:HI integers, got {values!r}" in result.output
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("text", ["2 2\n0 0\n0 0\n", "3\n0.0 -0.0 0.0\n", "2\n1e-200 0\n"],
+                         ids=["int", "real", "underflow"])
+@pytest.mark.parametrize("command", ["analyze", "twin"])
+def test_zero_energy_input_is_a_domain_error(tmp_path, command, text):
+    """C0 = sum(a^2) = 0 leaves R, M and S undefined, so nothing is scored or written."""
+    (tmp_path / "zero.txt").write_text(text)
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, [command, str(tmp_path / "zero.txt"), "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    assert "zero-energy input" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_zero_mask_ghost_is_a_domain_error(tmp_path):
+    (tmp_path / "obj.txt").write_text("3 3\n1 2 3\n4 5 6\n7 8 9\n")
+    (tmp_path / "mask.txt").write_text("2 2\n0 0\n0 0\n")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["ghost", str(tmp_path / "obj.txt"), str(tmp_path / "mask.txt"),
+                                       "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    assert "zero-energy mask" in result.output and "text output" not in result.output
+    assert not out.exists()
+
+
+def test_zero_mark_locate_is_a_domain_error(tmp_path):
+    (tmp_path / "image.txt").write_text("3 3\n1 2 3\n4 5 6\n7 8 9\n")
+    (tmp_path / "mark.txt").write_text("2 2\n0 0\n0 0\n")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["watermark", "locate", str(tmp_path / "image.txt"), str(tmp_path / "mark.txt"),
+                                       "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    assert "zero-energy mark" in result.output and "detected" not in result.output
+    assert not out.exists()
+
+
+def test_generate_spec_from_options_names_files_as_the_spec_text_did(tmp_path):
+    """Factors may also be comma-separated inside one --factor, and the diamond letters are normalised."""
+    runs = {
+        "generate_outer_product_factors-catalog-H4_h5_family-1-even.txt":
+            ["--family", "outer", "--factor", "catalog:H4,h5_family:1:even"],
+        "generate_diamond5_alphabet-0_1_3_6_16_44.txt": ["--family", "diamond5", "--alphabet", "0,01,3,6,+16,44"],
+        "generate_diamond7_alphabet-0_0_0_1_3_6_19_33.txt": ["--family", "diamond7", "--e", "3", "--f", "6"],
+    }
+    for expected, argv in runs.items():
+        result = CliRunner().invoke(main, ["generate", *argv, "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / expected).exists(), sorted(p.name for p in tmp_path.iterdir())

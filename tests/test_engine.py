@@ -269,3 +269,184 @@ def test_deblur_same_crop_matches_oracle(fft_only, ndim):
     want = _oracle_deblur(blurred, mask, 3)
     assert not result.diverged
     assert np.allclose(result.estimate.data, want, rtol=0, atol=1e-9 * np.abs(want).max())
+
+
+# ---------------------------------------------------------------------------
+# the rank-1 path: exact outer products and separable passes
+
+
+def _factor_values(bits):
+    """Integer factor entries: zeros, small signs and values up to 2^bits of either sign."""
+    return st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**bits), 2**bits))
+
+
+def _outer(factors):
+    """The outer product of integer factors, in Python ints."""
+    out = np.array(factors[0], dtype=object)
+    for f in factors[1:]:
+        out = np.multiply.outer(out, np.array(f, dtype=object))
+    return out
+
+
+@st.composite
+def rank1_operands(draw, shape, bits):
+    """A nonzero outer product of random integer factors, stored by the package's dtype rule."""
+    factors = [draw(st.lists(_factor_values(bits), min_size=n, max_size=n).filter(any)) for n in shape]
+    return Tensor.from_values(_outer(factors).reshape(shape), "int")
+
+
+@st.composite
+def rank1_pairs(draw):
+    """(a, b) with a, b or both rank 1, in 1D to 3D, with int64 or object storage."""
+    ndim = draw(st.integers(1, 3))
+    extent = {1: 9, 2: 5, 3: 3}[ndim]
+    shapes = [tuple(draw(st.integers(1, extent)) for _ in range(ndim)) for _ in range(2)]
+    which = draw(st.sampled_from(["a", "b", "both"]))
+    pair = []
+    for side, shape in zip("ab", shapes):
+        if which in (side, "both"):
+            pair.append(draw(rank1_operands(shape, draw(st.integers(1, 40)))))
+        else:
+            pair.append(_operand(draw(st.integers(0, 2**32)), shape, draw(st.integers(1, 100)), draw(st.booleans())))
+    return pair
+
+
+@PATHS
+@given(rank1_pairs())
+def test_rank1_operands_match_oracle(fft_only, pair):
+    with _paths(fft_only):
+        _check_exact(*pair)
+
+
+def _spy(monkeypatch, name):
+    """Record (arguments, return value) of each call of lattice.<name>, innermost first."""
+    calls = []
+    original = getattr(lattice, name)
+
+    def spy(*args):
+        calls.append((args, original(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(lattice, name, spy)
+    return calls
+
+
+_H = np.array([0, 3, -1, 0, 2])  # a zero first entry puts the pivot off the corner
+_V = np.array([-2, 0, 5, 1])  # negative pivot, and a zero column
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (np.multiply.outer(_H, _V), np.arange(-30, 30).reshape(6, 10) ** 3),
+        (np.arange(-30, 30).reshape(6, 10) ** 3, np.multiply.outer(_V, _H)),
+        (np.multiply.outer(_H, _V), np.multiply.outer(_V, _H)),
+        (np.multiply.outer(np.multiply.outer(_V, _H), _V[::-1]), np.arange(60).reshape(3, 4, 5) - 29),
+    ],
+    ids=["a", "b", "both", "3d"],
+)
+def test_rank1_operands_skip_the_fft(monkeypatch, a, b):
+    monkeypatch.setattr(lattice, "_INT_DIRECT_MACS", 0)
+    ffts = _spy(monkeypatch, "_fft_int_correlate")
+    rank1 = _spy(monkeypatch, "_rank1_correlate")
+    _check_exact(Tensor.from_values(a), Tensor.from_values(b))
+    assert rank1[-1][1] is not None
+    assert all(args[0].ndim == 1 for args, _ in ffts)  # only the factors' own 1D correlations
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_near_rank1_falls_back_to_the_engine(monkeypatch, side):
+    """One perturbed entry anywhere, including one the first tested row never reads."""
+    monkeypatch.setattr(lattice, "_INT_DIRECT_MACS", 0)
+    rank1 = np.multiply.outer(_H, _V)
+    other = Tensor.from_values(np.arange(-10, 10).reshape(4, 5))
+    for index in np.ndindex(rank1.shape):
+        near = rank1.copy()
+        near[index] += 1
+        assert lattice._rank1_factors(near, 16) is None
+        ffts = _spy(monkeypatch, "_fft_int_correlate")
+        pair = (Tensor.from_values(near), other) if side == "a" else (other, Tensor.from_values(near))
+        _check_exact(*pair)
+        assert len(ffts) == 1
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        [[0, 3, -1, 0, 2], [-2, 0, 5, 1]],
+        [[-6, 4], [0, 0, 9], [3, -3, 12]],
+        [[2**62, -(2**61)], [-2, 1]],  # -2^63 at the pivot
+        [[2**70, 3, 0], [5, -(2**65)]],  # entries beyond int64
+    ],
+)
+def test_rank1_factors_rebuild_the_operand(factors):
+    x = Tensor.from_values(_outer(factors))
+    got = lattice._rank1_factors(x.data, x.max_abs())
+    assert np.array_equal(_outer(got), x.data.astype(object))
+    assert math.gcd(*got[0].tolist()) == 1  # the primitive column
+
+
+def test_int64_minimum_in_rank1_and_general_operands():
+    rank1 = Tensor(np.multiply.outer(np.array([2, 1]), np.array([-(2**62), -(2**61)])), "int")
+    assert rank1.data.dtype == np.int64 and rank1.data.min() == -(2**63)
+    general = Tensor(np.array([[-(2**63), 5, 1], [7, -3, 2]], dtype=np.int64), "int")
+    small = Tensor.from_values(np.multiply.outer([1, -1], [2, 3]))
+    with _paths(fft_only=True):
+        for pair in [(rank1, general), (general, rank1), (small, general), (general, small), (rank1, rank1)]:
+            _check_exact(*pair)
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+@pytest.mark.parametrize("extra", [0, 1])
+def test_separable_limbs_at_the_int64_bound(monkeypatch, side, extra):
+    """max|y| G = 2^63 - 1 passes as one int64 digit; one more splits y into limbs."""
+    monkeypatch.setattr(lattice, "_INT_DIRECT_MACS", 0)
+    limbs = _spy(monkeypatch, "_limbs")
+    u, v = np.array([1, -2, 0, 4]), np.array([3, 1, -3])  # G = 7 * 7 = 49
+    top = INT64_MAX // 49
+    y = np.arange(12, dtype=object).reshape(3, 4) - 5
+    y[1, 2] = top + extra
+    pair = [Tensor.from_values(np.multiply.outer(u, v)), Tensor.from_values(y)]
+    _check_exact(*(pair if side == "a" else pair[::-1]))
+    assert [len(out) for _, out in limbs] == ([2] if extra else [])  # width 57: 58 bits in 2 limbs
+
+
+@pytest.mark.parametrize("bits", [40, 64, 130])
+def test_separable_limbs_on_big_integers(monkeypatch, bits):
+    monkeypatch.setattr(lattice, "_INT_DIRECT_MACS", 0)
+    ffts = _spy(monkeypatch, "_fft_int_correlate")
+    rng = np.random.default_rng(bits)
+    y = Tensor.from_values(rng.integers(-9, 10, (4, 3, 5)).astype(object) * 2**bits - 7)
+    rank1 = Tensor.from_values(np.multiply.outer(np.multiply.outer([1, -2], [3, 0, 1]), [5, -1, 2, 2]))
+    _check_exact(rank1, y)
+    _check_exact(y, rank1)
+    assert not ffts
+
+
+def test_separable_without_a_limb_width_uses_the_engine(monkeypatch):
+    """A kernel whose sum|f| product passes 2^62 leaves no limb width w >= 1."""
+    monkeypatch.setattr(lattice, "_INT_DIRECT_MACS", 0)
+    ffts = _spy(monkeypatch, "_fft_int_correlate")
+    rank1 = Tensor.from_values(np.multiply.outer([2**40, 1], [2**30, -1, 3]))
+    _check_exact(rank1, Tensor.from_values(np.arange(6).reshape(2, 3) - 2))
+    assert len(ffts) == 1
+
+
+def test_separable_zero_operand_with_a_kernel_beyond_int64():
+    """max|y| = 0 bounds every pass, but the kernel's own entries still need int64 room."""
+    with _paths(fft_only=True):
+        for pair in [(Tensor.from_values([[0]]), Tensor.from_values([[25553265676184717262]])),
+                     (Tensor.from_values([[2**70, 3]]), Tensor.from_values([[0, 0], [0, 0]]))]:
+            _check_exact(*pair)
+            _check_exact(*pair[::-1])
+
+
+def test_paper_scale_outer_product_autocorrelation_factorizes():
+    """The 255-sample Fibonacci product: object entries, int64 factors, outer-product path."""
+    from huffkit.construct import fibonacci_huffman
+
+    f = fibonacci_huffman(255, 2)
+    c2 = correlate(outer_product([f, f]), outer_product([f, f])).values.data
+    c1 = np.array(correlate(f, f).values.data, dtype=object)
+    assert c2.dtype == object
+    assert np.array_equal(c2, np.multiply.outer(c1, c1))

@@ -1,4 +1,4 @@
-"""Discrete projections, twins, and the spectrally equivalent family."""
+"""Discrete projections and twins."""
 
 from fractions import Fraction
 
@@ -7,18 +7,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from huffkit.construct import catalog, fibonacci_huffman
-from huffkit.lattice import Tensor, correlate, outer_product, read_text
+from huffkit.lattice import Tensor, correlate, outer_product
 from huffkit.metrics import classify, cross_metrics
 from huffkit.project import (
     ProjectionDirection,
     ProjectionError,
     as_direction,
-    default_directions,
     project,
     project3,
-    spectrally_equivalent_family,
     twin,
-    write_family,
 )
 
 # Coprime 2D directions with components up to 3, used by the property tests.
@@ -274,41 +271,3 @@ def test_project3_rejects_non_coprime_directions():
     cube = outer_product([h7, h7, h7])
     with pytest.raises(ProjectionError):
         project3(cube, "2:2:4")
-
-
-# ---------------------------------------------------------------------------
-# families
-
-
-def test_default_directions():
-    dirs = default_directions()
-    labels = [str(d) for d in dirs]
-    assert labels[:4] == ["0:1", "1:0", "1:-1", "1:1"]
-    assert len(labels) == len(set(labels)) == 20
-    for d in dirs:
-        p, q = d.components
-        assert abs(p) + abs(q) <= 5
-        assert np.gcd(p, q) == 1
-    assert [str(d) for d in default_directions(2)] == labels[:4]
-
-
-def test_family_members_carry_reports(tmp_path):
-    h27 = fibonacci_huffman(27, 2)
-    fam = spectrally_equivalent_family(h27, ["1:1", "1:-1", "1:2"])
-    by_dir = {str(m.direction): m for m in fam}
-    assert set(by_dir) == {"1:1", "1:-1", "1:2"}
-    assert by_dir["1:-1"].tensor.shape == (53,)
-    c0 = 271443
-    assert by_dir["1:1"].report.R == pytest.approx((c0**2 + 2) / (2 * c0))
-    assert by_dir["1:2"].report.R == pytest.approx(c0)
-
-    index = write_family(tmp_path, fam)
-    lines = index.read_text().strip().splitlines()
-    assert lines[0] == "direction,length,file,R,M,S,bits,OP"
-    assert len(lines) == 1 + len(fam)
-    for member, line in zip(fam, lines[1:]):
-        direction, length, filename = line.split(",")[:3]
-        assert direction == str(member.direction)
-        assert int(length) == member.tensor.shape[0]
-        stored = read_text(tmp_path / filename)
-        assert np.array_equal(stored.data, member.tensor.data)

@@ -156,3 +156,28 @@ def test_read_text_matches_the_oracle_on_any_tokens(tmp_path_factory, tokens, co
     path = tmp_path_factory.mktemp("tokens") / "t.txt"
     path.write_text(f"{count}\n" + " ".join(tokens) + "\n")
     _assert_same_read(path)
+
+
+_SEPARATORS = st.sampled_from([" ", "\n", "\r\n", "\r", " \t ", "\x0c", " ", "\n\n"])
+
+
+@given(st.lists(st.tuples(_TOKENS, _SEPARATORS), max_size=8), st.integers(0, 9))
+def test_read_text_matches_the_oracle_on_any_line_split(tmp_path_factory, pairs, count):
+    """The line-by-line int64 parse and its whole-file fallback see the same tokens as the oracle."""
+    path = tmp_path_factory.mktemp("lines") / "t.txt"
+    path.write_text(f"{count}\n" + "".join(token + sep for token, sep in pairs), newline="")
+    _assert_same_read(path)
+
+
+def test_read_text_never_holds_every_token(tmp_path):
+    """A 300x300 int64 file is parsed a line at a time: peak memory stays near the array itself."""
+    import tracemalloc
+
+    t = Tensor(np.random.default_rng(5).integers(-(2**40), 2**40, (300, 300)), "int")
+    write_text(t, tmp_path / "t.txt")
+    tracemalloc.start()
+    got = read_text(tmp_path / "t.txt")
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert got == t
+    assert peak < 1.5 * t.data.nbytes, peak
