@@ -23,9 +23,9 @@ __version__ = "0.1.0"
 # the lazy submodules' __all__; tests/test_package.py checks them against the modules
 _LAZY = {
     "construct": (
-        "ConstructError", "HuffmanSpec", "AlphabetSolution", "phi_value", "binet_value",
-        "fibonacci_huffman", "h5_family", "catalog", "catalog_keys", "diamond5_solve",
-        "diamond7_solve", "diamond7_closed_form", "diamond_array", "build_diamond", "tensor_huffman", "build",
+        "ConstructError", "HuffmanSpec", "AlphabetSolution", "phi_value", "fibonacci_huffman",
+        "h5_family", "catalog", "diamond5_solve", "diamond7_solve", "diamond7_closed_form",
+        "diamond_array", "build_diamond", "tensor_huffman", "build",
     ),
     "continuum": (
         "ContinuumError", "ProbeSpec", "DeltaReport", "TweakResult", "airy", "synthesize_probe",

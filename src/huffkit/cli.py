@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .lattice import LatticeError, Tensor, _auto_peak, correlate, read_pgm, read_text, write_pgm, write_text
 from .metrics import classify, cross_metrics, span_bits, spectral_flatness
-from .project import as_direction, project, project3, twin as twin_of
+from .project import as_direction, project, twin as twin_of
 
 _EXIT_USAGE = 1
 _EXIT_IO = 2
@@ -360,7 +360,7 @@ def project_cmd(input_path, direction, name, out):
     """Project an array along a rational direction and score the result."""
     tensor = _read_tensor(input_path)
     d = as_direction(direction, ndim=tensor.ndim)
-    projected = project3(tensor, d) if tensor.ndim == 3 else project(tensor, d)
+    projected = project(tensor, d)
     report = classify(projected)
     _finish(name, out, f"project_{Path(input_path).stem}_{str(d).replace(':', '_').replace('-', 'm')}",
             {"input": input_path, "dir": str(d)},
@@ -558,10 +558,11 @@ def pedestal(object_path, mask_path, kappa, name, out):
 def _parse_scan(text: str) -> list[slice]:
     out = []
     for part in text.split(","):
-        lo, _, hi = part.partition(":")
-        if not _:
-            raise click.UsageError(f"--scan needs LO:HI per axis, got {part!r}")
-        out.append(slice(int(lo) if lo else None, int(hi) if hi else None))
+        try:  # unpacking other than two bounds is a ValueError too
+            lo, hi = (int(v) if v else None for v in part.split(":"))
+        except ValueError:
+            raise click.UsageError(f"--scan needs integer LO:HI per axis, got {part!r}") from None
+        out.append(slice(lo, hi))
     return out
 
 
@@ -582,11 +583,14 @@ def ghost(object_path, mask_path, kappa, kappa_prime, scan, plot, name, out):
     k = _parse_kappa(kappa, mask, floor="min")
     if kappa_prime not in ("exact", "boundary"):
         try:
-            kappa_prime = float(kappa_prime)
+            value = float(kappa_prime)
         except ValueError:
+            value = math.nan  # refused below, with the non-finite values
+        if not math.isfinite(value):
             raise click.UsageError(
-                f"--kappa-prime must be 'exact', 'boundary', or a number, got {kappa_prime!r}"
+                f"--kappa-prime must be 'exact', 'boundary', or a finite number, got {kappa_prime!r}"
             )
+        kappa_prime = value
     scan_slices = _parse_scan(scan) if scan else None
     result = imaging.ghost_image(obj, mask, k, kappa_prime=kappa_prime, scan=scan_slices)
     files = _finish(name, out, f"ghost_{Path(object_path).stem}",

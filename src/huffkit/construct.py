@@ -13,6 +13,11 @@ Three families are covered:
   letters; the solvers fit these once into an integer coefficient matrix and
   scan whole letter windows with exact array arithmetic.
 
+Outer products of 1D members (`tensor_huffman`) give the multi-dimensional
+arrays.  A `HuffmanSpec` names any of these arrays; one family table,
+`_FAMILIES`, holds each family's builder and its text fields, which `build`,
+the ``key=value`` text and the ``family:value`` factor tokens all read.
+
 All constructions are deterministic and exact; solvers return results in
 lexicographic alphabet order.
 """
@@ -33,11 +38,9 @@ __all__ = [
     "HuffmanSpec",
     "AlphabetSolution",
     "phi_value",
-    "binet_value",
     "fibonacci_huffman",
     "h5_family",
     "catalog",
-    "catalog_keys",
     "diamond5_solve",
     "diamond7_solve",
     "diamond7_closed_form",
@@ -72,18 +75,6 @@ def phi_value(k: int, b: int = 2) -> int:
     for _ in range(k):
         lo, hi = hi, c * hi + lo
     return lo
-
-
-def binet_value(k: int, b: int = 2) -> float:
-    """Closed-form float evaluation of phi_value(k, b) via the root pair.
-
-    The recurrence x**2 = (b/2)x + 1 has roots (b +- sqrt(b*b + 16)) / 4;
-    phi(k) = (alpha**k - beta**k) / (alpha - beta).  Exposed for growth-rate
-    checks; the integer recurrence is the authoritative path.
-    """
-    root = (b * b + 16) ** 0.5
-    alpha, beta = (b + root) / 4.0, (b - root) / 4.0
-    return (alpha**k - beta**k) / root * 2.0
 
 
 def fibonacci_huffman(N: int, b: int = 2) -> Tensor:
@@ -174,16 +165,12 @@ _CATALOG: dict[str, tuple[str, list]] = {
 
 
 def catalog(key: str) -> Tensor:
-    """Fixed reference array by name, case-insensitive (see catalog_keys())."""
+    """Fixed reference array by name, case-insensitive; an unknown name's error lists the keys."""
     by_fold = {k.casefold(): v for k, v in _CATALOG.items()}
     entry = by_fold.get(key.casefold())
     if entry is None:
         raise ConstructError(f"unknown catalog key {key!r}; known: {sorted(_CATALOG)}")
     return Tensor.from_values(entry[1], "int")
-
-
-def catalog_keys() -> tuple[str, ...]:
-    return tuple(sorted(_CATALOG))
 
 
 # ---------------------------------------------------------------------------
@@ -236,18 +223,13 @@ class AlphabetSolution:
     ``values`` is the full letter tuple (6 letters for 5x5, 8 for 7x7);
     ``c_edge`` the edge-correlation bound the solution satisfies;
     ``report`` the solver's :class:`QualityReport` of the materialized array
-    (left out of comparisons), whose canonical/quasi verdict is
-    ``classification``.
+    (left out of comparisons).
     """
 
     template: int
     values: tuple[int, ...]
     c_edge: int
     report: QualityReport = field(compare=False)
-
-    @property
-    def classification(self) -> str:
-        return self.report.classification
 
     def build(self) -> Tensor:
         return build_diamond(self.template, self.values)
@@ -469,14 +451,19 @@ def tensor_huffman(specs) -> Tensor:
     return outer_product(factors)
 
 
-_FAMILIES = (
-    "fibonacci_binet",
-    "h5_family",
-    "catalog",
-    "outer_product",
-    "diamond5",
-    "diamond7",
-)
+# family -> (builder, fields, least).  ``fields`` holds one (text key,
+# attribute, parser) triple per field, in to_text's order; a field without a
+# parser is a sequence, written comma-joined.  ``least`` is the fewest values
+# an outer-product factor token family:value[:value...] may give (an omitted
+# value keeps the HuffmanSpec default), or None if the family cannot be one.
+_FAMILIES = {
+    "fibonacci_binet": (lambda s: fibonacci_huffman(s.length, s.b), (("N", "length", int), ("b", "b", int)), 2),
+    "h5_family": (lambda s: h5_family(s.n, s.variant), (("n", "n", int), ("variant", "variant", str)), 1),
+    "catalog": (lambda s: catalog(s.key), (("key", "key", str),), 1),
+    "outer_product": (lambda s: tensor_huffman(s.factors), (("factors", "factors", None),), None),
+    "diamond5": (lambda s: build_diamond(5, s.alphabet), (("alphabet", "alphabet", None),), None),
+    "diamond7": (lambda s: build_diamond(7, s.alphabet), (("alphabet", "alphabet", None),), None),
+}
 
 
 @dataclass(frozen=True)
@@ -491,7 +478,8 @@ class HuffmanSpec:
         family=diamond5 alphabet=0,1,4,8,28,99
         family=outer_product factors=catalog:H9,fibonacci_binet:15:2
 
-    Rebuilding from a spec is deterministic and bit-exact.
+    which names the CLI's files and run records.  Rebuilding from a spec is
+    deterministic and bit-exact.
     """
 
     family: str
@@ -514,81 +502,28 @@ class HuffmanSpec:
 
     def to_text(self) -> str:
         parts = [f"family={self.family}"]
-        if self.family == "fibonacci_binet":
-            parts += [f"N={self.length}", f"b={self.b}"]
-        elif self.family == "h5_family":
-            parts += [f"n={self.n}", f"variant={self.variant}"]
-        elif self.family == "catalog":
-            parts.append(f"key={self.key}")
-        elif self.family in ("diamond5", "diamond7"):
-            parts.append("alphabet=" + ",".join(str(v) for v in self.alphabet))
-        elif self.family == "outer_product":
-            parts.append("factors=" + ",".join(f._compact() for f in self.factors))
+        for key, attr, parser in _FAMILIES[self.family][1]:
+            value = getattr(self, attr)
+            if parser is None:
+                value = ",".join(v._compact() if isinstance(v, HuffmanSpec) else str(v) for v in value)
+            parts.append(f"{key}={value}")
         return " ".join(parts)
 
     def _compact(self) -> str:
-        if self.family == "fibonacci_binet":
-            return f"fibonacci_binet:{self.length}:{self.b}"
-        if self.family == "h5_family":
-            return f"h5_family:{self.n}:{self.variant}"
-        if self.family == "catalog":
-            return f"catalog:{self.key}"
-        raise ConstructError(f"{self.family} cannot be an outer-product factor")
+        _, fields, least = _FAMILIES[self.family]
+        if least is None:
+            raise ConstructError(f"{self.family} cannot be an outer-product factor")
+        return ":".join([self.family, *(str(getattr(self, attr)) for _, attr, _ in fields)])
 
     @classmethod
     def _from_compact(cls, token: str) -> "HuffmanSpec":
-        bits = token.split(":")
-        if bits[0] == "fibonacci_binet" and len(bits) == 3:
-            return cls("fibonacci_binet", length=int(bits[1]), b=int(bits[2]))
-        if bits[0] == "h5_family" and len(bits) in (2, 3):
-            variant = bits[2] if len(bits) == 3 else "even"
-            return cls("h5_family", n=int(bits[1]), variant=variant)
-        if bits[0] == "catalog" and len(bits) == 2:
-            return cls("catalog", key=bits[1])
-        raise ConstructError(f"bad factor token {token!r}")
-
-    @classmethod
-    def from_text(cls, text: str) -> "HuffmanSpec":
-        kv = {}
-        for tok in text.split():
-            if "=" not in tok:
-                raise ConstructError(f"bad spec token {tok!r}")
-            k, v = tok.split("=", 1)
-            kv[k] = v
-        family = kv.pop("family", None)
-        if family is None:
-            raise ConstructError("spec line is missing family=")
-        if family == "even_length":  # an old name of the catalog family
-            family = "catalog"
-        if family == "fibonacci_binet":
-            return cls(family, length=int(kv["N"]), b=int(kv.get("b", 2)))
-        if family == "h5_family":
-            return cls(family, n=int(kv["n"]), variant=kv.get("variant", "even"))
-        if family == "catalog":
-            return cls(family, key=kv["key"])
-        if family in ("diamond5", "diamond7"):
-            alphabet = tuple(int(v) for v in kv["alphabet"].split(","))
-            return cls(family, alphabet=alphabet)
-        if family == "outer_product":
-            factors = tuple(
-                cls._from_compact(tok) for tok in kv["factors"].split(",")
-            )
-            return cls(family, factors=factors)
-        raise ConstructError(f"unknown family {family!r}")
+        family, *values = token.split(":")
+        _, fields, least = _FAMILIES.get(family, (None, (), None))
+        if least is None or not least <= len(values) <= len(fields):
+            raise ConstructError(f"bad factor token {token!r}")
+        return cls(family, **{attr: parser(v) for (_, attr, parser), v in zip(fields, values)})
 
 
 def build(spec: HuffmanSpec) -> Tensor:
     """Materialize a HuffmanSpec."""
-    if spec.family == "fibonacci_binet":
-        return fibonacci_huffman(spec.length, spec.b)
-    if spec.family == "h5_family":
-        return h5_family(spec.n, spec.variant)
-    if spec.family == "catalog":
-        return catalog(spec.key)
-    if spec.family == "diamond5":
-        return build_diamond(5, spec.alphabet)
-    if spec.family == "diamond7":
-        return build_diamond(7, spec.alphabet)
-    if spec.family == "outer_product":
-        return tensor_huffman(spec.factors)
-    raise ConstructError(f"unknown family {spec.family!r}")
+    return _FAMILIES[spec.family][0](spec)

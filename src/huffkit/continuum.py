@@ -208,10 +208,6 @@ class ProbeSpec:
             if not math.isfinite(value):
                 raise ContinuumError(f"non-finite coefficient for {exps}")
 
-    @property
-    def dimensionality(self) -> int:
-        return len(self.samples)
-
     def to_json(self) -> str:
         return json.dumps(
             {

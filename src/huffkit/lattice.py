@@ -148,7 +148,7 @@ class Tensor:
     """A dense n-dimensional array tagged with a value mode.
 
     The mode never changes silently: integer tensors stay exact through every
-    operation, and conversion to real is the explicit :meth:`to_real`.
+    operation, and conversion to real is the explicit ``as_tensor(t, "real")``.
     """
 
     data: np.ndarray
@@ -193,9 +193,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def to_real(self) -> "Tensor":
-        return Tensor(self.data.astype(np.float64), "real")
 
     def max_abs(self):
         if self.mode == "int":
@@ -382,15 +379,10 @@ def _join_digits(digits: list[np.ndarray], width: int, fits: bool) -> np.ndarray
     """
     if len(digits) == 1:
         return digits[0]
-    if fits:  # wrap-around arithmetic mod 2^64 is exact for a result that fits
-        acc = digits[-1].view(np.uint64)
-        for d in reversed(digits[:-1]):
-            acc = (acc << width) + d.view(np.uint64)
-        return acc.view(np.int64)
     acc = digits[-1].astype(object)
     for d in reversed(digits[:-1]):
         acc = (acc << width) + d.astype(object)
-    return acc
+    return acc.astype(np.int64) if fits else acc
 
 
 def _rank1_split(m: np.ndarray, peak: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -802,16 +794,18 @@ def read_text(path) -> Tensor:
     that neither reads raises ``ValueError``, and a token count other than
     the product of the extents raises :class:`LatticeError`.
 
-    The values are first parsed one line at a time into one preallocated
-    int64 array, so the file's tokens are never all held at once.  If that
-    fails (a token int64 cannot hold, a value of -2^63, a count other than
-    the extents' product), the whole body is read again by the rules above.
+    The values are first parsed from blocks of about ``_TEXT_BLOCK``
+    characters into one preallocated int64 array, so the file's tokens are
+    never all held at once, even when they share one line (1D and 3D files).
+    If that fails (a token int64 cannot hold, a value of -2^63, a count other
+    than the extents' product), the whole body is read again by the rules
+    above.
     """
     with open(path) as fh:
         shape = tuple(int(x) for x in fh.readline().split())
         count = math.prod(shape)
         # every value takes at least one byte, so no larger count can match
-        if 0 < count <= os.fstat(fh.fileno()).st_size and (arr := _int64_lines(fh, count)) is not None:
+        if 0 < count <= os.fstat(fh.fileno()).st_size and (arr := _int64_blocks(fh, count)) is not None:
             return Tensor(arr.reshape(shape), "int")
         fh.seek(0)
         fh.readline()
@@ -830,16 +824,22 @@ def read_text(path) -> Tensor:
     return Tensor(arr.reshape(shape), mode)
 
 
-def _int64_lines(fh, count: int) -> np.ndarray | None:
+_TEXT_BLOCK = 1 << 14  # characters read at a time by _int64_blocks
+
+
+def _int64_blocks(fh, count: int) -> np.ndarray | None:
     """The rest of ``fh`` as ``count`` int64 values, or None.
 
-    Each line's tokens are parsed with one ``np.array(..., dtype=np.int64)``
+    Each block's tokens are parsed with one ``np.array(..., dtype=np.int64)``
     straight into the result.  None if a token does not parse, a value is
     -2^63 (which ``_int_dtype`` stores as object) or the count differs.
     """
-    arr, filled = np.empty(count, dtype=np.int64), 0
-    for line in fh:
-        tokens = line.split()
+    arr, filled, carry = np.empty(count, dtype=np.int64), 0, ""
+    while True:
+        block = fh.read(_TEXT_BLOCK)
+        tokens = (carry + block).split()
+        # a block that ends inside a token hands that token on to the next block
+        carry = tokens.pop() if block and not block[-1].isspace() else ""
         if filled + len(tokens) > count:
             return None
         try:
@@ -847,7 +847,8 @@ def _int64_lines(fh, count: int) -> np.ndarray | None:
         except (ValueError, OverflowError):
             return None
         filled += len(tokens)
-    return arr if filled == count and arr.min() != -_INT64_MAX - 1 else None
+        if not block:
+            return arr if filled == count and arr.min() != -_INT64_MAX - 1 else None
 
 
 def write_pgm(t: Tensor, path, maxval: int = 255) -> None:

@@ -155,10 +155,6 @@ class QualityReport:
         d["class"] = d.pop("classification")
         return json.dumps(d, sort_keys=True)
 
-    def csv_row(self) -> str:
-        """R, M, S, bits, OP — the column order of the printed family tables."""
-        return "%.6g,%.6g,%.6g,%d,%s" % (self.R, self.M, self.S, self.bits, self.OP)
-
 
 def classify(a) -> QualityReport:
     """Full report; canonical / quasi / other per the off-peak structure.

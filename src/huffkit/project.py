@@ -10,7 +10,8 @@ offset so the smallest occupied bin lands at index 0.  For a square N x N
 input this gives the standard output length n*(N - 1) + 1 with n = |p| + |q|.
 In 3D the voxel (x, y, z) = (axis2, axis1, axis0) is binned by the first two
 linearly independent forms among (q, -p, 0), (0, r, -q), (r, 0, -p) applied to
-(x, y, z) — each of these is constant along the projection direction.
+(x, y, z) — each of these is constant along the projection direction.  One
+function, `project`, bins both; `project3` is another name for it.
 
 Projections of delta-correlated arrays built as outer products inherit flat
 spectra: each such projection is one ``project --dir p:q`` run on the
@@ -63,11 +64,6 @@ class ProjectionDirection:
             return (self.p, self.q)
         return (self.p, self.q, self.r)
 
-    @property
-    def n(self) -> int:
-        """|p| + |q| (+ |r|); sets the projected length n*(N-1)+1."""
-        return sum(abs(c) for c in self.components)
-
     @classmethod
     def parse(cls, text: str) -> "ProjectionDirection":
         """Parse ``"p:q"`` or ``"p:q:r"``."""
@@ -108,61 +104,37 @@ def _bin_sums(a: Tensor, flat_bins: np.ndarray, shape: tuple[int, ...]) -> Tenso
 
 
 def project(a, direction) -> Tensor:
-    """Project a 2D tensor along ``p:q`` into the 1D bins t = q*x - p*y.
+    """Project a 2D tensor along ``p:q``, or a 3D tensor along ``p:q:r``.
 
-    The output starts at bin 0 (minimal t subtracted) and preserves the total
-    sum.  Projecting the outer product of a sequence with itself at (1:1)
-    reproduces that sequence's aperiodic auto-correlation exactly.
+    A 2D tensor goes to the 1D bins t = q*x - p*y.  Voxel (x, y, z) = (col,
+    row, plane) of a 3D tensor goes to the 2D bin indexed by the first two
+    linearly independent forms among q*x - p*y, r*y - q*z, r*x - p*z.  Each
+    bin axis starts at 0 (its minimal form value subtracted), and the total
+    sum is preserved.  Projecting the outer product of a sequence with itself
+    at (1:1) reproduces that sequence's aperiodic auto-correlation exactly.
     """
     a = as_tensor(a)
-    if a.ndim != 2:
-        raise ProjectionError(f"project expects a 2D tensor, got {a.ndim}D")
-    d = as_direction(direction, ndim=2)
-    y, x = np.indices(a.shape)
-    t = (d.q * x - d.p * y).reshape(-1)
-    t -= t.min()
-    return _bin_sums(a, t, (int(t.max()) + 1,))
+    if a.ndim not in (2, 3):
+        raise ProjectionError(f"project expects a 2D or 3D tensor, got {a.ndim}D")
+    d = as_direction(direction, ndim=a.ndim)
+    if a.ndim == 2:
+        forms = [(d.q, -d.p)]
+    else:
+        p, q, r = d.components
+        # these are d x e_z, d x e_x and d x e_y up to sign; they span the plane
+        # normal to the nonzero d, so two of them are always independent
+        candidates = [f for f in [(q, -p, 0), (0, r, -q), (r, 0, -p)] if any(f)]
+        forms = [candidates[0], next(f for f in candidates[1:] if np.cross(candidates[0], f).any())]
+    coords = np.indices(a.shape)[::-1]  # x, y (, z)
+    bins = []
+    for form in forms:
+        s = sum(c * axis for c, axis in zip(form, coords)).reshape(-1)
+        bins.append(s - s.min())
+    shape = tuple(int(s.max()) + 1 for s in bins)
+    return _bin_sums(a, np.ravel_multi_index(bins, shape), shape)
 
 
-def _independent(f: tuple[int, int, int], g: tuple[int, int, int]) -> bool:
-    cross = (
-        f[1] * g[2] - f[2] * g[1],
-        f[2] * g[0] - f[0] * g[2],
-        f[0] * g[1] - f[1] * g[0],
-    )
-    return any(cross)
-
-
-def project3(a, direction) -> Tensor:
-    """Project a 3D tensor along ``p:q:r`` onto a 2D bin lattice.
-
-    Voxel (x, y, z) = (col, row, plane) goes to the bin indexed by the first
-    two linearly independent forms among q*x - p*y, r*y - q*z, r*x - p*z.
-    Total sum is preserved.
-    """
-    a = as_tensor(a)
-    if a.ndim != 3:
-        raise ProjectionError(f"project3 expects a 3D tensor, got {a.ndim}D")
-    d = as_direction(direction, ndim=3)
-    p, q, r = d.components
-    forms = [(q, -p, 0), (0, r, -q), (r, 0, -p)]
-    forms = [f for f in forms if any(f)]
-    first = forms[0]
-    second = next((f for f in forms[1:] if _independent(first, f)), None)
-    if second is None:  # cannot happen for a coprime nonzero direction
-        raise ProjectionError(f"degenerate direction {d}")
-
-    z, y, x = np.indices(a.shape)
-
-    def apply(f):
-        return (f[0] * x + f[1] * y + f[2] * z).reshape(-1)
-
-    s1, s2 = apply(first), apply(second)
-    s1 -= s1.min()
-    s2 -= s2.min()
-    shape = (int(s1.max()) + 1, int(s2.max()) + 1)
-    flat = s1 * shape[1] + s2
-    return _bin_sums(a, flat, shape)
+project3 = project  # the 3D entry point's earlier name, kept for callers that bind it
 
 
 def twin(a) -> Tensor:

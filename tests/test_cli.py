@@ -213,6 +213,31 @@ def test_non_finite_kappa_is_a_usage_error(tmp_path, command, kappa):
     assert f"--kappa must be a finite number or 'auto', got {kappa!r}" in result.output
 
 
+@pytest.mark.parametrize("scan", ["0:a,0:1", "0:1:2,0:1", "0,0:1"])
+def test_malformed_ghost_scan_is_a_usage_error(tmp_path, scan):
+    (tmp_path / "obj.txt").write_text("2 2\n1 2\n3 4\n")
+    (tmp_path / "mask.txt").write_text("2 2\n1 -1\n1 1\n")
+    out = tmp_path / "out"
+    argv = ["ghost", str(tmp_path / "obj.txt"), str(tmp_path / "mask.txt"), "--scan", scan, "--out", str(out)]
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code == 1, result.output
+    assert "--scan needs integer LO:HI per axis, got" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kappa_prime", ["nan", "inf", "-inf", "abc"])
+def test_non_finite_kappa_prime_is_a_usage_error(tmp_path, kappa_prime):
+    (tmp_path / "obj.txt").write_text("3\n1 2 3\n")
+    (tmp_path / "mask.txt").write_text("2\n1 -5\n")
+    out = tmp_path / "out"
+    argv = ["ghost", str(tmp_path / "obj.txt"), str(tmp_path / "mask.txt"), "--kappa-prime", kappa_prime,
+            "--out", str(out)]
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code == 1, result.output
+    assert f"--kappa-prime must be 'exact', 'boundary', or a finite number, got {kappa_prime!r}" in result.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("values", ["a:b", "1.5:9", "3", "1:2:3"])
 def test_baseline_non_integer_values_is_a_usage_error(tmp_path, values):
     result = CliRunner().invoke(main, ["baseline", "--values", values, "--trials", "3", "--out", str(tmp_path)])

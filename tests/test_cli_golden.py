@@ -43,6 +43,7 @@ INPUTS = {
     "host.txt": _text(np.arange(144).reshape(12, 12) * 7 % 11),
     "wave.txt": "9\n0.5 -1.25 2.0 3.5 -0.75 1.0 -2.5 0.25 1.5\n",
     "nan.txt": "2 2\n1.0 nan\n2.0 3.0\n",
+    "cube.txt": _text(np.arange(60).reshape(3, 4, 5) ** 2 % 13 - 6),
 }
 
 # case id -> (expected exit code, command line without --out)
@@ -61,6 +62,7 @@ CASES = {
     "analyze": (0, ["analyze", "in/mask.txt", "--oversample", "2", "--plot"]),
     "analyze-missing": (2, ["analyze", "in/missing.txt"]),
     "project": (0, ["project", "in/mask.txt", "--dir", "1:-1"]),
+    "project-3d": (0, ["project", "in/cube.txt", "--dir", "1:0:-2"]),
     "twin": (0, ["twin", "in/mask.txt"]),
     "probe": (0, ["probe", "--coeff", "3=1/3", "--samples", "33", "--step", "0.5", "--plot"]),
     "discretize-airy": (0, ["discretize", "--airy", "-10:4:0.5", "--max-iters", "20"]),

@@ -13,11 +13,9 @@ from huffkit.construct import (
     _search,
     ConstructError,
     HuffmanSpec,
-    binet_value,
     build,
     build_diamond,
     catalog,
-    catalog_keys,
     diamond5_solve,
     diamond7_closed_form,
     diamond7_solve,
@@ -86,13 +84,6 @@ def test_phi_bilinear_identity(m, n, b):
     assert lhs == rhs
 
 
-@given(st.integers(0, 30), st.sampled_from([2, 4]))
-def test_binet_matches_recurrence(k, b):
-    exact = phi_value(k, b)
-    approx = binet_value(k, b)
-    assert abs(approx - exact) <= max(1e-9, 1e-12 * abs(exact))
-
-
 def test_h5_families():
     assert h5_family(1).data.tolist() == [1, 2, 2, -2, 1]
     assert oracle_autocorrelate(h5_family(1).data).tolist() == [1, 0, 0, 0, 14, 0, 0, 0, 1]
@@ -111,11 +102,10 @@ def test_h5_even_peak_formula():
 
 
 def test_catalog():
-    assert set(catalog_keys()) == {"H4", "H8", "H8x8", "H9"}
     assert catalog("H9").data.tolist() == [1, 3, 4, 2, -2, -2, 4, -3, 1]
     assert catalog("H8").shape == (8,)
     assert catalog("H8x8").shape == (8, 8)
-    with pytest.raises(ConstructError):
+    with pytest.raises(ConstructError, match=r"known: \['H4', 'H8', 'H8x8', 'H9'\]"):
         catalog("H99")
 
 
@@ -403,40 +393,59 @@ def test_outer_correlation_factorizes(h9):
     assert np.array_equal(c2, np.outer(c9, c7))
 
 
-SPEC_LINES = [
-    "family=fibonacci_binet N=15 b=2",
-    "family=h5_family n=3 variant=odd",
-    "family=catalog key=H8x8",
-    "family=catalog key=H8",
-    "family=diamond5 alphabet=0,1,4,8,28,99",
-    "family=diamond7 alphabet=0,0,0,1,3,6,20,36",
-    "family=outer_product factors=catalog:H9,fibonacci_binet:15:2",
-]
+_H9 = HuffmanSpec("catalog", key="H9")
+_FIB15 = HuffmanSpec("fibonacci_binet", length=15, b=2)
+
+# to_text line -> (spec, its factor token or None if it cannot be one, the direct build)
+SPECS = {
+    "family=fibonacci_binet N=15 b=2": (_FIB15, "fibonacci_binet:15:2", lambda: fibonacci_huffman(15, 2)),
+    "family=h5_family n=3 variant=odd": (HuffmanSpec("h5_family", n=3, variant="odd"), "h5_family:3:odd",
+                                         lambda: h5_family(3, "odd")),
+    "family=catalog key=H8x8": (HuffmanSpec("catalog", key="H8x8"), "catalog:H8x8", lambda: catalog("H8x8")),
+    "family=catalog key=H8": (HuffmanSpec("catalog", key="H8"), "catalog:H8", lambda: catalog("H8")),
+    "family=diamond5 alphabet=0,1,4,8,28,99": (HuffmanSpec("diamond5", alphabet=(0, 1, 4, 8, 28, 99)), None,
+                                               lambda: build_diamond(5, (0, 1, 4, 8, 28, 99))),
+    "family=diamond7 alphabet=0,0,0,1,3,6,20,36": (HuffmanSpec("diamond7", alphabet=(0, 0, 0, 1, 3, 6, 20, 36)),
+                                                   None, lambda: build_diamond(7, (0, 0, 0, 1, 3, 6, 20, 36))),
+    "family=outer_product factors=catalog:H9,fibonacci_binet:15:2": (
+        HuffmanSpec("outer_product", factors=(_H9, _FIB15)), None,
+        lambda: tensor_huffman([catalog("H9"), fibonacci_huffman(15, 2)])),
+}
 
 
-@pytest.mark.parametrize("line", SPEC_LINES)
+@pytest.mark.parametrize("line", SPECS)
 def test_spec_roundtrip(line):
-    spec = HuffmanSpec.from_text(line)
+    """Each family's to_text line, factor token round trip and build, as the family table gives them."""
+    spec, token, direct = SPECS[line]
     assert spec.to_text() == line
-    again = HuffmanSpec.from_text(spec.to_text())
-    assert np.array_equal(build(spec).data, build(again).data)
+    if token is None:
+        with pytest.raises(ConstructError, match="cannot be an outer-product factor"):
+            spec._compact()
+    else:
+        assert spec._compact() == token
+        assert HuffmanSpec._from_compact(token) == spec
+    assert np.array_equal(build(spec).data, direct().data)
 
 
-def test_even_length_spec_parses_to_catalog():
-    spec = HuffmanSpec.from_text("family=even_length key=H8")
-    assert spec == HuffmanSpec("catalog", key="H8")
-    assert spec.to_text() == "family=catalog key=H8"
+def test_short_h5_factor_token_takes_the_even_variant():
+    assert HuffmanSpec._from_compact("h5_family:1") == HuffmanSpec("h5_family", n=1, variant="even")
+    assert HuffmanSpec._from_compact("h5_family:1")._compact() == "h5_family:1:even"
+
+
+@pytest.mark.parametrize("token", ["fibonacci_binet:15", "fibonacci_binet:15:2:2", "h5_family", "catalog",
+                                   "diamond5:0", "outer_product:catalog:H9", "foo:1", ""])
+def test_bad_factor_token_is_refused(token):
+    with pytest.raises(ConstructError, match="bad factor token"):
+        HuffmanSpec._from_compact(token)
 
 
 def test_spec_build_dispatch_matches_direct(h15):
-    t = build(HuffmanSpec.from_text("family=fibonacci_binet N=15 b=2"))
+    t = build(HuffmanSpec("fibonacci_binet", length=15, b=2))
     assert np.array_equal(t.data, h15.data)
 
 
 def test_spec_rejects_garbage():
     with pytest.raises(ConstructError):
-        HuffmanSpec.from_text("family=unobtainium")
+        HuffmanSpec("unobtainium")
     with pytest.raises(ConstructError):
-        HuffmanSpec.from_text("N=15 b=2")
-    with pytest.raises(ConstructError):
-        HuffmanSpec.from_text("family=fibonacci_binet N=9")
+        HuffmanSpec("fibonacci_binet", length=9)

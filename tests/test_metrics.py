@@ -98,15 +98,6 @@ def test_json_field_names(h9):
     assert sorted(d) == ["C0", "Cedge", "E", "M", "OP", "P", "R", "S", "bits", "class"]
 
 
-def test_csv_row_column_order(h9):
-    row = classify(h9).csv_row()
-    parts = row.split(",")
-    assert float(parts[0]) == 64.0       # R
-    assert float(parts[1]) == 1024.0     # M
-    assert int(parts[3]) == 3            # bits
-    assert int(parts[4]) == 1            # OP
-
-
 @pytest.mark.parametrize("transform", ["flip", "negate", "both"])
 def test_metric_invariance(h9, transform):
     t = h9

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from huffkit.construct import catalog, fibonacci_huffman
-from huffkit.lattice import Tensor, correlate, outer_product
+from huffkit.lattice import Tensor, as_tensor, correlate, outer_product
 from huffkit.metrics import classify, cross_metrics
 from huffkit.project import (
     ProjectionDirection,
     ProjectionError,
+    _bin_sums,
     as_direction,
     project,
     project3,
@@ -271,3 +272,88 @@ def test_project3_rejects_non_coprime_directions():
     cube = outer_product([h7, h7, h7])
     with pytest.raises(ProjectionError):
         project3(cube, "2:2:4")
+
+
+# ---------------------------------------------------------------------------
+# the one n-D projection against the separate 2D and 3D functions it replaced
+
+
+def oracle_project(a, direction) -> Tensor:
+    """Project a 2D tensor along ``p:q`` into the 1D bins t = q*x - p*y.
+
+    The output starts at bin 0 (minimal t subtracted) and preserves the total
+    sum.  Projecting the outer product of a sequence with itself at (1:1)
+    reproduces that sequence's aperiodic auto-correlation exactly.
+    """
+    a = as_tensor(a)
+    if a.ndim != 2:
+        raise ProjectionError(f"project expects a 2D tensor, got {a.ndim}D")
+    d = as_direction(direction, ndim=2)
+    y, x = np.indices(a.shape)
+    t = (d.q * x - d.p * y).reshape(-1)
+    t -= t.min()
+    return _bin_sums(a, t, (int(t.max()) + 1,))
+
+
+def _independent(f: tuple[int, int, int], g: tuple[int, int, int]) -> bool:
+    cross = (
+        f[1] * g[2] - f[2] * g[1],
+        f[2] * g[0] - f[0] * g[2],
+        f[0] * g[1] - f[1] * g[0],
+    )
+    return any(cross)
+
+
+def oracle_project3(a, direction) -> Tensor:
+    """Project a 3D tensor along ``p:q:r`` onto a 2D bin lattice.
+
+    Voxel (x, y, z) = (col, row, plane) goes to the bin indexed by the first
+    two linearly independent forms among q*x - p*y, r*y - q*z, r*x - p*z.
+    Total sum is preserved.
+    """
+    a = as_tensor(a)
+    if a.ndim != 3:
+        raise ProjectionError(f"project3 expects a 3D tensor, got {a.ndim}D")
+    d = as_direction(direction, ndim=3)
+    p, q, r = d.components
+    forms = [(q, -p, 0), (0, r, -q), (r, 0, -p)]
+    forms = [f for f in forms if any(f)]
+    first = forms[0]
+    second = next((f for f in forms[1:] if _independent(first, f)), None)
+    if second is None:  # cannot happen for a coprime nonzero direction
+        raise ProjectionError(f"degenerate direction {d}")
+
+    z, y, x = np.indices(a.shape)
+
+    def apply(f):
+        return (f[0] * x + f[1] * y + f[2] * z).reshape(-1)
+
+    s1, s2 = apply(first), apply(second)
+    s1 -= s1.min()
+    s2 -= s2.min()
+    shape = (int(s1.max()) + 1, int(s2.max()) + 1)
+    flat = s1 * shape[1] + s2
+    return _bin_sums(a, flat, shape)
+
+
+@st.composite
+def _tensor_and_direction(draw):
+    ndim = draw(st.sampled_from([2, 3]))
+    shape = draw(st.tuples(*[st.integers(1, 6)] * ndim))
+    values = draw(st.lists(st.integers(-(10**6), 10**6), min_size=int(np.prod(shape)),
+                           max_size=int(np.prod(shape))))
+    component = st.integers(-4, 4)
+    direction = draw(st.tuples(*[component] * ndim).filter(lambda d: np.gcd.reduce(d) == 1))
+    return Tensor(np.array(values, dtype=np.int64).reshape(shape), "int"), direction
+
+
+@given(_tensor_and_direction())
+def test_project_matches_the_separate_2d_and_3d_projections(case):
+    a, direction = case
+    oracle = oracle_project if a.ndim == 2 else oracle_project3
+    got, want = project(a, direction), oracle(a, direction)
+    assert got == want and got.data.dtype == want.data.dtype
+
+
+def test_project3_is_project():
+    assert project3 is project

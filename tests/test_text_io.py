@@ -6,12 +6,15 @@ written files must be byte-identical, read tensors must agree in mode, dtype
 and values, and malformed text must raise the same exception type.
 """
 
+import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from huffkit import lattice
 from huffkit.lattice import LatticeError, Tensor, _int_dtype, as_tensor, read_text, write_text
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
@@ -169,11 +172,23 @@ def test_read_text_matches_the_oracle_on_any_line_split(tmp_path_factory, pairs,
     _assert_same_read(path)
 
 
-def test_read_text_never_holds_every_token(tmp_path):
-    """A 300x300 int64 file is parsed a line at a time: peak memory stays near the array itself."""
+@given(st.lists(st.tuples(st.integers(INT64_MIN + 1, INT64_MAX), _SEPARATORS), min_size=1, max_size=12),
+       st.integers(1, 8))
+def test_block_parse_carries_a_cut_token_into_the_next_block(pairs, block):
+    """Tiny blocks cut tokens and separators anywhere; the int64 parse must still succeed, not fall back."""
+    text = "".join(f"{value}{sep}" for value, sep in pairs)
+    with mock.patch.object(lattice, "_TEXT_BLOCK", block):
+        got = lattice._int64_blocks(io.StringIO(text, newline=""), len(pairs))
+    assert got is not None and got.tolist() == [value for value, _ in pairs]
+
+
+@pytest.mark.parametrize("shape", [(300, 300), (90_000,), (45, 40, 50)], ids=["2d", "1d", "3d"])
+def test_read_text_never_holds_every_token(tmp_path, shape):
+    """A 90 000-entry int64 file is parsed a block at a time, even where 1D and
+    3D layouts put every value on one line: peak memory stays near the array itself."""
     import tracemalloc
 
-    t = Tensor(np.random.default_rng(5).integers(-(2**40), 2**40, (300, 300)), "int")
+    t = Tensor(np.random.default_rng(5).integers(-(2**40), 2**40, shape), "int")
     write_text(t, tmp_path / "t.txt")
     tracemalloc.start()
     got = read_text(tmp_path / "t.txt")
