@@ -32,7 +32,7 @@ _LAZY = {
         "verify_delta_correlation", "pedestal_threshold", "discretize_and_tweak",
     ),
     "imaging": (
-        "ImagingError", "valid_region", "central_crop", "encode", "decode", "DeblurResult", "deblur",
+        "ImagingError", "valid_region", "encode", "decode", "DeblurResult", "deblur",
         "pedestal_pair", "GhostResult", "ghost_image", "watermark_embed", "WatermarkMatch",
         "watermark_locate", "BaselineStats", "random_baseline", "NoiseStudy", "multiplex_noise_study",
         "trial_rng",

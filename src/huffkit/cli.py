@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .lattice import LatticeError, Tensor, _auto_peak, correlate, read_pgm, read_text, write_pgm, write_text
 from .metrics import classify, cross_metrics, span_bits, spectral_flatness
-from .project import as_direction, project, twin as twin_of
+from .project import _direction_components, as_direction, project, twin as twin_of
 
 _EXIT_USAGE = 1
 _EXIT_IO = 2
@@ -243,18 +243,23 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
         raise click.UsageError(f"{what} must be comma-separated integers, got {text!r}")
 
 
-def _parse_kappa(text: str, mask: Tensor, floor: str) -> float:
-    """'auto' resolves to the smallest admissible pedestal for the mask."""
-    if text == "auto":
-        data = np.asarray(mask.data, dtype=np.float64)
-        return float(np.abs(data).max()) if floor == "maxabs" else max(0.0, -float(data.min()))
+def _parse_finite(text: str, rule: str) -> float:
+    """``text`` as a finite float; anything else is a usage error quoting ``rule``."""
     try:
-        kappa = float(text)
+        value = float(text)
     except ValueError:
-        kappa = math.nan  # refused below, with the non-finite values
-    if not math.isfinite(kappa):
-        raise click.UsageError(f"--kappa must be a finite number or 'auto', got {text!r}")
-    return kappa
+        value = math.nan  # refused below, with the non-finite values
+    if not math.isfinite(value):
+        raise click.UsageError(f"{rule}, got {text!r}")
+    return value
+
+
+def _parse_kappa(text: str, mask: Tensor, scheme: str) -> float:
+    """'auto' resolves to the least admissible pedestal of ``scheme`` for the mask."""
+    from .imaging import _least_kappa
+    if text == "auto":
+        return _least_kappa(mask, scheme)
+    return _parse_finite(text, "--kappa must be a finite number or 'auto'")
 
 
 _FAMILY_ALIASES = {
@@ -317,8 +322,11 @@ def generate(family, length, b, n, variant, key, alphabet, e, f, g, h_letter, fa
     else:  # outer_product; a comma inside one --factor also separates factors
         if not factors:
             raise click.UsageError("at least one --factor is required for outer products")
-        tokens = (token for factor in factors for token in factor.split(","))
-        spec = HuffmanSpec(family, factors=tuple(HuffmanSpec._from_compact(token) for token in tokens))
+        try:
+            fields = [HuffmanSpec._compact_fields(token) for factor in factors for token in factor.split(",")]
+        except ValueError as exc:
+            raise click.UsageError(f"--factor: {exc}") from None
+        spec = HuffmanSpec(family, factors=tuple(HuffmanSpec(**kw) for kw in fields))
     tensor = build(spec)
     report = classify(tensor)
     stem = "generate_" + spec.to_text().replace("family=", "").replace(" ", "_").replace("=", "-").replace(",", "_").replace(":", "-")
@@ -358,8 +366,12 @@ def analyze(input_path, oversample, plot, name, out):
 @_artefact_options
 def project_cmd(input_path, direction, name, out):
     """Project an array along a rational direction and score the result."""
+    try:
+        components = _direction_components(direction)
+    except ValueError as exc:
+        raise click.UsageError(f"--dir: {exc}") from None
     tensor = _read_tensor(input_path)
-    d = as_direction(direction, ndim=tensor.ndim)
+    d = as_direction(components, ndim=tensor.ndim)
     projected = project(tensor, d)
     report = classify(projected)
     _finish(name, out, f"project_{Path(input_path).stem}_{str(d).replace(':', '_').replace('-', 'm')}",
@@ -502,11 +514,8 @@ def decode(blurred_path, mask_path, plot, name, out):
     """First-order decode: back-correlate, crop, normalize by C0."""
     from . import imaging
     blurred, mask = _read_tensor(blurred_path), _read_tensor(mask_path)
-    c0 = float(_auto_peak(mask))
-    if c0 == 0.0:
-        raise imaging.ImagingError("zero-energy mask: C0 = 0 leaves no finite estimate")
-    raw = imaging.decode(blurred, mask)
-    estimate = Tensor(np.asarray(raw.data, dtype=np.float64) / c0, "real")
+    c0 = imaging._energy(mask, "mask")
+    estimate = Tensor(np.asarray(imaging.decode(blurred, mask).data, dtype=np.float64) / c0, "real")
     files = _finish(name, out, f"decode_{Path(blurred_path).stem}",
                     {"blurred": blurred_path, "mask": mask_path},
                     {".txt": estimate, ".pgm": estimate if plot else None},
@@ -547,7 +556,7 @@ def pedestal(object_path, mask_path, kappa, name, out):
     """Two-shot acquisition: I1 - I2 with masks (+H + k) and (-H + k)."""
     from . import imaging
     obj, mask = _read_tensor(object_path), _read_tensor(mask_path)
-    k = _parse_kappa(kappa, mask, floor="maxabs")
+    k = _parse_kappa(kappa, mask, "pedestal")
     diff = imaging.pedestal_pair(obj, mask, k)
     files = _finish(name, out, f"pedestal_{Path(object_path).stem}",
                     {"object": object_path, "mask": mask_path, "kappa": k}, {".txt": diff},
@@ -580,17 +589,9 @@ def ghost(object_path, mask_path, kappa, kappa_prime, scan, plot, name, out):
     """Bucket-signal ghost imaging with a scanned non-negative mask."""
     from . import imaging
     obj, mask = _read_tensor(object_path), _read_tensor(mask_path)
-    k = _parse_kappa(kappa, mask, floor="min")
+    k = _parse_kappa(kappa, mask, "ghost")
     if kappa_prime not in ("exact", "boundary"):
-        try:
-            value = float(kappa_prime)
-        except ValueError:
-            value = math.nan  # refused below, with the non-finite values
-        if not math.isfinite(value):
-            raise click.UsageError(
-                f"--kappa-prime must be 'exact', 'boundary', or a finite number, got {kappa_prime!r}"
-            )
-        kappa_prime = value
+        kappa_prime = _parse_finite(kappa_prime, "--kappa-prime must be 'exact', 'boundary', or a finite number")
     scan_slices = _parse_scan(scan) if scan else None
     result = imaging.ghost_image(obj, mask, k, kappa_prime=kappa_prime, scan=scan_slices)
     files = _finish(name, out, f"ghost_{Path(object_path).stem}",
@@ -692,14 +693,7 @@ def noise_study(object_path, mask_path, sigma, trials, seed, name, out):
     from . import imaging
     obj, mask = _read_tensor(object_path), _read_tensor(mask_path)
     study = imaging.multiplex_noise_study(obj, mask, sigma, trials=trials, seed=seed)
-    payload = {
-        "trials": study.trials,
-        "sigma": study.sigma,
-        "element_count": study.element_count,
-        "mse_raster": study.mse_raster,
-        "mse_diffuse": study.mse_diffuse,
-        "ratio_mean": study.ratio_mean,
-    }
+    payload = {key: value for key, value in vars(study).items() if key not in ("seed", "ratios")}
     _finish(name, out, f"noise_{Path(object_path).stem}",
             {"object": object_path, "mask": mask_path, "sigma": sigma, "trials": trials},
             {".json": payload}, seed=seed, results=payload)

@@ -517,11 +517,19 @@ class HuffmanSpec:
 
     @classmethod
     def _from_compact(cls, token: str) -> "HuffmanSpec":
+        return cls(**cls._compact_fields(token))
+
+    @staticmethod
+    def _compact_fields(token: str) -> dict:
+        """The keyword arguments of factor token family:value[:value...]; refused unless it parses."""
         family, *values = token.split(":")
         _, fields, least = _FAMILIES.get(family, (None, (), None))
-        if least is None or not least <= len(values) <= len(fields):
-            raise ConstructError(f"bad factor token {token!r}")
-        return cls(family, **{attr: parser(v) for (_, attr, parser), v in zip(fields, values)})
+        try:
+            if least is not None and least <= len(values) <= len(fields):
+                return dict(family=family, **{attr: parser(v) for (_, attr, parser), v in zip(fields, values)})
+        except ValueError:  # a value its field's parser refuses
+            pass
+        raise ConstructError(f"bad factor token {token!r}")
 
 
 def build(spec: HuffmanSpec) -> Tensor:

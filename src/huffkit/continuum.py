@@ -226,6 +226,8 @@ class ProbeSpec:
     @classmethod
     def from_json(cls, text: str) -> "ProbeSpec":
         raw = json.loads(text)
+        if missing := [key for key in ("coefficients", "samples") if not isinstance(raw, dict) or key not in raw]:
+            raise ContinuumError(f"probe spec has no {' and no '.join(map(repr, missing))}")
         coeffs = {
             tuple(int(p) for p in key.split(",")): value
             for key, value in raw["coefficients"].items()

@@ -13,9 +13,15 @@ Conventions shared by every operation here:
   through the mask auto-correlation and the estimate comes out unflipped;
   the result is cropped to the fully-overlapped ("valid") region, which is
   exactly the object extent;
+* the other experiments are built on these two: the pedestal difference
+  C(H + kappa, O) - C(-H + kappa, O) is exactly 2 * encode for any
+  admissible kappa, ghost imaging decodes its bucket with the signed H, and
+  the noise study decodes the noise alone, decode being linear;
 * the de-blur recursion subtracts alias copies using the *off-peak* part of
   the mask auto-correlation: o <- o1 - convolve(o, A_off)/C0, run at full
-  size and centrally cropped at the end;
+  size and cropped to the valid region at the end;
+* ``_least_kappa`` is the least admissible pedestal kappa, and ``_energy``
+  the one refusal of a zero-energy mask, C0 = 0;
 * all Monte-Carlo helpers derive one RNG per trial from (seed, trial index)
   through a 64-bit mix, so results never depend on execution order.
 """
@@ -34,7 +40,6 @@ from .metrics import _lag_scores
 __all__ = [
     "ImagingError",
     "valid_region",
-    "central_crop",
     "encode",
     "decode",
     "DeblurResult",
@@ -103,16 +108,23 @@ def valid_region(outer_shape: Sequence[int], inner_shape: Sequence[int]) -> tupl
     return tuple(slice(i - 1, o) for o, i in zip(outer_shape, inner_shape))
 
 
-def central_crop(t, shape: Sequence[int]) -> Tensor:
-    """Centre-aligned crop to the requested extents."""
-    t = as_tensor(t)
-    if any((big - small) % 2 for big, small in zip(t.shape, shape)):
-        raise ImagingError(f"cannot centre {shape} inside {t.shape}")
-    sel = tuple(
-        slice((big - small) // 2, (big - small) // 2 + small)
-        for big, small in zip(t.shape, shape)
-    )
-    return Tensor(np.ascontiguousarray(t.data[sel]), t.mode)
+def _energy(t: Tensor, what: str) -> float:
+    """C0 = sum(t^2) as a float, which normalises or thresholds every result here; refused when 0."""
+    c0 = float(_auto_peak(t))
+    if c0 == 0.0:
+        raise ImagingError(f"zero-energy {what}: C0 = 0 leaves nothing finite to scale by")
+    return c0
+
+
+def _least_kappa(mask: Tensor, scheme: str) -> float:
+    """Least admissible kappa: max|H| for ``"pedestal"`` (+-H + kappa >= 0), else max(0, -min H) (H + kappa >= 0)."""
+    data = np.asarray(mask.data, dtype=np.float64)
+    return float(np.abs(data).max()) if scheme == "pedestal" else max(0.0, -float(data.min()))
+
+
+def _admit_kappa(mask: Tensor, kappa, scheme: str) -> None:
+    if float(kappa) < (need := _least_kappa(mask, scheme)):
+        raise ImagingError(f"{scheme} kappa={kappa} leaves a mask exposure negative (needs >= {need})")
 
 
 def encode(obj, mask) -> Tensor:
@@ -157,9 +169,10 @@ def deblur(blurred, mask, iterations: int = 2) -> DeblurResult:
 
     ``iterations`` = p counts estimates: p = 1 is plain normalized decode,
     p = 2 applies one de-blur step, and so on.  The recursion runs on the
-    full-size back-correlation and the final estimate is centrally cropped to
-    the object extent.  Stops early (``diverged`` set) if the step size grows
-    three times in a row — a mask too far from delta-correlated.
+    full-size back-correlation and the final estimate is cropped to the
+    object extent, ``valid_region``, as in ``decode``.  Stops early
+    (``diverged`` set) if the step size grows three times in a row — a mask
+    too far from delta-correlated.
 
     The off-peak auto-correlation A_off is transformed once for the whole
     recursion by ``lattice._convolver``, the real path of ``convolve``, so
@@ -171,15 +184,12 @@ def deblur(blurred, mask, iterations: int = 2) -> DeblurResult:
     if any(b < 2 * m - 1 for b, m in zip(blurred.shape, mask.shape)):
         raise ImagingError("blurred image smaller than encode(object, mask) output")
 
+    c0 = _energy(mask, "mask")
     auto = correlate(mask, mask)
-    c0 = float(auto.peak)
-    if c0 == 0.0:
-        raise ImagingError("zero-energy mask")
     a_off = np.asarray(auto.values.data, dtype=np.float64).copy()
     a_off[auto.zero_index] = 0.0
 
     o1 = np.asarray(convolve(blurred, mask).data, dtype=np.float64) / c0
-    obj_shape = tuple(b - m + 1 for b, m in zip(blurred.shape, mask.shape))
 
     # the "same" part of convolve(o, A_off): centred on the full result, so
     # it starts (extent(A_off) - 1) // 2 in along each axis
@@ -187,21 +197,14 @@ def deblur(blurred, mask, iterations: int = 2) -> DeblurResult:
     convolve_a_off = _convolver(a_off, o1.shape)
     o = o1
     steps: list[float] = []
-    diverged = False
-    growth = 0
-    for _ in range(iterations - 1):
+    growth = 0  # steps in a row that grew
+    while len(steps) < iterations - 1 and growth < 3:
         nxt = o1 - convolve_a_off(o)[same] / c0
         steps.append(float(np.abs(nxt - o).max()))
+        growth = growth + 1 if len(steps) >= 2 and steps[-1] > steps[-2] else 0
         o = nxt
-        if len(steps) >= 2 and steps[-1] > steps[-2]:
-            growth += 1
-            if growth >= 3:
-                diverged = True
-                break
-        else:
-            growth = 0
-    estimate = central_crop(Tensor(o, "real"), obj_shape)
-    return DeblurResult(estimate, len(steps) + 1, diverged, tuple(steps))
+    estimate = Tensor(np.ascontiguousarray(o[valid_region(blurred.shape, mask.shape)]), "real")
+    return DeblurResult(estimate, len(steps) + 1, growth >= 3, tuple(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -209,29 +212,19 @@ def deblur(blurred, mask, iterations: int = 2) -> DeblurResult:
 
 
 def pedestal_pair(obj, mask, kappa) -> Tensor:
-    """Difference of the two non-negative-mask exposures: I1 - I2 = 2 * O (x) H.
+    """Difference of the two non-negative-mask exposures: I1 - I2 = 2 * encode(obj, mask).
 
     Both H + kappa and -H + kappa must be physically non-negative, so kappa
-    must reach max|H|.  Exact for integer operands and integer kappa: both
-    exposures and their difference are int64 when their bounds fit, Python
-    ints otherwise.
+    must reach max|H|.  The pedestal terms kappa * (box sums of O) of the two
+    exposures cancel exactly, so the difference is taken as 2 * encode for
+    any admissible kappa: exact for integer operands, int64 when 2 * max|C|
+    fits, Python ints otherwise.
     """
     obj, mask = _operands(obj, mask)
-    need = float(mask.max_abs())
-    if float(kappa) < need:
-        raise ImagingError(
-            f"pedestal kappa={kappa} leaves a mask exposure negative (needs >= {need})"
-        )
-    if obj.mode == "int" and mask.mode == "int" and float(kappa) == int(kappa):
-        k, mode = int(kappa), "int"
-        data = mask.data.astype(_int_dtype(mask.max_abs() + abs(k)))  # bounds |+-H + k|
-    else:
-        k, mode = float(kappa), "real"
-        data = mask.data.astype(np.float64)
-    i1 = correlate(Tensor(data + k, mode), obj).values
-    i2 = correlate(Tensor(-data + k, mode), obj).values
-    dtype = _int_dtype(i1.max_abs() + i2.max_abs()) if mode == "int" else np.float64
-    return Tensor(i1.data.astype(dtype, copy=False) - i2.data.astype(dtype, copy=False), mode)
+    _admit_kappa(mask, kappa, "pedestal")
+    blurred = encode(obj, mask)
+    dtype = _int_dtype(2 * blurred.max_abs()) if blurred.mode == "int" else np.float64
+    return Tensor(2 * blurred.data.astype(dtype, copy=False), blurred.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +242,7 @@ class GhostResult:
 
 def ghost_image(obj, mask, kappa, kappa_prime="exact", scan=None) -> GhostResult:
     """Bucket acquisition with the non-negative mask H + kappa, then
-    convolution with the signed H and pedestal removal.
+    ``decode`` with the signed H and pedestal removal.
 
     The pedestal is a full-field backdrop: every scan position additionally
     collects kappa * sum(O), so the back-correlated pedestal is the constant
@@ -269,22 +262,16 @@ def ghost_image(obj, mask, kappa, kappa_prime="exact", scan=None) -> GhostResult
     obj, mask = _operands(obj, mask)
     if scan is not None and len(scan) != obj.ndim:
         raise ImagingError(f"scan gives {len(scan)} slices for {obj.ndim}D data; give one per axis")
-    c0 = float(_auto_peak(mask))
-    if c0 == 0.0:
-        raise ImagingError("zero-energy mask: C0 = 0 leaves no finite reconstruction")
-    need = max(0.0, -float(np.asarray(mask.data, dtype=np.float64).min()))
-    if float(kappa) < need:
-        raise ImagingError(
-            f"pedestal kappa={kappa} leaves the mask negative (needs >= {need})"
-        )
-    signed = correlate(mask, obj).values
-    if obj.mode == "int" and mask.mode == "int" and float(kappa) == int(kappa):
+    c0 = _energy(mask, "mask")
+    _admit_kappa(mask, kappa, "ghost")
+    signed = encode(obj, mask)
+    ksum = float(kappa) * float(np.asarray(obj.data, dtype=np.float64).sum())
+    if signed.mode == "int" and float(kappa) == int(kappa):
         backdrop = int(kappa) * int(np.asarray(obj.data, dtype=object).sum())
         data = signed.data.astype(_int_dtype(signed.max_abs() + abs(backdrop)), copy=False)
         bucket = Tensor(data + backdrop, "int")
     else:
-        backdrop = float(kappa) * float(np.asarray(obj.data, dtype=np.float64).sum())
-        bucket = Tensor(signed.data.astype(np.float64) + backdrop, "real")
+        bucket = Tensor(signed.data.astype(np.float64) + ksum, "real")
     partial = False
     if scan is not None:
         kept = np.zeros(bucket.shape, dtype=bool)
@@ -294,25 +281,18 @@ def ghost_image(obj, mask, kappa, kappa_prime="exact", scan=None) -> GhostResult
         data[~kept] = 0
         bucket = Tensor(data, bucket.mode)
 
-    raw_full = convolve(bucket, mask)
-    sel = valid_region(bucket.shape, mask.shape)
-    raw = np.asarray(raw_full.data[sel], dtype=np.float64)
+    raw = np.asarray(decode(bucket, mask).data, dtype=np.float64)
 
-    if isinstance(kappa_prime, str):
-        if kappa_prime == "exact":
-            ksum = float(kappa) * float(np.sum(np.asarray(obj.data, dtype=np.float64)))
-            kp = ksum * float(np.sum(np.asarray(mask.data, dtype=np.float64)))
-            mode = "exact"
-        elif kappa_prime == "boundary":
-            kp = float(np.take(raw, _ring(raw.shape)).mean())
-            mode = "boundary"
-        else:
-            raise ImagingError(f"unknown kappa_prime mode {kappa_prime!r}")
+    if kappa_prime == "exact":
+        kp = ksum * float(np.asarray(mask.data, dtype=np.float64).sum())
+    elif kappa_prime == "boundary":
+        kp = float(np.take(raw, _ring(raw.shape)).mean())
+    elif isinstance(kappa_prime, str):
+        raise ImagingError(f"unknown kappa_prime mode {kappa_prime!r}")
     else:
         kp = float(kappa_prime)
-        mode = "given"
-    recon = Tensor((raw - kp) / c0, "real")
-    return GhostResult(bucket, recon, kp, mode, partial)
+    mode = kappa_prime if isinstance(kappa_prime, str) else "given"
+    return GhostResult(bucket, Tensor((raw - kp) / c0, "real"), kp, mode, partial)
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +338,7 @@ def watermark_locate(marked, mark) -> WatermarkMatch:
     marked, mark = _operands(marked, mark)
     if any(h < m for h, m in zip(marked.shape, mark.shape)):
         raise ImagingError("mark larger than the image searched")
-    c0 = float(_auto_peak(mark))
-    if c0 == 0.0:
-        raise ImagingError("zero-energy mark: C0 = 0 leaves no detection threshold")
+    c0 = _energy(mark, "mark")
     flat_img = np.asarray(marked.data, dtype=np.float64)
     centered = Tensor(flat_img - flat_img.mean(), "real")
     c = correlate(centered, mark)
@@ -459,44 +437,29 @@ def multiplex_noise_study(obj, mask, sigma: float, trials: int = 500, seed: int 
     The mask is normalized to unit-RMS elements (so its C0 equals its element
     count N), every measurement in either scheme gets independent N(0, sigma^2)
     noise, and each scheme's MSE is taken against its own noiseless output —
-    isolating noise propagation.  The expected MSE ratio is N.
+    isolating noise propagation.  decode is linear, so the diffuse error is
+    decode(noise, H)/C0 and the noiseless image is never formed.  The
+    expected MSE ratio is N.
     """
     obj, mask = _operands(obj, mask)
     if sigma < 0 or not math.isfinite(sigma):
         raise ImagingError("sigma must be finite and >= 0")
     if trials < 1:
         raise ImagingError("trials must be >= 1")
-    o = np.asarray(obj.data, dtype=np.float64)
-    h = np.asarray(mask.data, dtype=np.float64)
-    rms = math.sqrt(float((h * h).mean()))
-    if rms == 0.0:
-        raise ImagingError("zero mask")
-    hn = Tensor(h / rms, "real")
+    hn = Tensor(np.asarray(mask.data, dtype=np.float64) / math.sqrt(_energy(mask, "mask") / mask.size), "real")
     c0 = float((hn.data * hn.data).sum())  # == element count
-    ot = Tensor(o, "real")
-
-    clean_i = encode(ot, hn)
-    clean_est = np.asarray(decode(clean_i, hn).data, dtype=np.float64) / c0
+    blurred_shape = tuple(n + m - 1 for n, m in zip(obj.shape, mask.shape))
 
     ratios = np.empty(trials)
     mse_a_total = mse_b_total = 0.0
     for t in range(trials):
         rng = trial_rng(seed, t)
-        noise_a = rng.normal(0.0, sigma, size=o.shape)
-        mse_a = float((noise_a**2).mean())
-        noisy_i = Tensor(clean_i.data + rng.normal(0.0, sigma, size=clean_i.shape), "real")
-        est = np.asarray(decode(noisy_i, hn).data, dtype=np.float64) / c0
-        mse_b = float(((est - clean_est) ** 2).mean())
+        mse_a = float((rng.normal(0.0, sigma, size=obj.shape) ** 2).mean())
+        noise_b = Tensor(rng.normal(0.0, sigma, size=blurred_shape), "real")
+        mse_b = float(((decode(noise_b, hn).data / c0) ** 2).mean())
         mse_a_total += mse_a
         mse_b_total += mse_b
         ratios[t] = math.nan if mse_b == 0.0 else mse_a / mse_b
-    return NoiseStudy(
-        trials,
-        seed,
-        float(sigma),
-        mask.size,
-        mse_a_total / trials,
-        mse_b_total / trials,
-        float(np.nanmean(ratios)) if sigma > 0 else math.nan,
-        tuple(float(v) for v in ratios),
-    )
+    ratio_mean = float(np.nanmean(ratios)) if sigma > 0 else math.nan
+    return NoiseStudy(trials, seed, float(sigma), mask.size, mse_a_total / trials, mse_b_total / trials,
+                      ratio_mean, tuple(float(v) for v in ratios))

@@ -64,26 +64,25 @@ class ProjectionDirection:
             return (self.p, self.q)
         return (self.p, self.q, self.r)
 
-    @classmethod
-    def parse(cls, text: str) -> "ProjectionDirection":
-        """Parse ``"p:q"`` or ``"p:q:r"``."""
-        parts = text.split(":")
-        if len(parts) not in (2, 3):
-            raise ProjectionError(f"cannot parse direction {text!r}")
-        try:
-            nums = [int(v) for v in parts]
-        except ValueError:
-            raise ProjectionError(f"cannot parse direction {text!r}") from None
-        return cls(*nums)
-
     def __str__(self):
         return ":".join(str(c) for c in self.components)
 
 
+def _direction_components(text: str) -> tuple[int, ...]:
+    """The integers of ``"p:q"`` or ``"p:q:r"``, admissible or not; refused unless the text has that form."""
+    try:
+        nums = tuple(int(v) for v in text.split(":"))
+    except ValueError:
+        nums = ()
+    if len(nums) not in (2, 3):
+        raise ProjectionError(f"cannot parse direction {text!r}")
+    return nums
+
+
 def as_direction(d, ndim: int | None = None) -> ProjectionDirection:
     if isinstance(d, str):
-        d = ProjectionDirection.parse(d)
-    elif isinstance(d, (tuple, list)):
+        d = _direction_components(d)
+    if isinstance(d, (tuple, list)):
         d = ProjectionDirection(*(int(c) for c in d))
     elif not isinstance(d, ProjectionDirection):
         raise ProjectionError(f"not a projection direction: {d!r}")

@@ -294,3 +294,54 @@ def test_generate_spec_from_options_names_files_as_the_spec_text_did(tmp_path):
         result = CliRunner().invoke(main, ["generate", *argv, "--out", str(tmp_path)])
         assert result.exit_code == 0, result.output
         assert (tmp_path / expected).exists(), sorted(p.name for p in tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("factor", ["fibonacci_binet:a:2", "h5_family:x", "fibonacci_binet:15", "catalog"])
+def test_malformed_factor_token_is_a_usage_error(tmp_path, factor):
+    result = CliRunner().invoke(main, ["generate", "--family", "outer", "--factor", factor, "--out", str(tmp_path)])
+    assert result.exit_code == 1, result.output
+    assert f"--factor: bad factor token {factor!r}" in result.output
+
+
+def test_inadmissible_factor_token_is_a_domain_error(tmp_path):
+    argv = ["generate", "--family", "outer", "--factor", "fibonacci_binet:13:2", "--out", str(tmp_path)]
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code == 3, result.output
+    assert "4n+3" in result.output
+
+
+@pytest.mark.parametrize("direction, code", [("1:x", 1), ("1", 1), ("1:2:3:4", 1), ("2:2", 3), ("0:0", 3)])
+def test_project_direction_text_exits_by_whether_it_parses(tmp_path, direction, code):
+    (tmp_path / "a.txt").write_text("2 2\n1 2\n3 4\n")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["project", str(tmp_path / "a.txt"), "--dir", direction, "--out", str(out)])
+    assert result.exit_code == code, result.output
+    if code == 1:
+        assert f"--dir: cannot parse direction {direction!r}" in result.output
+    assert not out.exists()
+
+
+def test_probe_spec_without_samples_names_the_key(tmp_path):
+    (tmp_path / "spec.json").write_text('{"coefficients": {"3": 0.5}}')
+    result = CliRunner().invoke(main, ["probe", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path)])
+    assert result.exit_code == 3, result.output
+    assert "probe spec has no 'samples'" in result.output
+
+
+def test_ghost_auto_kappa_lifts_the_most_negative_entry(tmp_path):
+    (tmp_path / "obj.txt").write_text("3\n1 2 3\n")
+    (tmp_path / "mask.txt").write_text("2\n9 -5\n")
+    argv = ["ghost", str(tmp_path / "obj.txt"), str(tmp_path / "mask.txt"), "--name", "g", "--out", str(tmp_path)]
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code == 0, result.output
+    assert json.loads((tmp_path / "g.run.json").read_text())["arguments"]["kappa"] == 5.0
+
+
+def test_pedestal_with_a_non_integral_kappa_writes_integers(tmp_path):
+    (tmp_path / "obj.txt").write_text("3\n1 2 3\n")
+    (tmp_path / "mask.txt").write_text("2\n1 -5\n")
+    argv = ["pedestal", str(tmp_path / "obj.txt"), str(tmp_path / "mask.txt"), "--kappa", "5.5", "--name", "p",
+            "--out", str(tmp_path)]
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "p.txt").read_text() == "4\n-10 -18 -26 6\n"

@@ -1,5 +1,6 @@
 """Airy evaluation, odd-phase probe synthesis, and integer tweaking."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -77,6 +78,16 @@ def test_probe_spec_json_roundtrip():
     )
     assert ProbeSpec.from_json(spec2.to_json()) == spec2
     assert '"2,1"' in spec2.to_json()
+
+
+@pytest.mark.parametrize("missing", ["coefficients", "samples"])
+def test_probe_spec_json_names_a_missing_key(missing):
+    raw = json.loads(ProbeSpec(coefficients={3: 1 / 3}, samples=9).to_json())
+    del raw[missing]
+    with pytest.raises(ContinuumError, match=f"probe spec has no '{missing}'"):
+        ProbeSpec.from_json(json.dumps(raw))
+    with pytest.raises(ContinuumError, match="probe spec has no 'coefficients' and no 'samples'"):
+        ProbeSpec.from_json("[3, 9]")  # not a JSON object
 
 
 def test_probe_spec_rejects_even_parity():

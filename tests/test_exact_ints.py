@@ -55,10 +55,11 @@ def test_outer_product_is_exact(factors):
     assert got.data.tolist() == expected.tolist()
 
 
-@given(_vectors(), _vectors(), st.sampled_from([0, 1, 2**62]))
+@given(_vectors(), _vectors(), st.sampled_from([0, 1, 2**62, 0.5]))
 @example([1], [2**62], 0)
+@example([3, -7], [2, -5, 4], 0.5)  # a non-integral kappa: the pedestal terms still cancel exactly
 def test_pedestal_pair_is_exactly_twice_the_correlation(obj, mask, extra):
-    kappa = _float_ceiling(max(abs(v) for v in mask) + extra)
+    kappa = _float_ceiling(max(abs(v) for v in mask) + int(extra)) + extra % 1
     got = pedestal_pair(obj, mask, kappa)
     signed = _tolist(oracle_correlate(np.array(mask, dtype=object), np.array(obj, dtype=object)))
     assert got.mode == "int"

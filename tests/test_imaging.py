@@ -67,6 +67,29 @@ def test_pedestal_pair_is_exactly_twice_the_encoding():
         assert np.array_equal(got.data, 2 * encode(_OBJ, _MASK).data)
 
 
+def test_pedestal_pair_is_exact_for_a_non_integral_kappa():
+    """The pedestal terms cancel exactly, so a half-integral kappa still gives 2 * encode in integers."""
+    kappa = float(np.abs(_MASK).max()) + 0.5
+    got = pedestal_pair(_OBJ, _MASK, kappa)
+    assert got.mode == "int"
+    assert np.array_equal(got.data, 2 * oracle_correlate(_MASK, _OBJ).astype(np.int64))
+    with pytest.raises(imaging.ImagingError, match="needs >= 3.0"):
+        pedestal_pair(_OBJ, _MASK, 2.5)
+
+
+def test_pedestal_pair_takes_the_separable_path_of_encode(monkeypatch):
+    """H + kappa is not rank 1; 2 * encode keeps an outer-product mask on the rank-1 path."""
+    obj = np.arange(64 * 64).reshape(64, 64) * 7 % 256
+    mask = tensor_huffman([catalog("H9"), catalog("H9")])
+    want = 2 * encode(obj, mask).data
+
+    def refuse(*args):
+        raise AssertionError("the limb-split FFT ran")
+
+    monkeypatch.setattr(lattice, "_fft_int_correlate", refuse)
+    assert np.array_equal(pedestal_pair(obj, mask, int(mask.max_abs())).data, want)
+
+
 def test_ghost_with_exact_kappa_prime_is_the_normalised_decode():
     ghost = ghost_image(_OBJ, _MASK, kappa=3, kappa_prime="exact")
     c0 = float(oracle_autocorrelate(_MASK)[tuple(n - 1 for n in _MASK.shape)])
@@ -122,6 +145,56 @@ def test_deblur_diverges_for_a_random_mask():
     result = deblur(encode(_OBJ, _RANDOM_MASK), _RANDOM_MASK, iterations=8)
     assert result.diverged
     assert result.iterations < 8
+
+
+def test_deblur_with_one_iteration_is_the_normalised_decode():
+    blurred = encode(_OBJ, _MASK)
+    c0 = float(oracle_autocorrelate(_MASK)[tuple(n - 1 for n in _MASK.shape)])
+    estimate = deblur(blurred, _MASK, iterations=1).estimate
+    assert estimate.mode == "real"
+    assert estimate.data.tobytes() == (decode(blurred, _MASK).data / c0).tobytes()
+
+
+@pytest.mark.parametrize(
+    "run",
+    [lambda zero: deblur(encode(_OBJ, zero), zero), lambda zero: ghost_image(_OBJ, zero, 0),
+     lambda zero: multiplex_noise_study(_OBJ, zero, 1.0, trials=2)],
+    ids=["deblur", "ghost", "noise-study"],
+)
+def test_zero_energy_mask_is_refused(run):
+    with pytest.raises(imaging.ImagingError, match="zero-energy mask: C0 = 0"):
+        run(np.zeros((2, 3), dtype=np.int64))
+
+
+def _parent_noise_study(obj, mask, sigma, trials, seed):
+    """The noise study as first written: decode clean and noisy images, subtract the two."""
+    o, h = np.asarray(obj, dtype=np.float64), np.asarray(mask, dtype=np.float64)
+    hn = Tensor(h / math.sqrt(float((h * h).mean())), "real")
+    c0 = float((hn.data * hn.data).sum())
+    clean_i = encode(Tensor(o, "real"), hn)
+    clean_est = decode(clean_i, hn).data / c0
+    mse_a, mse_b = [], []
+    for t in range(trials):
+        rng = trial_rng(seed, t)
+        mse_a.append(float((rng.normal(0.0, sigma, size=o.shape) ** 2).mean()))
+        noisy = Tensor(clean_i.data + rng.normal(0.0, sigma, size=clean_i.shape), "real")
+        mse_b.append(float(((decode(noisy, hn).data / c0 - clean_est) ** 2).mean()))
+    return mse_a, mse_b
+
+
+@pytest.mark.parametrize("shape", [(6, 7), (40,)])
+def test_noise_study_by_linearity_matches_the_two_decode_formula(shape):
+    rng = np.random.default_rng(9)
+    obj = rng.integers(0, 256, size=shape)
+    mask = _MASK if len(shape) == 2 else rng.integers(-3, 4, size=9)
+    study = multiplex_noise_study(obj, mask, sigma=0.7, trials=5, seed=11)
+    mse_a, mse_b = _parent_noise_study(obj, mask, 0.7, 5, 11)
+    total = 0.0
+    for v in mse_a:  # the same left-to-right float sum
+        total += v
+    assert study.mse_raster == total / 5
+    assert study.mse_diffuse == pytest.approx(sum(mse_b) / 5, rel=1e-12)
+    assert study.ratios == pytest.approx([a / b for a, b in zip(mse_a, mse_b)], rel=1e-12)
 
 
 def test_noise_study_ratio_is_about_the_element_count():
