@@ -29,7 +29,7 @@ _LAZY = {
     ),
     "continuum": (
         "ContinuumError", "ProbeSpec", "DeltaReport", "TweakResult", "airy", "synthesize_probe",
-        "verify_delta_correlation", "pedestal_threshold", "discretize_and_tweak",
+        "verify_delta_correlation", "discretize_and_tweak",
     ),
     "imaging": (
         "ImagingError", "valid_region", "encode", "decode", "DeblurResult", "deblur",

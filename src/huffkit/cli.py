@@ -94,15 +94,7 @@ def _plot_pgm(t: Tensor, path: Path) -> None:
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, default=_json_safe) + "\n"
-
-
-def _json_safe(value):
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    raise TypeError(f"not JSON-safe: {value!r}")
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _artefact_options(command):
@@ -357,7 +349,7 @@ def analyze(input_path, oversample, plot, name, out):
     _finish(name, out, f"analyze_{Path(input_path).stem}",
             {"input": input_path, "oversample": oversample},
             {".report.json": payload, ".corr.pgm": mags})
-    click.echo(json.dumps(payload, sort_keys=True, default=_json_safe))
+    click.echo(json.dumps(payload, sort_keys=True))
 
 
 @main.command(name="project")
@@ -395,7 +387,7 @@ def twin_cmd(input_path, name, out):
     payload.update(results)
     _finish(name, out, f"twin_{Path(input_path).stem}", {"input": input_path},
             {".txt": tw, ".report.json": payload}, results=results)
-    click.echo(json.dumps(results, sort_keys=True, default=_json_safe))
+    click.echo(json.dumps(results, sort_keys=True))
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +437,7 @@ def probe(spec_path, coeffs, samples, step, bandwidth, kappa, plot, name, out):
             {".txt": tensor, ".spec.json": spec.to_json() + "\n", ".delta.json": dict(results, peak=delta.peak),
              ".pgm": tensor if plot else None},
             results=results)
-    click.echo(json.dumps(results, sort_keys=True, default=_json_safe))
+    click.echo(json.dumps(results, sort_keys=True))
 
 
 @main.command()
@@ -465,8 +457,8 @@ def discretize(input_path, airy_window, bits, objective, max_iters, name, out):
             lo, hi, step = (float(v) for v in airy_window.split(":"))
         except ValueError:
             raise click.UsageError(f"--airy must be LO:HI:STEP, got {airy_window!r}")
-        if step <= 0 or hi <= lo:
-            raise click.UsageError("--airy needs HI > LO and STEP > 0")
+        if not (-math.inf < lo < hi < math.inf and 0 < step < math.inf):  # nan fails every comparison
+            raise click.UsageError(f"--airy needs finite LO < HI and STEP > 0, got {airy_window!r}")
         tensor = airy(np.arange(lo, hi + step / 2, step))
         source = {"airy": airy_window}
     else:
@@ -481,7 +473,7 @@ def discretize(input_path, airy_window, bits, objective, max_iters, name, out):
     results = {"iterations": result.iterations, "M": payload["M"], "R": payload["R"]}
     _finish(name, out, "discretize", dict(source, bits=bits, objective=objective, max_iters=max_iters),
             {".txt": result.tensor, ".report.json": payload}, results=results)
-    click.echo(json.dumps(results, sort_keys=True, default=_json_safe))
+    click.echo(json.dumps(results, sort_keys=True))
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +634,7 @@ def locate(image_path, mark_path, name, out):
     payload = imaging.watermark_locate(image, mark)._asdict()
     _finish(name, out, f"locate_{Path(image_path).stem}", {"image": image_path, "mark": mark_path},
             {".locate.json": payload}, results=payload)
-    click.echo(json.dumps(payload, sort_keys=True, default=_json_safe))
+    click.echo(json.dumps(payload, sort_keys=True))
 
 
 @main.command()
@@ -678,7 +670,7 @@ def baseline(shape, values, trials, seed, dump_values, name, out):
     _finish(name, out, f"baseline_{'x'.join(str(v) for v in shp)}_{trials}",
             {"shape": list(shp), "values": values, "trials": trials},
             {".json": payload, ".csv": csv}, seed=seed, results=payload)
-    click.echo(json.dumps(payload, sort_keys=True, default=_json_safe))
+    click.echo(json.dumps(payload, sort_keys=True))
 
 
 @main.command(name="noise-study")
@@ -697,7 +689,7 @@ def noise_study(object_path, mask_path, sigma, trials, seed, name, out):
     _finish(name, out, f"noise_{Path(object_path).stem}",
             {"object": object_path, "mask": mask_path, "sigma": sigma, "trials": trials},
             {".json": payload}, seed=seed, results=payload)
-    click.echo(json.dumps(payload, sort_keys=True, default=_json_safe))
+    click.echo(json.dumps(payload, sort_keys=True))
 
 
 # ---------------------------------------------------------------------------
@@ -762,7 +754,7 @@ def tables(table, e, f_min, f_max, name, out):
         for sol in rows:
             rep = sol.report
             lines.append("%d,%d,%d,%.6g,%.6g,%.6g,%d,%s"
-                         % (*sol.values[5:8], rep.R, rep.M, rep.S, span_bits(sol.build()), rep.OP))
+                         % (*sol.values[5:8], rep.R, rep.M, rep.S, span_bits(diamond_array(7, sol.values)), rep.OP))
         args = {"table": 2, "e": e, "f_min": f_min, "f_max": f_max}
 
     files = _finish(name, out, stem, args, {".csv": "\n".join(lines) + "\n"}, results={"rows": len(lines) - 1})

@@ -515,10 +515,6 @@ class HuffmanSpec:
             raise ConstructError(f"{self.family} cannot be an outer-product factor")
         return ":".join([self.family, *(str(getattr(self, attr)) for _, attr, _ in fields)])
 
-    @classmethod
-    def _from_compact(cls, token: str) -> "HuffmanSpec":
-        return cls(**cls._compact_fields(token))
-
     @staticmethod
     def _compact_fields(token: str) -> dict:
         """The keyword arguments of factor token family:value[:value...]; refused unless it parses."""

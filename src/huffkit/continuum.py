@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Mapping
 
@@ -49,7 +50,6 @@ __all__ = [
     "airy",
     "synthesize_probe",
     "verify_delta_correlation",
-    "pedestal_threshold",
     "discretize_and_tweak",
 ]
 
@@ -136,26 +136,21 @@ def airy(x_samples) -> Tensor:
     return Tensor(np.array([_airy_scalar(float(v)) for v in xs]), "real")
 
 
-def pedestal_threshold(h) -> float:
-    """Smallest kappa with min(h + kappa) >= 0; ~0.419 for Airy samples."""
-    h = as_tensor(h)
-    lo = float(np.min(np.asarray(h.data, dtype=np.float64)))
-    return max(0.0, -lo)
-
-
 # ---------------------------------------------------------------------------
 # probe synthesis
 
 
 def _normalize_coefficients(raw) -> tuple[tuple[tuple[int, ...], float], ...]:
-    if isinstance(raw, Mapping):
-        items = raw.items()
-    else:
-        items = tuple(raw)
+    """Sorted (exponents, value) pairs; an exponent key is an int, a tuple of ints or text "e1,e2"."""
     out = []
-    for key, value in items:
-        exps = (int(key),) if isinstance(key, (int, np.integer)) else tuple(int(e) for e in key)
-        out.append((exps, float(value)))
+    try:
+        for key, value in raw.items() if isinstance(raw, Mapping) else tuple(raw):
+            if isinstance(key, str):
+                key = key.split(",")
+            exps = (int(key),) if isinstance(key, numbers.Integral) else tuple(int(e) for e in key)
+            out.append((exps, float(value)))
+    except (TypeError, ValueError):
+        raise ContinuumError(f"coefficients must map exponents to numbers, got {raw!r}") from None
     return tuple(sorted(out))
 
 
@@ -178,10 +173,13 @@ class ProbeSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "coefficients", _normalize_coefficients(self.coefficients))
-        samples = self.samples
-        if isinstance(samples, (int, np.integer)):
-            samples = (int(samples),)
+        samples = (self.samples,) if isinstance(self.samples, numbers.Integral) else self.samples
+        if not isinstance(samples, (tuple, list)) or not all(isinstance(n, numbers.Integral) for n in samples):
+            raise ContinuumError(f"samples must be an integer or a list of integers, got {self.samples!r}")
         object.__setattr__(self, "samples", tuple(int(n) for n in samples))
+        for name in ("step", "bandwidth", "kappa"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ContinuumError(f"{name} must be a number, got {getattr(self, name)!r}")
         if len(self.samples) not in (1, 2):
             raise ContinuumError("probes are 1D or 2D")
         if any(n < 3 for n in self.samples):
@@ -228,17 +226,7 @@ class ProbeSpec:
         raw = json.loads(text)
         if missing := [key for key in ("coefficients", "samples") if not isinstance(raw, dict) or key not in raw]:
             raise ContinuumError(f"probe spec has no {' and no '.join(map(repr, missing))}")
-        coeffs = {
-            tuple(int(p) for p in key.split(",")): value
-            for key, value in raw["coefficients"].items()
-        }
-        return cls(
-            coefficients=coeffs,
-            samples=tuple(raw["samples"]),
-            step=raw.get("step", 1.0),
-            bandwidth=raw.get("bandwidth", 1.0),
-            kappa=raw.get("kappa", 0.0),
-        )
+        return cls(**{f.name: raw[f.name] for f in fields(cls) if f.name in raw})
 
 
 def synthesize_probe(spec: ProbeSpec) -> Tensor:

@@ -56,8 +56,7 @@ The engine is numpy only and picks one of five paths from its operands:
   big-integer operand).  Both are split into signed limbs
   ``x = sum_i d_i 2^(w i)``, ``|d_i| < 2^w``, with w chosen so that every limb
   pair passes the same bound; the limb products are exact int64 arrays and
-  are recombined exactly (in int64 when the result is known to fit, where
-  wrap-around arithmetic mod 2^64 is exact, otherwise in Python ints).
+  are recombined exactly in Python ints.
 * **Real** — float64 operands go direct (one flattened ``np.correlate``) up
   to ``_REAL_DIRECT_MACS`` products and through ``rfftn`` above, padded per
   axis to the smallest 2^a 3^b 5^c at least the output extent
@@ -65,11 +64,12 @@ The engine is numpy only and picks one of five paths from its operands:
   Percival's bound is proved for radix-2 transforms of length 2^n; the real
   path certifies nothing, so it takes the shorter lengths.
 
-The output dtype does not depend on the path: int64 iff the worst-case
-accumulator fits int64 and neither operand is an object array, otherwise an
-object array of Python ints.  Every integer result also passes an O(N)
-check, sum(C) == sum(a) * sum(b) in Python ints, and the engine raises
-``ArithmeticError`` rather than return an array that fails it.
+The output dtype does not depend on the path: ``_int_correlate`` casts every
+path's result once, to int64 iff the worst-case accumulator fits int64 and
+neither operand is an object array, otherwise to an object array of Python
+ints.  Every integer result also passes an O(N) check, sum(C) == sum(a) *
+sum(b) in Python ints, and the engine raises ``ArithmeticError`` rather than
+return an array that fails it.
 """
 
 from __future__ import annotations
@@ -351,14 +351,8 @@ def _certified_split(fa, b, max_a: int, max_b: int, limit: float):
     return width, floats(fa, max_a), floats(b, max_b)
 
 
-def _fft_int_correlate(
-    a: np.ndarray, b: np.ndarray, max_a: int, max_b: int, out_shape: tuple[int, ...], fits: bool
-) -> np.ndarray:
-    """Exact integer correlation from certified float FFTs of signed limbs.
-
-    ``fits`` says the exact result fits int64; the result is int64 then and
-    an object array otherwise.
-    """
+def _fft_int_correlate(a: np.ndarray, b: np.ndarray, max_a: int, max_b: int, out_shape: tuple[int, ...]) -> np.ndarray:
+    """Exact integer correlation from certified float FFTs of signed limbs, as :func:`_join_digits` joins them."""
     shape = _fft_shape(out_shape)
     width, xs, ys = _certified_split(_reversed(a), b, max_a, max_b, 0.25 / _fft_error_factor(shape))
     spectra_b = [_spectrum(y, shape) for y in ys]
@@ -369,20 +363,21 @@ def _fft_int_correlate(
         spectrum_a = _spectrum(x, shape)
         for j, spectrum_b in enumerate(spectra_b):
             digits[i + j] += np.rint(_fft_convolve(spectrum_a, spectrum_b, shape, out_shape)).astype(np.int64)
-    return _join_digits(digits, width, fits)
+    return _join_digits(digits, width)
 
 
-def _join_digits(digits: list[np.ndarray], width: int, fits: bool) -> np.ndarray:
+def _join_digits(digits: list[np.ndarray], width: int) -> np.ndarray:
     """sum_i digits[i] 2^(width i) of int64 digit arrays, exactly.
 
-    int64 when ``fits`` says the sum fits it, Python ints otherwise.
+    A single digit is returned unchanged; two or more are joined in Python
+    ints.  :func:`_int_correlate` casts the result to the engine's dtype.
     """
     if len(digits) == 1:
         return digits[0]
     acc = digits[-1].astype(object)
     for d in reversed(digits[:-1]):
         acc = (acc << width) + d.astype(object)
-    return acc.astype(np.int64) if fits else acc
+    return acc
 
 
 def _rank1_split(m: np.ndarray, peak: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -439,7 +434,7 @@ def _axis_correlate(f: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(out.reshape(lead + (n,)), -1, axis)
 
 
-def _separable_correlate(factors: list[np.ndarray], y: np.ndarray, max_y: int, fits: bool) -> np.ndarray | None:
+def _separable_correlate(factors: list[np.ndarray], y: np.ndarray, max_y: int) -> np.ndarray | None:
     """C(f_0 (x) ... (x) f_(n-1), y) by one exact int64 pass per axis, or None.
 
     Every pass output is bounded by max|y| G, G = prod_i sum|f_i|.  When that
@@ -461,34 +456,28 @@ def _separable_correlate(factors: list[np.ndarray], y: np.ndarray, max_y: int, f
         for axis, f in enumerate(kernels):  # the last axis last, so the result is C-contiguous
             digit = _axis_correlate(f, digit, axis)
         digits.append(digit)
-    return _join_digits(digits, width, fits)
+    return _join_digits(digits, width)
 
 
-def _rank1_correlate(x: np.ndarray, y: np.ndarray, max_x: int, max_y: int, fits: bool) -> np.ndarray | None:
+def _rank1_correlate(x: np.ndarray, y: np.ndarray, max_x: int, max_y: int) -> np.ndarray | None:
     """The exact correlation when an operand of 2 or more axes is rank 1, else None.
 
-    Both rank 1: the outer product of the factors' 1D engine correlations,
-    C(u (x) v, u' (x) v') = C(u, u') (x) C(v, v').  Only x rank 1:
+    Both rank 1: :func:`outer_product` of the factors' 1D engine
+    correlations, C(u (x) v, u' (x) v') = C(u, u') (x) C(v, v'); every part
+    is nonzero, so its dtype bound is max|C|.  Only x rank 1:
     :func:`_separable_correlate`.  Only y rank 1: the same with the reversed
     factors of y as kernel over reversed x, which gives C(x, y) entry for
-    entry.  The result is int64 or Python ints as ``fits`` allows, like
-    :func:`_fft_int_correlate`'s.
+    entry.  :func:`_int_correlate` casts the result to the engine's dtype.
     """
     if x.ndim < 2:
         return None
     fx, fy = _rank1_factors(x, max_x), _rank1_factors(y, max_y)
     if fx and fy:
-        parts = [_raw_correlate(Tensor(f, "int"), Tensor(g, "int")).data for f, g in zip(fx, fy)]
-        # each part is nonzero, so the product of their peaks, max|C|, bounds every partial product
-        dtype = _int_dtype(math.prod(_peak(c) for c in parts))
-        out = parts[0].astype(dtype)
-        for c in parts[1:]:
-            out = np.multiply.outer(out, c.astype(dtype))
-        return out
+        return outer_product([_raw_correlate(Tensor(f, "int"), Tensor(g, "int")) for f, g in zip(fx, fy)]).data
     if fx:
-        return _separable_correlate(fx, y, max_y, fits)
+        return _separable_correlate(fx, y, max_y)
     if fy:
-        return _separable_correlate([f[::-1] for f in fy], _reversed(x), max_x, fits)
+        return _separable_correlate([f[::-1] for f in fy], _reversed(x), max_x)
     return None
 
 
@@ -509,10 +498,10 @@ def _int_correlate(a: Tensor, b: Tensor, out_shape: tuple[int, ...], macs: int) 
     y = np.asarray(b.data, dtype=_int_dtype(max_b))
     if fits and macs <= _INT_DIRECT_MACS:
         out = _direct(x, y, out_shape)
-    elif (out := _rank1_correlate(x, y, max_a, max_b, fits)) is None:
-        out = _fft_int_correlate(x, y, max_a, max_b, out_shape, fits)
-    if not fits or a.data.dtype == object or b.data.dtype == object:
-        out = out.astype(object)
+    elif (out := _rank1_correlate(x, y, max_a, max_b)) is None:
+        out = _fft_int_correlate(x, y, max_a, max_b, out_shape)
+    big = not fits or a.data.dtype == object or b.data.dtype == object
+    out = out.astype(object if big else np.int64, copy=False)
     small = a.size * b.size * max_a * max_b <= _INT64_MAX  # bounds sum|a|, sum|b|, sum|C|
     if _exact_sum(out, small) != _exact_sum(x, small) * _exact_sum(y, small):
         raise ArithmeticError(

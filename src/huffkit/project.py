@@ -11,7 +11,7 @@ input this gives the standard output length n*(N - 1) + 1 with n = |p| + |q|.
 In 3D the voxel (x, y, z) = (axis2, axis1, axis0) is binned by the first two
 linearly independent forms among (q, -p, 0), (0, r, -q), (r, 0, -p) applied to
 (x, y, z) — each of these is constant along the projection direction.  One
-function, `project`, bins both; `project3` is another name for it.
+function, `project`, bins both.
 
 Projections of delta-correlated arrays built as outer products inherit flat
 spectra: each such projection is one ``project --dir p:q`` run on the
@@ -32,7 +32,6 @@ __all__ = [
     "ProjectionDirection",
     "as_direction",
     "project",
-    "project3",
     "twin",
 ]
 
@@ -131,9 +130,6 @@ def project(a, direction) -> Tensor:
         bins.append(s - s.min())
     shape = tuple(int(s.max()) + 1 for s in bins)
     return _bin_sums(a, np.ravel_multi_index(bins, shape), shape)
-
-
-project3 = project  # the 3D entry point's earlier name, kept for callers that bind it
 
 
 def twin(a) -> Tensor:

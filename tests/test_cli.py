@@ -1,5 +1,6 @@
 """CLI exit codes, run-record versions and start-up imports."""
 
+import csv
 import json
 import math
 import os
@@ -14,6 +15,8 @@ from click.testing import CliRunner
 
 from huffkit import lattice
 from huffkit.cli import _version, main
+
+from conftest import DATA
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -47,7 +50,7 @@ def test_failed_sum_check_exits_numerical(tmp_path, monkeypatch):
     assert result.exit_code == 4, result.output
 
 
-def test_table2_classifies_each_solution_once_and_each_row_once_more(tmp_path, monkeypatch):
+def test_table2_classifies_each_solution_once(tmp_path, monkeypatch):
     import huffkit.cli
     from huffkit import construct, metrics
 
@@ -62,8 +65,8 @@ def test_table2_classifies_each_solution_once_and_each_row_once_more(tmp_path, m
     result = CliRunner().invoke(main, ["tables", "--table", "2", "--out", str(tmp_path)])
     assert result.exit_code == 0, result.output
     assert "66 rows" in result.output
-    # diamond7_solve(3) finds 124 solutions; build_diamond rechecks each of the 66 rows
-    assert len(calls) <= 124 + 66
+    # diamond7_solve(3) finds 124 solutions; the rows reuse their reports
+    assert len(calls) == 124
 
 
 def test_run_record_reads_click_version_without_deprecation(tmp_path):
@@ -326,6 +329,69 @@ def test_probe_spec_without_samples_names_the_key(tmp_path):
     result = CliRunner().invoke(main, ["probe", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path)])
     assert result.exit_code == 3, result.output
     assert "probe spec has no 'samples'" in result.output
+
+
+@pytest.mark.parametrize(
+    "spec, code, message",
+    [
+        ('{"coefficients": {"3": 0.5}, "samples": 9}', 0, None),
+        ('{"coefficients": [1], "samples": 9}', 3, "coefficients must map exponents to numbers"),
+        ('{"coefficients": {"3": 0.5}, "samples": 9, "step": "x"}', 3, "step must be a number"),
+    ],
+    ids=["int-samples", "list-coefficients", "text-step"],
+)
+def test_probe_spec_field_types_never_reach_a_traceback(tmp_path, spec, code, message):
+    (tmp_path / "spec.json").write_text(spec)
+    out = tmp_path / "out"
+    argv = ["probe", "--spec", str(tmp_path / "spec.json"), "--out", str(out)]
+    result = CliRunner().invoke(main, argv, catch_exceptions=False)
+    assert result.exit_code == code, result.output
+    assert "Traceback" not in result.output
+    if message is None:
+        assert json.loads((out / "probe.run.json").read_text())["arguments"]["spec"]["samples"] == [9]
+    else:
+        assert message in result.output
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("window", ["nan:8:0.5", "-inf:8:0.5", "0:inf:1", "0:8:nan"])
+def test_non_finite_airy_window_is_a_usage_error(tmp_path, window):
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["discretize", f"--airy={window}", "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert f"--airy needs finite LO < HI and STEP > 0, got {window!r}" in result.output
+    assert not out.exists()
+
+
+def test_table1_matches_the_printed_5x5_table(tmp_path):
+    """cedge and the off-peak span match exactly; R and M match the table's whole numbers to within 1.
+
+    The table rounds some entries and truncates others (736.944 -> 737, 913.714 -> 913).  Its bits
+    column follows the span convention except for 0,1,1,1,1,1: that array holds -1, 0 and 1, three
+    levels, which ``span_bits`` counts as 2, while the table's 1 is the magnitude count ``metrics.bits``.
+    """
+    from huffkit.construct import diamond_array
+    from huffkit.metrics import bits
+
+    result = CliRunner().invoke(main, ["tables", "--table", "1", "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    with open(tmp_path / "table1.csv") as fh:
+        got = list(csv.DictReader(fh))
+    with open(DATA / "table_5x5_families.csv") as fh:
+        want = list(csv.DictReader(fh))
+    letters = "abcdef"
+    assert [[r[k] for k in letters] for r in got] == [[r[k] for k in letters] for r in want]
+    for g, w in zip(got, want):
+        for key in ("cedge", "off_lo", "off_hi"):
+            assert int(g[key]) == int(w[key]), (g, key)
+        for key in ("R", "M"):
+            assert abs(float(g[key]) - float(w[key])) < 1, (g, key)
+        alphabet = tuple(int(g[k]) for k in letters)
+        if alphabet == (0, 1, 1, 1, 1, 1):
+            assert (int(g["bits"]), int(w["bits"])) == (2, 1)
+            assert bits(diamond_array(5, alphabet)) == 1
+        else:
+            assert int(g["bits"]) == int(w["bits"]), g
 
 
 def test_ghost_auto_kappa_lifts_the_most_negative_entry(tmp_path):

@@ -423,20 +423,20 @@ def test_spec_roundtrip(line):
             spec._compact()
     else:
         assert spec._compact() == token
-        assert HuffmanSpec._from_compact(token) == spec
+        assert HuffmanSpec(**HuffmanSpec._compact_fields(token)) == spec
     assert np.array_equal(build(spec).data, direct().data)
 
 
 def test_short_h5_factor_token_takes_the_even_variant():
-    assert HuffmanSpec._from_compact("h5_family:1") == HuffmanSpec("h5_family", n=1, variant="even")
-    assert HuffmanSpec._from_compact("h5_family:1")._compact() == "h5_family:1:even"
+    assert HuffmanSpec(**HuffmanSpec._compact_fields("h5_family:1")) == HuffmanSpec("h5_family", n=1, variant="even")
+    assert HuffmanSpec(**HuffmanSpec._compact_fields("h5_family:1"))._compact() == "h5_family:1:even"
 
 
 @pytest.mark.parametrize("token", ["fibonacci_binet:15", "fibonacci_binet:15:2:2", "h5_family", "catalog",
                                    "diamond5:0", "outer_product:catalog:H9", "foo:1", ""])
 def test_bad_factor_token_is_refused(token):
     with pytest.raises(ConstructError, match="bad factor token"):
-        HuffmanSpec._from_compact(token)
+        HuffmanSpec(**HuffmanSpec._compact_fields(token))
 
 
 def test_spec_build_dispatch_matches_direct(h15):

@@ -18,7 +18,6 @@ from huffkit.continuum import (
     ProbeSpec,
     airy,
     discretize_and_tweak,
-    pedestal_threshold,
     synthesize_probe,
     verify_delta_correlation,
 )
@@ -55,12 +54,6 @@ def test_airy_truncated_autocorrelation_is_nearly_delta():
     rep = verify_delta_correlation(airy(np.arange(-40, 8.0001, 0.5)))
     assert 0.0 < rep.aperiodic_rel < 0.05
     assert rep.peak == pytest.approx(3.852868444798446)
-
-
-def test_pedestal_threshold():
-    grid = airy(np.arange(-15, 8.0001, 0.01))
-    assert pedestal_threshold(grid) == pytest.approx(0.4190132668, abs=1e-6)
-    assert pedestal_threshold(Tensor(np.array([0.5, 1.0, 2.0]), "real")) == 0.0
 
 
 # ---------------------------------------------------------------------------

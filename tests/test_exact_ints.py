@@ -14,7 +14,7 @@ from hypothesis import example, given, strategies as st
 from huffkit.construct import diamond_array
 from huffkit.imaging import ghost_image, pedestal_pair, watermark_embed
 from huffkit.lattice import Tensor, as_tensor, outer_product
-from huffkit.project import project, project3
+from huffkit.project import project
 
 from conftest import oracle_correlate
 
@@ -132,7 +132,7 @@ def test_project_bin_sums_are_exact(grid, direction):
 @given(st.lists(_grids(2, 2), min_size=1, max_size=3))
 @example([[[2**63]], [[2**63]]])
 def test_project3_bin_sums_are_exact(cube):
-    got = project3(cube, "0:0:1")  # bins (y, x): the sum over the planes
+    got = project(cube, "0:0:1")  # bins (y, x): the sum over the planes
     expected = [[sum(plane[y][x] for plane in cube) for x in range(len(cube[0][0]))] for y in range(len(cube[0]))]
     assert got.mode == "int"
     assert got.data.tolist() == expected

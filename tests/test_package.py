@@ -2,6 +2,7 @@
 submodules that are not needed at import time load on first use."""
 
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -28,6 +29,16 @@ def test_all_is_the_union_of_the_submodules():
     for name, module in owners.items():
         assert getattr(huffkit, name) is getattr(module, name)
     assert callable(huffkit.project)  # the function, not the submodule
+
+
+def test_each_exported_function_has_one_public_name():
+    for m in MODULES:
+        module = importlib.import_module(f"huffkit.{m}")
+        for name in module.__all__:
+            value = getattr(module, name)
+            if inspect.isfunction(value):
+                names = [n for n, v in vars(module).items() if v is value and not n.startswith("_")]
+                assert names == [name], f"huffkit.{m} binds one function as {names}"
 
 
 def test_import_loads_no_lazy_submodule():

@@ -15,7 +15,6 @@ from huffkit.project import (
     _bin_sums,
     as_direction,
     project,
-    project3,
     twin,
 )
 
@@ -74,7 +73,7 @@ def test_project_requires_matching_rank():
     with pytest.raises(ProjectionError):
         project(h7, "1:-1")
     with pytest.raises(ProjectionError):
-        project3(_square(h7), "1:1:1")
+        project(_square(h7), "1:1:1")
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +246,13 @@ def test_twin_cross_correlation_stays_low():
 def test_project3_axis_view_scales_the_square():
     h7 = fibonacci_huffman(7, 2)
     cube = outer_product([h7, h7, h7])
-    p = project3(cube, "0:0:1")
+    p = project(cube, "0:0:1")
     assert np.array_equal(p.data, 4 * _square(h7).data)
 
 
 def test_project3_body_diagonal_of_ones_cube():
     ones = Tensor(np.ones((3, 3, 3), dtype=np.int64), "int")
-    p = project3(ones, "1:1:1")
+    p = project(ones, "1:1:1")
     assert p.shape == (5, 5)
     assert int(p.data.sum()) == 27
 
@@ -261,7 +260,7 @@ def test_project3_body_diagonal_of_ones_cube():
 def test_project3_mixed_direction_factors():
     h7 = fibonacci_huffman(7, 2)
     cube = outer_product([h7, h7, h7])
-    p = project3(cube, "1:1:0")
+    p = project(cube, "1:1:0")
     assert p.shape == (13, 7)
     auto = correlate(h7, h7).values.data
     assert np.array_equal(p.data, np.outer(auto, h7.data[::-1]))
@@ -271,7 +270,7 @@ def test_project3_rejects_non_coprime_directions():
     h7 = fibonacci_huffman(7, 2)
     cube = outer_product([h7, h7, h7])
     with pytest.raises(ProjectionError):
-        project3(cube, "2:2:4")
+        project(cube, "2:2:4")
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +352,3 @@ def test_project_matches_the_separate_2d_and_3d_projections(case):
     oracle = oracle_project if a.ndim == 2 else oracle_project3
     got, want = project(a, direction), oracle(a, direction)
     assert got == want and got.data.dtype == want.data.dtype
-
-
-def test_project3_is_project():
-    assert project3 is project
