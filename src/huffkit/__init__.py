@@ -20,7 +20,8 @@ from .project import *  # binds huffkit.project to the function, not the module
 
 __version__ = "0.1.0"
 
-# the lazy submodules' __all__; tests/test_package.py checks them against the modules
+# the lazy submodules' export lists, here so that a name finds its module without
+# importing it; each of those modules takes its __all__ from this table
 _LAZY = {
     "construct": (
         "ConstructError", "HuffmanSpec", "AlphabetSolution", "phi_value", "fibonacci_huffman",

@@ -49,9 +49,7 @@ class _Group(click.Group):
     def main(self, *args, **kwargs):  # noqa: D102 - click override
         kwargs.setdefault("standalone_mode", False)
         try:
-            return super().main(*args, **kwargs)
-        except click.exceptions.Exit as exc:  # --help and friends
-            sys.exit(exc.exit_code)
+            return super().main(*args, **kwargs)  # click returns --help's exit code itself
         except click.Abort:
             click.echo("aborted", err=True)
             sys.exit(_EXIT_USAGE)
@@ -718,7 +716,7 @@ def _off_peak_span(tensor: Tensor) -> tuple[int, int]:
 @main.command()
 @click.option("--table", type=click.Choice(["1", "2"]), required=True)
 @click.option("--e", type=int, default=3, show_default=True, help="Inner-diamond letter (table 2).")
-@click.option("--f-min", type=int, default=3, show_default=True)
+@click.option("--f-min", type=click.IntRange(min=1), default=3, show_default=True)
 @click.option("--f-max", type=int, default=20, show_default=True)
 @_artefact_options
 def tables(table, e, f_min, f_max, name, out):
@@ -745,12 +743,9 @@ def tables(table, e, f_min, f_max, name, out):
         args = {"table": 1}
     else:
         stem = f"table2_e{e}"
-        found = diamond7_solve(e)
         lines = ["f,g,h,R,M,S,bits,OP"]
-        rows = sorted(
-            (s for s in found if f_min <= s.values[5] <= f_max),
-            key=lambda s: (-s.values[5], -s.values[6], -s.values[7]),
-        )
+        rows = sorted(diamond7_solve(e, range(f_min, f_max + 1)),
+                      key=lambda s: (-s.values[5], -s.values[6], -s.values[7]))
         for sol in rows:
             rep = sol.report
             lines.append("%d,%d,%d,%.6g,%.6g,%.6g,%d,%s"

@@ -30,25 +30,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import _LAZY
 from .lattice import Tensor, _edge_sets, _int_dtype, as_tensor, correlate, outer_product
 from .metrics import QualityReport, classify
 
-__all__ = [
-    "ConstructError",
-    "HuffmanSpec",
-    "AlphabetSolution",
-    "phi_value",
-    "fibonacci_huffman",
-    "h5_family",
-    "catalog",
-    "diamond5_solve",
-    "diamond7_solve",
-    "diamond7_closed_form",
-    "diamond_array",
-    "build_diamond",
-    "tensor_huffman",
-    "build",
-]
+__all__ = list(_LAZY["construct"])
 
 
 class ConstructError(ValueError):

@@ -31,6 +31,7 @@ from typing import Mapping
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import _LAZY
 from .lattice import (
     Tensor,
     _int_dtype,
@@ -42,16 +43,7 @@ from .lattice import (
 )
 from .metrics import QualityReport, classify
 
-__all__ = [
-    "ContinuumError",
-    "ProbeSpec",
-    "DeltaReport",
-    "TweakResult",
-    "airy",
-    "synthesize_probe",
-    "verify_delta_correlation",
-    "discretize_and_tweak",
-]
+__all__ = list(_LAZY["continuum"])
 
 
 class ContinuumError(ValueError):
@@ -188,8 +180,8 @@ class ProbeSpec:
             raise ContinuumError("bandwidth must be positive")
         if not (self.step > 0 and math.isfinite(self.step)):
             raise ContinuumError("step must be positive")
-        if self.kappa < 0:
-            raise ContinuumError("pedestal kappa must be >= 0")
+        if not (self.kappa >= 0 and math.isfinite(self.kappa)):
+            raise ContinuumError("pedestal kappa must be finite and >= 0")
         dim = len(self.samples)
         for exps, value in self.coefficients:
             if len(exps) != dim:
@@ -226,7 +218,9 @@ class ProbeSpec:
         raw = json.loads(text)
         if missing := [key for key in ("coefficients", "samples") if not isinstance(raw, dict) or key not in raw]:
             raise ContinuumError(f"probe spec has no {' and no '.join(map(repr, missing))}")
-        return cls(**{f.name: raw[f.name] for f in fields(cls) if f.name in raw})
+        if unknown := sorted(set(raw) - {f.name for f in fields(cls)}):
+            raise ContinuumError(f"probe spec has unknown keys {', '.join(map(repr, unknown))}")
+        return cls(**raw)
 
 
 def synthesize_probe(spec: ProbeSpec) -> Tensor:
@@ -484,15 +478,8 @@ def discretize_and_tweak(
         start = h.data.astype(np.int64)
     else:
         peak = float(np.abs(h.data).max())
-        if peak == 0.0:
-            return TweakResult(
-                Tensor(np.zeros(h.shape, dtype=np.int64), "int"),
-                None,
-                0,
-                undefined=True,
-            )
-        start = np.rint(h.data * (limit / peak)).astype(np.int64)
-    if not start.any():
+        start = np.rint(h.data * (limit / peak if peak else 0.0)).astype(np.int64)
+    if not start.any():  # all zero: no peak to score
         return TweakResult(Tensor(start, "int"), None, 0, undefined=True)
 
     corr = correlate(Tensor(start, "int"), Tensor(start, "int")).values.data

@@ -34,28 +34,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import _LAZY
 from .lattice import Tensor, _auto_lags, _auto_peak, _convolver, _int_dtype, _ring, as_tensor, convolve, correlate
 from .metrics import _lag_scores
 
-__all__ = [
-    "ImagingError",
-    "valid_region",
-    "encode",
-    "decode",
-    "DeblurResult",
-    "deblur",
-    "pedestal_pair",
-    "GhostResult",
-    "ghost_image",
-    "watermark_embed",
-    "WatermarkMatch",
-    "watermark_locate",
-    "BaselineStats",
-    "random_baseline",
-    "NoiseStudy",
-    "multiplex_noise_study",
-    "trial_rng",
-]
+__all__ = list(_LAZY["imaging"])
 
 
 class ImagingError(ValueError):
@@ -123,6 +106,8 @@ def _least_kappa(mask: Tensor, scheme: str) -> float:
 
 
 def _admit_kappa(mask: Tensor, kappa, scheme: str) -> None:
+    if not math.isfinite(float(kappa)):
+        raise ImagingError(f"{scheme} kappa must be finite, got {kappa}")
     if float(kappa) < (need := _least_kappa(mask, scheme)):
         raise ImagingError(f"{scheme} kappa={kappa} leaves a mask exposure negative (needs >= {need})")
 

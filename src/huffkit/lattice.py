@@ -553,8 +553,6 @@ def _square_sum(values: np.ndarray):
     int64 when no partial sum can wrap, Python ints otherwise.
     """
     values = values.astype(_int_dtype(values.shape[-1] * _peak(values) ** 2), copy=False)
-    if values.dtype == object:  # einsum takes object arrays only from numpy 1.25
-        return (values * values).sum(axis=-1)
     return np.einsum("...i,...i->...", values, values)
 
 
@@ -575,9 +573,7 @@ def _stacked_lags(stack: np.ndarray, out_shape: tuple[int, ...], length: int) ->
     flat = _flat(stack.astype(dtype, copy=False), out_shape)
     lags = np.empty((len(stack), length), dtype=dtype)
     for k in range(length):
-        x, y = flat[:, : length - k], flat[:, k:]
-        # einsum needs no temporary, but takes object arrays only from numpy 1.25
-        lags[:, k] = (x * y).sum(axis=1) if dtype is object else np.einsum("ij,ij->i", x, y)
+        lags[:, k] = np.einsum("ij,ij->i", flat[:, : length - k], flat[:, k:])  # no temporary
     # |sum C| <= (2L - 1) * bound and (sum a)^2 <= count * bound <= (2L - 1) * bound,
     # so that bounds both sides of the sum check
     check = _int_dtype((2 * length - 1) * bound)

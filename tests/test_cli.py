@@ -65,8 +65,8 @@ def test_table2_classifies_each_solution_once(tmp_path, monkeypatch):
     result = CliRunner().invoke(main, ["tables", "--table", "2", "--out", str(tmp_path)])
     assert result.exit_code == 0, result.output
     assert "66 rows" in result.output
-    # diamond7_solve(3) finds 124 solutions; the rows reuse their reports
-    assert len(calls) == 124
+    # the solver scans only f = 3..20, so it classifies each printed row once
+    assert len(calls) == 66
 
 
 def test_run_record_reads_click_version_without_deprecation(tmp_path):
@@ -352,6 +352,16 @@ def test_probe_spec_field_types_never_reach_a_traceback(tmp_path, spec, code, me
     else:
         assert message in result.output
         assert not out.exists()
+
+
+@pytest.mark.parametrize("kappa", ["nan", "inf", "-inf"])
+def test_probe_refuses_a_non_finite_kappa(tmp_path, kappa):
+    out = tmp_path / "out"
+    argv = ["probe", "--coeff", "3=1/3", "--samples", "9", "--kappa", kappa, "--out", str(out)]
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code == 3, result.output
+    assert "pedestal kappa must be finite and >= 0" in result.output
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("window", ["nan:8:0.5", "-inf:8:0.5", "0:inf:1", "0:8:nan"])

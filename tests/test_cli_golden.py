@@ -44,6 +44,8 @@ INPUTS = {
     "wave.txt": "9\n0.5 -1.25 2.0 3.5 -0.75 1.0 -2.5 0.25 1.5\n",
     "nan.txt": "2 2\n1.0 nan\n2.0 3.0\n",
     "cube.txt": _text(np.arange(60).reshape(3, 4, 5) ** 2 % 13 - 6),
+    "spec.json": '{"coefficients": {"3": 0.333}, "samples": [9], "step": 0.5}\n',
+    "typo.json": '{"coefficients": {"3": 0.333}, "samples": [9], "stpe": 0.5}\n',
 }
 
 # case id -> (expected exit code, command line without --out)
@@ -65,6 +67,8 @@ CASES = {
     "project-3d": (0, ["project", "in/cube.txt", "--dir", "1:0:-2"]),
     "twin": (0, ["twin", "in/mask.txt"]),
     "probe": (0, ["probe", "--coeff", "3=1/3", "--samples", "33", "--step", "0.5", "--plot"]),
+    "probe-spec": (0, ["probe", "--spec", "in/spec.json"]),
+    "probe-spec-typo": (3, ["probe", "--spec", "in/typo.json"]),
     "discretize-airy": (0, ["discretize", "--airy", "-10:4:0.5", "--max-iters", "20"]),
     "discretize-input": (0, ["discretize", "in/wave.txt", "--bits", "4", "--objective", "R"]),
     "encode": (0, ["encode", "in/obj.txt", "in/mask.txt", "--plot"]),

@@ -83,6 +83,18 @@ def test_probe_spec_json_names_a_missing_key(missing):
         ProbeSpec.from_json("[3, 9]")  # not a JSON object
 
 
+def test_probe_spec_json_names_unknown_keys():
+    raw = dict(json.loads(ProbeSpec(coefficients={3: 1 / 3}, samples=9).to_json()), stpe=0.5, zeta=1)
+    with pytest.raises(ContinuumError, match="probe spec has unknown keys 'stpe', 'zeta'"):
+        ProbeSpec.from_json(json.dumps(raw))
+
+
+@pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
+def test_probe_spec_refuses_a_non_finite_kappa(kappa):
+    with pytest.raises(ContinuumError, match="kappa must be finite"):
+        ProbeSpec(coefficients={3: 1.0}, samples=9, kappa=kappa)
+
+
 def test_probe_spec_rejects_even_parity():
     # Realness needs phi(-k) = -phi(k), i.e. odd *total* degree: (1,1) and
     # (3,1) are symmetric under joint negation and must be refused, while a

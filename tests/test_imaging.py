@@ -98,6 +98,14 @@ def test_ghost_with_exact_kappa_prime_is_the_normalised_decode():
     assert np.array_equal(ghost.reconstruction.data, normalised)
 
 
+@pytest.mark.parametrize("kappa", [math.nan, math.inf])
+def test_non_finite_kappa_is_an_imaging_error(kappa):
+    with pytest.raises(imaging.ImagingError, match="ghost kappa must be finite"):
+        ghost_image(_OBJ, _MASK, kappa)
+    with pytest.raises(imaging.ImagingError, match="pedestal kappa must be finite"):
+        pedestal_pair(_OBJ, _MASK, kappa)
+
+
 def test_ghost_scan_sets_partial():
     full = tuple(slice(0, n + m - 1) for n, m in zip(_OBJ.shape, _MASK.shape))
     assert not ghost_image(_OBJ, _MASK, kappa=3, scan=full).partial
