@@ -193,6 +193,27 @@ def test_pgm_roundtrip_exact_8bit(tmp_path, rng):
     assert np.array_equal(back.data, img.data)
 
 
+def test_pgm_roundtrip_exact_16bit(tmp_path, rng):
+    values = rng.integers(0, 65536, (5, 9))
+    values[0, 0], values[-1, -1] = 0, 65535
+    img = Tensor.from_values(values, "int")
+    p = tmp_path / "img.pgm"
+    write_pgm(img, p, maxval=65535)
+    raw = p.read_bytes()
+    header = b"P5\n9 5\n65535\n"
+    assert raw.startswith(header)
+    assert raw[len(header):] == values.astype(">u2").tobytes()
+    assert np.array_equal(read_pgm(p).data, values)
+
+
+@pytest.mark.parametrize("maxval", [1, 254, 256, 65534, 65536])
+def test_pgm_refuses_other_maxvals(tmp_path, maxval):
+    p = tmp_path / "img.pgm"
+    with pytest.raises(LatticeError, match="maxval"):
+        write_pgm(Tensor.from_values([[0, 1], [2, 3]], "int"), p, maxval=maxval)
+    assert not p.exists()
+
+
 def test_pgm_scales_out_of_range_values(tmp_path):
     img = Tensor.from_values([[-5, 0], [5, 10]], "int")
     p = tmp_path / "img.pgm"
