@@ -36,7 +36,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .lattice import LatticeError, Tensor, _auto_peak, correlate, read_pgm, read_text, write_pgm, write_text
+from .lattice import Tensor, correlate, read_pgm, read_text, write_pgm, write_text
 from .metrics import classify, cross_metrics, span_bits, spectral_flatness
 from .project import _direction_components, as_direction, project, twin as twin_of
 
@@ -222,13 +222,6 @@ def _metadata_version(info: str) -> str | None:
     return None
 
 
-def _energetic(tensor: Tensor) -> Tensor:
-    """``tensor``, refused as a domain error when its energy C0 = sum(a^2) is 0."""
-    if _auto_peak(tensor) == 0:
-        raise LatticeError("zero-energy input: C0 = 0 leaves R, M and S undefined")
-    return tensor
-
-
 def _report_payload(report) -> dict:
     return json.loads(report.to_json())
 
@@ -341,7 +334,7 @@ def generate(family, length, b, n, variant, key, alphabet, e, f, g, h_letter, fa
 @_artefact_options
 def analyze(input_path, oversample, plot, name, out):
     """Score an array: merit factor, side-lobe ratio, flatness, class."""
-    tensor = _energetic(_read_tensor(input_path))
+    tensor = _read_tensor(input_path)
     report = classify(tensor)
     payload = _report_payload(report)
     if oversample > 1:
@@ -383,10 +376,10 @@ def project_cmd(input_path, direction, name, out):
 @_artefact_options
 def twin_cmd(input_path, name, out):
     """Emit the parity-flipped twin and its cross-correlation metrics."""
-    tensor = _energetic(_read_tensor(input_path))
+    tensor = _read_tensor(input_path)
     tw = twin_of(tensor)
-    cross_r, cross_m = cross_metrics(correlate(tensor, tw))
     report = classify(tw)
+    cross_r, cross_m = cross_metrics(correlate(tensor, tw))
     payload = _report_payload(report)
     results = {"cross_R": cross_r, "cross_M": cross_m}
     payload.update(results)
@@ -470,9 +463,6 @@ def discretize(input_path, airy_window, bits, objective, max_iters, name, out):
         tensor = _read_tensor(input_path)
         source = {"input": input_path}
     result = discretize_and_tweak(tensor, bits, objective=objective, max_iters=max_iters)
-    if result.undefined:
-        raise click.UsageError("input has no nonzero samples; nothing to tweak")
-
     payload = _report_payload(result.report)
     payload["iterations"] = result.iterations
     results = {"iterations": result.iterations, "M": payload["M"], "R": payload["R"]}
@@ -665,10 +655,9 @@ def baseline(shape, values, trials, seed, dump_values, name, out):
         "shape": list(stats.shape),
         "R": {"min": stats.R[0], "mean": stats.R[1], "max": stats.R[2]},
         "M": {"min": stats.M[0], "mean": stats.M[1], "max": stats.M[2]},
-        "undefined": stats.undefined,
     }
     csv = None
-    if dump_values and not stats.undefined:
+    if dump_values:
         csv = "trial,R,M\n" + "".join(
             "%d,%.9g,%.9g\n" % (i, r_v, m_v) for i, (r_v, m_v) in enumerate(zip(stats.R_values, stats.M_values))
         )

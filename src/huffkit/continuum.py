@@ -299,9 +299,8 @@ def verify_delta_correlation(h) -> DeltaReport:
 @dataclass(frozen=True)
 class TweakResult:
     tensor: Tensor
-    report: QualityReport | None
+    report: QualityReport
     iterations: int
-    undefined: bool = False
 
 
 # Floats only shortlist moves for the exact comparison.  A ratio of two
@@ -315,6 +314,8 @@ _SHORTLIST_MARGIN = 1e-12
 _CHUNK = 1 << 17
 
 _STEPS = np.array([1, -1])  # move k is (flat index k // 2, _STEPS[k % 2])
+
+_PAST_INT64 = "a +/-1 move would take the auto-correlation past int64"
 
 
 def _ratio(num: int, den: int):
@@ -395,7 +396,8 @@ def _tweak_scan(
     c0 = int(corr[zero])
     amax = int(np.abs(a).max())
     if _int_dtype(c0 + 2 * amax + 1) is object:  # bounds every |C'(s)| by Cauchy-Schwarz
-        raise ArithmeticError("a +/-1 move would take the auto-correlation past int64")
+        raise ArithmeticError(_PAST_INT64)
+    corr = corr.astype(np.int64, copy=False)  # |C(s)| <= c0
     energy = int(_square_sum(corr.reshape(-1)))
     maxoff = int(_off_peak_magnitudes(corr, zero).max())
 
@@ -465,6 +467,8 @@ def discretize_and_tweak(
     a hard bound: no move crosses it, though an integer input already past
     it may still move toward zero.  All moves are scored from two engine
     correlations per iteration (see ``_tweak_scan``), not one per move.
+    An all-zero input raises ``ContinuumError``; one whose first move could
+    take the correlation past int64 raises ``ArithmeticError`` before any cast.
     """
     if target_bits < 3:
         raise ContinuumError("target_bits must be >= 3")
@@ -474,16 +478,15 @@ def discretize_and_tweak(
         raise ContinuumError("max_iters must be >= 0")
     h = as_tensor(h)
     limit = 2**target_bits - 1
-    if h.mode == "int":
-        start = h.data.astype(np.int64)
-    else:
-        peak = float(np.abs(h.data).max())
-        start = np.rint(h.data * (limit / peak if peak else 0.0)).astype(np.int64)
-    if not start.any():  # all zero: no peak to score
-        return TweakResult(Tensor(start, "int"), None, 0, undefined=True)
+    peak = h.max_abs()
+    if peak == 0:
+        raise ContinuumError("zero-energy input: no nonzero sample to round or tweak")
+    top = peak if h.mode == "int" else limit  # max|start|, and C0 >= top^2
+    if _int_dtype(top * top + 2 * top + 1) is object:  # the first scan's bound, checked before any cast
+        raise ArithmeticError(_PAST_INT64)
+    start = (h.data if h.mode == "int" else np.rint(h.data * (limit / peak))).astype(np.int64)
 
     corr = correlate(Tensor(start, "int"), Tensor(start, "int")).values.data
-    corr = corr.astype(np.int64, copy=True)
     zero = tuple(n - 1 for n in start.shape)
 
     iterations = 0

@@ -347,7 +347,6 @@ class BaselineStats:
     M: tuple[float, float, float]
     R_values: tuple[float, ...] = field(repr=False)
     M_values: tuple[float, ...] = field(repr=False)
-    undefined: bool = False
 
 
 def random_baseline(
@@ -379,10 +378,6 @@ def random_baseline(
         raise ImagingError("trials must be >= 1")
     if len(pool) < count:
         raise ImagingError(f"value pool smaller than {count} cells")
-    if count == 1:
-        return BaselineStats(
-            trials, seed, shape, (math.nan,) * 3, (math.nan,) * 3, (), (), True
-        )
     rs, ms = np.empty(trials), np.empty(trials)
     draws = (trial_rng(seed, i).choice(pool, size=count, replace=False) for i in range(trials))
     done = 0

@@ -229,16 +229,12 @@ class CorrelationResult:
     """Full aperiodic correlation plus the headline scalar views of it.
 
     ``peak`` is the zero-shift value C0; ``off_peak_max`` the largest
-    off-peak magnitude; ``op`` the largest magnitude that is also not one of
-    the edge-correlation ends, ``_edge_sets(shape).ends`` (the corners, plus
-    the maximal-overlap diagonal tips when every extent is odd and at least
-    3).  ``op`` equals ``off_peak_max`` when the operand extents differ.
+    off-peak magnitude.
     """
 
     values: Tensor
     peak: object
     off_peak_max: object
-    op: object
     zero_index: tuple[int, ...]
 
 
@@ -679,18 +675,14 @@ def correlate(a, b) -> CorrelationResult:
     """Full aperiodic cross-correlation of two same-dimensionality tensors.
 
     Integer inputs give exact integer output.  ``peak`` is read at the zero
-    shift (index ``Na-1`` per axis); ``op`` follows :class:`CorrelationResult`.
+    shift (index ``Na-1`` per axis).
     """
     a, b = as_tensor(a), as_tensor(b)
     values = _raw_correlate(a, b)
     zero = tuple(n - 1 for n in a.shape)
-    mags = _off_peak_magnitudes(values.data, zero)
-    off_peak_max = op = mags.max()
-    if a.shape == b.shape:
-        mags.flat[_edge_sets(a.shape).ends] = 0
-        op = mags.max()
     scalar = int if values.mode == "int" else float
-    return CorrelationResult(values, scalar(values.data[zero]), scalar(off_peak_max), scalar(op), zero)
+    off_peak_max = _off_peak_magnitudes(values.data, zero).max()
+    return CorrelationResult(values, scalar(values.data[zero]), scalar(off_peak_max), zero)
 
 
 def convolve(a, b) -> Tensor:
@@ -862,7 +854,8 @@ def write_pgm(t: Tensor, path, maxval: int = 255) -> None:
 
 
 def read_pgm(path) -> Tensor:
-    """Binary PGM; a header or payload cut short raises ``OSError``."""
+    """Binary PGM; a header or payload cut short raises ``OSError``, an
+    impossible one (size below 1, maxval outside 1..65535, a sample above it) ``LatticeError``."""
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.startswith(b"P5"):
@@ -886,6 +879,8 @@ def read_pgm(path) -> Tensor:
         fields.append(data[start:pos])
     pos += 1  # single whitespace after maxval
     width, height, maxval = (int(f) for f in fields)
+    if width < 1 or height < 1 or not 1 <= maxval <= 65535:
+        raise LatticeError(f"{path}: impossible PGM header: {width} x {height}, maxval {maxval}")
     dtype = ">u2" if maxval > 255 else np.uint8
     need = width * height * np.dtype(dtype).itemsize
     if len(data) - pos < need:
@@ -893,4 +888,6 @@ def read_pgm(path) -> Tensor:
             f"{path}: truncated PGM payload: {max(len(data) - pos, 0)} bytes, header needs {need}"
         )
     arr = np.frombuffer(data, dtype=dtype, count=width * height, offset=pos)
+    if arr.max() > maxval:
+        raise LatticeError(f"{path}: PGM sample {arr.max()} above maxval {maxval}")
     return Tensor(arr.reshape(height, width).astype(np.int64), "int")

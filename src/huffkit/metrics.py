@@ -3,7 +3,10 @@
 All correlation-derived metrics are computed from the exact integer
 correlation first and converted to float last, so the reported values carry
 no rounding drift.  A perfect delta (no off-peak energy at all) reports
-``M = R = inf`` rather than raising.
+``M = R = inf`` rather than raising; so does an array with no off-peak lag
+at all, a single cell.  :func:`classify` owns the report's rules: it refuses
+an input of zero energy (C0 = 0 leaves R, M and S undefined) with a
+``LatticeError``, and it alone reads OP off the correlation.
 """
 
 from __future__ import annotations
@@ -16,8 +19,10 @@ import numpy as np
 
 from .lattice import (
     CorrelationResult,
-    Tensor,
+    LatticeError,
+    _auto_peak,
     _edge_sets,
+    _off_peak_magnitudes,
     _square_sum,
     as_tensor,
     correlate,
@@ -59,9 +64,7 @@ def merit_factor(c) -> float:
     denom = _off_peak_square_sum(c)
     if denom == 0:
         return math.inf
-    if c.values.mode == "int":
-        return int(c.peak) ** 2 / denom
-    return float(c.peak) ** 2 / denom
+    return c.peak ** 2 / denom
 
 
 def side_lobe_ratio(c) -> float:
@@ -77,11 +80,12 @@ def _lag_scores(lags: np.ndarray) -> tuple[list[float], list[float]]:
 
     The rows come from ``lattice._auto_lags``; each score is the same
     correctly rounded int / int as :func:`side_lobe_ratio` and
-    :func:`merit_factor` give for the full correlation, inf included.
+    :func:`merit_factor` give for the full correlation, inf included: a row
+    with no off-peak lag scores R = M = inf.
     """
     side = lags[:, 1:]
     peaks = lags[:, 0].tolist()
-    maxima = np.maximum(side.max(axis=1), -side.min(axis=1)).tolist()
+    maxima = np.maximum(side.max(axis=1, initial=0), -side.min(axis=1, initial=0)).tolist()
     halves = _square_sum(side).tolist()  # each off-peak pair C(+/-k) once
     ratios = [math.inf if top == 0 else c / top for c, top in zip(peaks, maxima)]
     merits = [math.inf if half == 0 else c * c / (2 * half) for c, half in zip(peaks, halves)]
@@ -163,20 +167,25 @@ def classify(a) -> QualityReport:
     off-peak entry off the correlation's outer ring (``interior``) is
     exactly zero.  quasi: all off-peak magnitudes are bounded by ``C_edge``,
     the largest magnitude on the outer ring and the diagonal tips
-    (``edge``).  other: anything else.
+    (``edge``).  other: anything else.  ``OP`` is the largest off-peak
+    magnitude off the ``ends`` (the corners, plus the diagonal tips when
+    every extent is odd and at least 3).
     """
     a = as_tensor(a)
+    if _auto_peak(a) == 0:
+        raise LatticeError("zero-energy input: C0 = 0 leaves R, M and S undefined")
     c = correlate(a, a)
     sets = _edge_sets(a.shape)
-    flat = c.values.data.reshape(-1)
-    edge = flat[sets.edge]
-    c_edge = Tensor(edge, c.values.mode).max_abs() if edge.size else 0
-    if not np.any(flat[sets.interior]):
+    scalar = type(c.peak)  # int, or float for a real input
+    mags = _off_peak_magnitudes(c.values.data, c.zero_index).reshape(-1)
+    c_edge = scalar(mags[sets.edge].max(initial=0))
+    if not np.any(mags[sets.interior]):
         kind = "canonical"
     elif c.off_peak_max <= c_edge:
         kind = "quasi"
     else:
         kind = "other"
+    mags[sets.ends] = 0
     return QualityReport(
         M=merit_factor(c),
         R=side_lobe_ratio(c),
@@ -185,7 +194,7 @@ def classify(a) -> QualityReport:
         S=spectral_flatness(a),
         C0=c.peak,
         C_edge=c_edge,
-        OP=c.op,
+        OP=scalar(mags.max()),
         bits=bits(a),
         classification=kind,
     )

@@ -35,6 +35,16 @@ def test_truncated_pgm_is_an_io_error(tmp_path, content):
         lattice.read_pgm(path)
 
 
+def test_impossible_pgm_is_a_domain_error(tmp_path):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(b"P5\n2 1\n3\n\x05\x07")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["analyze", str(path), "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    assert "above maxval 3" in result.output
+    assert not out.exists()
+
+
 def test_failed_sum_check_exits_numerical(tmp_path, monkeypatch):
     original = lattice._direct
 
@@ -248,15 +258,24 @@ def test_baseline_non_integer_values_is_a_usage_error(tmp_path, values):
     assert f"--values must be LO:HI integers, got {values!r}" in result.output
 
 
+_ZERO_INPUTS = {"int": "2 2\n0 0\n0 0\n", "real": "3\n0.0 -0.0 0.0\n", "underflow": "2\n1e-200 0\n"}
+_ZERO_RUNS = {
+    **{f"{command}-{kind}": [command, f"{kind}.txt"] for command in ("analyze", "twin") for kind in _ZERO_INPUTS},
+    "project-int": ["project", "int.txt", "--dir", "1:1"],
+    "generate-diamond5": ["generate", "--family", "diamond5", "--alphabet", "0,0,0,0,0,0"],
+    "discretize-real": ["discretize", "real.txt"],
+}
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("text", ["2 2\n0 0\n0 0\n", "3\n0.0 -0.0 0.0\n", "2\n1e-200 0\n"],
-                         ids=["int", "real", "underflow"])
-@pytest.mark.parametrize("command", ["analyze", "twin"])
-def test_zero_energy_input_is_a_domain_error(tmp_path, command, text):
+@pytest.mark.parametrize("case", sorted(_ZERO_RUNS))
+def test_zero_energy_input_is_a_domain_error(tmp_path, monkeypatch, case):
     """C0 = sum(a^2) = 0 leaves R, M and S undefined, so nothing is scored or written."""
-    (tmp_path / "zero.txt").write_text(text)
+    for kind, text in _ZERO_INPUTS.items():
+        (tmp_path / f"{kind}.txt").write_text(text)
+    monkeypatch.chdir(tmp_path)
     out = tmp_path / "out"
-    result = CliRunner().invoke(main, [command, str(tmp_path / "zero.txt"), "--out", str(out)])
+    result = CliRunner().invoke(main, [*_ZERO_RUNS[case], "--out", str(out)])
     assert result.exit_code == 3, result.output
     assert "zero-energy input" in result.output
     assert not out.exists()
@@ -370,6 +389,17 @@ def test_non_finite_airy_window_is_a_usage_error(tmp_path, window):
     result = CliRunner().invoke(main, ["discretize", f"--airy={window}", "--out", str(out)])
     assert result.exit_code == 1, result.output
     assert f"--airy needs finite LO < HI and STEP > 0, got {window!r}" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bits", [31, 40, 64])
+def test_discretize_past_int64_is_refused_before_any_cast(tmp_path, bits):
+    """At 31 bits the first correlation leaves int64; from 32 bits the rounded samples' squares do."""
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["discretize", "--airy", "-10:4:0.5", "--bits", str(bits), "--out", str(out)])
+    assert result.exit_code == 4, result.output
+    assert "a +/-1 move would take the auto-correlation past int64" in result.output
     assert not out.exists()
 
 

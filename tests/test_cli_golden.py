@@ -44,6 +44,7 @@ INPUTS = {
     "wave.txt": "9\n0.5 -1.25 2.0 3.5 -0.75 1.0 -2.5 0.25 1.5\n",
     "nan.txt": "2 2\n1.0 nan\n2.0 3.0\n",
     "cube.txt": _text(np.arange(60).reshape(3, 4, 5) ** 2 % 13 - 6),
+    "pair.txt": "2 1\n1\n-1\n",  # nonzero, but every projection along 0:1 sums to 0
     "spec.json": '{"coefficients": {"3": 0.333}, "samples": [9], "step": 0.5}\n',
     "typo.json": '{"coefficients": {"3": 0.333}, "samples": [9], "stpe": 0.5}\n',
 }
@@ -64,6 +65,7 @@ CASES = {
     "analyze": (0, ["analyze", "in/mask.txt", "--oversample", "2", "--plot"]),
     "analyze-missing": (2, ["analyze", "in/missing.txt"]),
     "project": (0, ["project", "in/mask.txt", "--dir", "1:-1"]),
+    "project-zero": (3, ["project", "in/pair.txt", "--dir", "0:1"]),
     "project-3d": (0, ["project", "in/cube.txt", "--dir", "1:0:-2"]),
     "twin": (0, ["twin", "in/mask.txt"]),
     "probe": (0, ["probe", "--coeff", "3=1/3", "--samples", "33", "--step", "0.5", "--plot"]),
@@ -84,6 +86,7 @@ CASES = {
     "watermark-locate": (0, ["watermark", "locate", "in/host.txt", "in/mask.txt"]),
     "baseline": (0, ["baseline", "--shape", "3,3", "--values", "-5:5", "--trials", "40",
                      "--seed", "3", "--dump-values"]),
+    "baseline-one-cell": (0, ["baseline", "--shape", "1", "--values", "0:3", "--trials", "5", "--dump-values"]),
     "noise-study": (0, ["noise-study", "in/obj.txt", "in/mask.txt", "--trials", "4", "--seed", "1"]),
     "tables-1": (0, ["tables", "--table", "1"]),
     "tables-2": (0, ["tables", "--table", "2", "--f-min", "3", "--f-max", "8"]),
@@ -100,6 +103,15 @@ def _run(root: Path, argv, monkeypatch):
     out = root / "out"
     files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
     return result, files
+
+
+def _strict_json(text):
+    """``text`` parsed as JSON with NaN refused; Infinity, a perfect delta's score, is allowed."""
+    def constant(name):
+        if name == "NaN":
+            raise ValueError("NaN in JSON output")
+        return float(name)
+    return json.loads(text, parse_constant=constant)
 
 
 def _pinnable(case: str, name: str, data: bytes) -> bool:
@@ -125,7 +137,10 @@ def test_golden_run(case, tmp_path, monkeypatch):
     assert (second.exit_code, second.output) == (first.exit_code, first.output)
     assert again == files
 
-    records = {name: json.loads(data) for name, data in files.items() if name.endswith(".run.json")}
+    documents = {name: _strict_json(data) for name, data in files.items() if name.endswith(".json")}
+    if first.stdout.startswith("{"):
+        _strict_json(first.stdout)
+    records = {name: doc for name, doc in documents.items() if name.endswith(".run.json")}
     listed = set(records).union(*(r["files"] for r in records.values()))
     assert listed == set(files)
     command = " ".join(argv[:2]) if argv[0] == "watermark" else argv[0]

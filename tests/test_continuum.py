@@ -180,7 +180,6 @@ def test_random_tensor_fails_delta_verification():
 def test_tweaked_airy_clears_quality_floors():
     grid = airy(np.arange(-40, 8.0001, 0.5))
     result = discretize_and_tweak(grid, target_bits=7)
-    assert not result.undefined
     assert result.iterations == 253
     assert result.report.M == pytest.approx(27262.48, rel=1e-3)
     assert result.report.R == pytest.approx(751.4655, rel=1e-3)
@@ -204,12 +203,14 @@ def test_canonical_integer_input_is_left_alone():
     assert result.report.classification == "canonical"
 
 
-def test_all_zero_input_sets_the_undefined_flag():
-    result = discretize_and_tweak(Tensor(np.zeros(9), "real"), target_bits=4)
-    assert result.undefined
-    assert result.report is None
-    assert result.iterations == 0
-    assert not result.tensor.data.any()
+def test_all_zero_input_is_refused():
+    with pytest.raises(ContinuumError, match="zero-energy input"):
+        discretize_and_tweak(Tensor(np.zeros(9), "real"), target_bits=4)
+
+
+def test_integer_input_past_int64_is_refused_before_the_cast():
+    with pytest.raises(ArithmeticError, match="past int64"):
+        discretize_and_tweak(Tensor.from_values([2**70, 1], "int"), target_bits=4)
 
 
 def test_tweak_validates_arguments():

@@ -220,8 +220,6 @@ def baseline_loop(shape, values, trials, seed):
     shape = tuple(int(n) for n in shape)
     count = math.prod(shape)
     pool = np.asarray(list(values), dtype=np.int64)
-    if count == 1:
-        return BaselineStats(trials, seed, shape, (math.nan,) * 3, (math.nan,) * 3, (), (), True)
     rs, ms = np.empty(trials), np.empty(trials)
     for i in range(trials):
         arr = trial_rng(seed, i).choice(pool, size=count, replace=False).reshape(shape)
@@ -278,7 +276,8 @@ def _baseline_cases(draw):
 @SCORING
 @given(_baseline_cases())
 @example(((2,), [0, 5], 3, 0))  # C(1) = 0 in every trial: R = M = inf
-@example(((1,), [4, 9], 2, 1))  # one cell: undefined
+@example(((1,), [4, 9], 2, 1))  # one cell: no off-peak lag, so R = M = inf
+@example(((1,), [0, 2**62 + 1], 6, 5))  # one cell, C0 = 0 or past int64
 @example(((3, 3), list(range(4000, 4009)), 1, 7))  # one trial; sum C^2 past 2^53
 @example(((2, 2), [2**40 + v for v in range(5)], 4, 2))  # C past int64
 @example(((2,), [-(2**63), 1, 2], 5, 0))  # -2^63 counts at full magnitude
@@ -296,6 +295,13 @@ def test_batched_baseline_matches_across_blocks(scoring, shape):
     with _scoring(scoring):
         batched = random_baseline(shape, values, 130, 11)
     assert _fields(batched) == _fields(baseline_loop(shape, values, 130, 11))
+
+
+def test_one_cell_baseline_scores_inf():
+    """A single cell has no off-peak lag: R = M = inf, as classify reports, never nan."""
+    stats = random_baseline((1,), [4, 9], 3, 2)
+    assert stats.R == stats.M == (math.inf,) * 3
+    assert stats.R_values == stats.M_values == (math.inf,) * 3
 
 
 def test_any_subset_of_trials_reproduces():

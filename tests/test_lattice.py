@@ -214,6 +214,19 @@ def test_pgm_refuses_other_maxvals(tmp_path, maxval):
     assert not p.exists()
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"P5\n-2 1\n255\n\x05\x07", b"P5\n2 0\n255\n", b"P5\n2 1\n0\n\x00\x00",
+     b"P5\n2 1\n70000\n\x00\x05\x00\x07", b"P5\n2 1\n3\n\x05\x07"],
+    ids=["negative-width", "zero-height", "maxval-0", "maxval-70000", "sample-above-maxval"],
+)
+def test_pgm_refuses_impossible_headers(tmp_path, content):
+    p = tmp_path / "bad.pgm"
+    p.write_bytes(content)
+    with pytest.raises(LatticeError, match="impossible PGM header|above maxval"):
+        read_pgm(p)
+
+
 def test_pgm_scales_out_of_range_values(tmp_path):
     img = Tensor.from_values([[-5, 0], [5, 10]], "int")
     p = tmp_path / "img.pgm"

@@ -168,13 +168,13 @@ def _same_ndim_pair(draw):
 @example((catalog("H8x8").data, np.ones((2, 3), dtype=np.int64)))
 @example((build_diamond(7, ALPHA_B).data, np.arange(9).reshape(3, 3)))
 def test_edge_sets_match_the_oracle(pair):
-    """op, C_edge, the class and the boundary kappa' read the documented index sets."""
+    """OP, C_edge, the class and the boundary kappa' read the documented index sets."""
     a, obj = pair
     assume(a.any())  # an all-zero mask has no C0 to normalise by
     c = correlate(a, a)
     rep = classify(a)
     op, c_edge, kind = oracle_edge_values(c.values.data, a.shape)
-    assert (c.op, rep.C_edge, rep.classification) == (op, c_edge, kind)
+    assert (rep.OP, rep.C_edge, rep.classification) == (op, c_edge, kind)
 
     kappa = max(0, -int(a.min()))
     ghost = ghost_image(obj, a, kappa, kappa_prime="boundary")
