@@ -28,7 +28,6 @@ import json
 import math
 import os
 import platform
-import re
 import sys
 from pathlib import Path
 
@@ -119,10 +118,10 @@ def _finish(name: str | None, out: str | None, stem: str, arguments: dict, artef
     every file this call began writing is removed and the error re-raised.
     Returns the artefact file names in writing order.
 
-    The record's ``versions`` come from ``huffkit.__version__``,
-    ``np.__version__``, ``platform.python_version()`` and, for click and
-    scipy (which scipy is never imported to learn), the ``Version:`` header
-    of their installed metadata, read by ``_version``.
+    The record's ``package`` holds ``huffkit.__version__`` and its
+    ``versions`` hold ``np.__version__`` and ``platform.python_version()``,
+    the two versions a run's numbers depend on; click's parse is pinned by
+    the resolved ``arguments``.
     """
     stem = name or stem
     base = Path(out) if out else Path(os.environ.get("HUFFKIT_OUT", "."))
@@ -138,12 +137,7 @@ def _finish(name: str | None, out: str | None, stem: str, arguments: dict, artef
         "files": sorted(payloads),
         "seed": seed,
         "package": {"name": "huffkit", "version": __version__},
-        "versions": {
-            "click": _version("click"),
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-            "scipy": _version("scipy"),
-        },
+        "versions": {"numpy": np.__version__, "python": platform.python_version()},
     }
     if results is not None:
         record["results"] = results
@@ -162,64 +156,6 @@ def _finish(name: str | None, out: str | None, stem: str, arguments: dict, artef
             path.unlink(missing_ok=True)
         raise
     return list(payloads)[:-1]
-
-
-def _version(name: str) -> str | None:
-    """The installed version of distribution ``name``, as ``importlib.metadata.version`` gives it.
-
-    Searches ``sys.path`` in order, as ``importlib.metadata`` does, for the
-    first ``<name>-*.dist-info`` or ``<name>-*.egg-info`` entry (names
-    compared case-insensitively, with runs of ``-``, ``_`` and ``.`` alike).
-    Its metadata is the first non-empty one of ``METADATA``, ``PKG-INFO`` and
-    the entry itself (a plain ``.egg-info`` file); the result is that
-    metadata's first ``Version:`` header, or None if it has none.  Importing
-    ``importlib.metadata`` instead would load the ``email`` package and parse
-    each whole file, about 35 ms a command.  Zip archives and ``.egg``
-    directories on ``sys.path`` are not searched.  Raises ModuleNotFoundError
-    when no entry matches.
-    """
-    want = _dist_key(name)
-    for entry in sys.path:
-        root = entry or "."
-        try:
-            children = os.listdir(root)
-        except OSError:  # a missing directory or a zip archive
-            continue
-        for child in children:
-            low = child.lower()
-            if low.endswith((".dist-info", ".egg-info")) and (
-                _dist_key(low.rpartition(".")[0].partition("-")[0]) == want
-            ):
-                return _metadata_version(os.path.join(root, child))
-    raise ModuleNotFoundError(f"No package metadata was found for {name}", name=name)
-
-
-def _dist_key(name: str) -> str:
-    return re.sub(r"[-_.]+", "_", name).lower()
-
-
-_HEADER = re.compile(r"([!-9;-~]+):[ \t]*(.*)")
-
-
-def _metadata_version(info: str) -> str | None:
-    for path in (os.path.join(info, "METADATA"), os.path.join(info, "PKG-INFO"), info):
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError:  # absent, or a directory or file where the other was looked for
-            continue
-        if text:
-            break
-    else:
-        return None
-    for line in text.split("\n"):
-        if line[:1] in (" ", "\t"):  # the folded tail of the previous header
-            continue
-        header = _HEADER.fullmatch(line)
-        if header is None:  # a blank or non-header line ends the headers
-            return None
-        if header[1].lower() == "version":
-            return header[2]
-    return None
 
 
 def _report_payload(report) -> dict:

@@ -484,7 +484,11 @@ def discretize_and_tweak(
     top = peak if h.mode == "int" else limit  # max|start|, and C0 >= top^2
     if _int_dtype(top * top + 2 * top + 1) is object:  # the first scan's bound, checked before any cast
         raise ArithmeticError(_PAST_INT64)
-    start = (h.data if h.mode == "int" else np.rint(h.data * (limit / peak))).astype(np.int64)
+    if h.mode == "int":
+        start = h.data.astype(np.int64)
+    else:  # limit / peak overflows for a tiny peak; scaling by 2^-exponent first is exact
+        mantissa, exponent = math.frexp(peak)
+        start = np.rint(np.ldexp(h.data, -exponent) * (limit / mantissa)).astype(np.int64)
 
     corr = correlate(Tensor(start, "int"), Tensor(start, "int")).values.data
     zero = tuple(n - 1 for n in start.shape)

@@ -149,6 +149,8 @@ class Tensor:
 
     The mode never changes silently: integer tensors stay exact through every
     operation, and conversion to real is the explicit ``as_tensor(t, "real")``.
+    An ``"int"`` tensor's storage must have an integer or object dtype; only
+    the dtype is checked, not each entry.
     """
 
     data: np.ndarray
@@ -161,6 +163,8 @@ class Tensor:
             raise LatticeError("empty tensor")
         if any(n < 1 for n in self.data.shape):
             raise LatticeError("tensor extents must be >= 1")
+        if self.mode == "int" and self.data.dtype.kind not in "iuO":
+            raise LatticeError(f"int tensor stored as {self.data.dtype}")
 
     # -- construction ------------------------------------------------------
 
@@ -213,9 +217,6 @@ class Tensor:
             and self.shape == other.shape
             and bool(np.array_equal(self.data, other.data))
         )
-
-    def __hash__(self):  # consistent with __eq__: equal values hash alike
-        return hash((self.mode, self.shape, tuple(self.data.reshape(-1).tolist())))
 
 
 def as_tensor(x, mode: str | None = None) -> Tensor:

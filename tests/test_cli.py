@@ -4,17 +4,18 @@ import csv
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import warnings
-from importlib import metadata
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from huffkit import lattice
-from huffkit.cli import _version, main
+from huffkit.cli import main
 
 from conftest import DATA
 
@@ -87,31 +88,7 @@ def test_run_record_reads_click_version_without_deprecation(tmp_path):
         )
     assert result.exit_code == 0, result.output
     record = json.loads((tmp_path / "h5.run.json").read_text())
-    assert record["versions"]["click"] == metadata.version("click")
-    assert record["versions"]["scipy"] == metadata.version("scipy")
-    for name in ("click", "numpy", "scipy"):
-        assert _version(name) == metadata.version(name)
-
-
-def test_version_search_agrees_with_importlib_metadata(tmp_path, monkeypatch):
-    first, second = tmp_path / "first", tmp_path / "second"
-    meta = ("Metadata-Version: 2.1\nName: {name}\nSummary: folded\n  over two lines\n"
-            "Version: {version}\n\nVersion: 9.9\n")  # the second Version is in the body
-    for root, dist, version in [(first, "Foo.Bar-1.0.dist-info", "1.0"), (second, "foo_bar-0.5.dist-info", "0.5")]:
-        (root / dist).mkdir(parents=True)
-        (root / dist / "METADATA").write_text(meta.format(name="Foo.Bar", version=version))
-        (root / dist / "PKG-INFO").write_text(meta.format(name="Foo.Bar", version="0.0"))
-    (second / "Baz_Qux-2.0-py3.egg-info").mkdir()
-    (second / "Baz_Qux-2.0-py3.egg-info" / "PKG-INFO").write_text(meta.format(name="Baz_Qux", version="2.0rc1"))
-    (second / "legacy-3.1.egg-info").write_text(meta.format(name="legacy", version="3.1.post2"))
-    monkeypatch.setattr(sys, "path", [str(tmp_path / "absent"), str(first), str(second)])
-    for name in ("foo-bar", "FOO_BAR", "foo.bar", "baz-qux", "Baz.Qux", "legacy"):
-        assert _version(name) == metadata.version(name), name
-    assert [_version(n) for n in ("foo-bar", "baz-qux", "legacy")] == ["1.0", "2.0rc1", "3.1.post2"]
-    with pytest.raises(ModuleNotFoundError):
-        metadata.version("missing")
-    with pytest.raises(ModuleNotFoundError, match="missing"):
-        _version("missing")
+    assert record["versions"] == {"numpy": np.__version__, "python": platform.python_version()}
 
 
 @pytest.mark.parametrize(
@@ -401,6 +378,21 @@ def test_discretize_past_int64_is_refused_before_any_cast(tmp_path, bits):
     assert result.exit_code == 4, result.output
     assert "a +/-1 move would take the auto-correlation past int64" in result.output
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("exponent, bits", [(-1070, 7), (-1000, 30)], ids=["subnormal", "normal"])
+def test_discretize_rounds_a_tiny_peak_as_its_power_of_two_rescaling(tmp_path, exponent, bits):
+    """limit / peak overflows for both peaks; the rounding equals that of the probe scaled by 2^-exponent."""
+    (tmp_path / "reported.txt").write_text("2\n1e-310 5e-311\n")
+    (tmp_path / "tiny.txt").write_text("3\n" + " ".join(repr(math.ldexp(v, exponent)) for v in (3.0, -2.0, 1.0)) + "\n")
+    (tmp_path / "plain.txt").write_text("3\n3.0 -2.0 1.0\n")
+    out = tmp_path / "out"
+    for stem in ("reported", "tiny", "plain"):
+        argv = ["discretize", str(tmp_path / f"{stem}.txt"), "--bits", str(bits), "--name", stem, "--out", str(out)]
+        result = CliRunner().invoke(main, argv)
+        assert result.exit_code == 0, result.output
+    assert (out / "tiny.txt").read_text() == (out / "plain.txt").read_text()
 
 
 def test_table1_matches_the_printed_5x5_table(tmp_path):

@@ -8,6 +8,7 @@ thresholds, and with both at zero so that every call takes an FFT path
 import math
 import random
 from contextlib import contextmanager
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -131,6 +132,50 @@ def test_fft_error_at_the_bound_is_an_order_below_one_quarter():
         exact = np.correlate(b.astype(object), a.astype(object), "full")
         error = max(abs(float(u) - int(e)) for u, e in zip(unrounded, exact))
         assert error < 1 / 16, error
+
+
+def _percival_bound(shape):
+    """Percival's bound (Math. Comp. 72, 2003) for a length-2^n FFT product, in 60 digits.
+
+    (1+e)^3n (1+e sqrt5)^(3n+1) (1+beta)^3n - 1 with e = 2^-53 and beta = 4e, where 2^n is the
+    padded size times 4: two more levels for the real-input stages of rfftn and irfftn.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        e = Decimal(2) ** -53
+        n = (4 * math.prod(shape)).bit_length() - 1
+        return float((1 + e) ** (3 * n) * (1 + e * Decimal(5).sqrt()) ** (3 * n + 1) * (1 + 4 * e) ** (3 * n) - 1)
+
+
+@pytest.mark.parametrize("shape", [(1,), (8,), (4096,), (512, 512), (64, 32, 16)])
+def test_fft_error_factor_is_percivals_bound(shape):
+    assert lattice._fft_error_factor(shape) == pytest.approx(_percival_bound(shape), rel=1e-12, abs=0)
+
+
+def _random_ints(rng, size, bits):
+    return np.array([rng.randint(-(2**bits), 2**bits) for _ in range(size)],
+                    dtype=lattice._int_dtype(2**bits))
+
+
+@given(st.lists(st.integers(0, 10), min_size=1, max_size=3), st.integers(1, 300), st.integers(1, 300),
+       st.integers(0, 80), st.integers(0, 80), st.integers(0, 2**32 - 1))
+def test_certified_split_picks_the_widest_certified_limbs(log_shape, na, nb, bits_a, bits_b, seed):
+    """Width 0 exactly when the whole operands pass; else the largest w with sqrt(Na Nb) 4^w < limit."""
+    limit = 0.25 / lattice._fft_error_factor(tuple(1 << k for k in log_shape))
+    rng = random.Random(seed)
+    a, b = _random_ints(rng, na, bits_a), _random_ints(rng, nb, bits_b)
+    max_a, max_b = lattice._peak(a), lattice._peak(b)
+    width, xs, ys = lattice._certified_split(a, b, max_a, max_b, limit)
+    whole = max(max_a, max_b) <= INT64_MAX and (
+        np.linalg.norm(a.astype(np.float64)) * np.linalg.norm(b.astype(np.float64)) < limit)
+    assert (width == 0) == whole
+    if width:
+        worst = math.sqrt(na * nb)
+        assert worst * 4.0**width < limit <= worst * 4.0 ** (width + 1)
+        for x, digits in [(a, xs), (b, ys)]:
+            assert all(np.abs(d).max() < 2**width for d in digits)
+            assert np.array_equal(sum(d.astype(np.int64).astype(object) << (width * i) for i, d in enumerate(digits)),
+                                  x.astype(object))
 
 
 @pytest.mark.parametrize("shape", [(4,), (3, 4), (2, 3, 2)])
