@@ -93,7 +93,6 @@ __all__ = [
     "convolve",
     "flip",
     "outer_product",
-    "dft_magnitudes",
     "read_text",
     "write_text",
     "read_pgm",
@@ -268,10 +267,6 @@ def _direct(a: np.ndarray, b: np.ndarray, out_shape: tuple[int, ...]) -> np.ndar
     return np.correlate(_flat(b, out_shape), _flat(a, out_shape), "full").reshape(out_shape)
 
 
-def _reversed(x: np.ndarray) -> np.ndarray:
-    return x[(slice(None, None, -1),) * x.ndim]
-
-
 def _fft_shape(out_shape: tuple[int, ...]) -> tuple[int, ...]:
     """Power-of-two FFT lengths for the certified integer path.
 
@@ -351,7 +346,7 @@ def _certified_split(fa, b, max_a: int, max_b: int, limit: float):
 def _fft_int_correlate(a: np.ndarray, b: np.ndarray, max_a: int, max_b: int, out_shape: tuple[int, ...]) -> np.ndarray:
     """Exact integer correlation from certified float FFTs of signed limbs, as :func:`_join_digits` joins them."""
     shape = _fft_shape(out_shape)
-    width, xs, ys = _certified_split(_reversed(a), b, max_a, max_b, 0.25 / _fft_error_factor(shape))
+    width, xs, ys = _certified_split(np.flip(a), b, max_a, max_b, 0.25 / _fft_error_factor(shape))
     spectra_b = [_spectrum(y, shape) for y in ys]
     # limb products with equal i + j share a digit; each is below 2^50 in
     # magnitude, so a digit sums them in int64 without wrapping
@@ -474,7 +469,7 @@ def _rank1_correlate(x: np.ndarray, y: np.ndarray, max_x: int, max_y: int) -> np
     if fx:
         return _separable_correlate(fx, y, max_y)
     if fy:
-        return _separable_correlate([f[::-1] for f in fy], _reversed(x), max_x)
+        return _separable_correlate([f[::-1] for f in fy], np.flip(x), max_x)
     return None
 
 
@@ -517,7 +512,7 @@ def _convolver(kernel: np.ndarray, shape: tuple[int, ...]):
     """
     out_shape = tuple(m + n - 1 for m, n in zip(shape, kernel.shape))
     if _flat_len(shape, out_shape) * _flat_len(kernel.shape, out_shape) <= _REAL_DIRECT_MACS:
-        return lambda x: _direct(_reversed(x), kernel, out_shape)
+        return lambda x: _direct(np.flip(x), kernel, out_shape)
     fft_shape = tuple(_fast_len(n) for n in out_shape)
     spectrum = _spectrum(kernel, fft_shape)
 
@@ -541,7 +536,7 @@ def _raw_correlate(a: Tensor, b: Tensor) -> Tensor:
         return Tensor(_int_correlate(a, b, out_shape, macs), "int")
     x, y = np.asarray(a.data, dtype=np.float64), np.asarray(b.data, dtype=np.float64)
     # correlate(x, y) = convolve(flip(x), y)
-    return Tensor(np.ascontiguousarray(_convolver(y, x.shape)(_reversed(x))), "real")
+    return Tensor(np.ascontiguousarray(_convolver(y, x.shape)(np.flip(x))), "real")
 
 
 def _square_sum(values: np.ndarray):
@@ -621,6 +616,23 @@ def _off_peak_magnitudes(values: np.ndarray, zero: tuple[int, ...]) -> np.ndarra
     return mags
 
 
+def _periodic(values: np.ndarray, grid: tuple[int, ...]) -> np.ndarray:
+    """A full auto-correlation (extent 2n - 1 per axis) folded onto ``grid``, m >= n per axis.
+
+    Shift s lands at s mod m: the periodic auto-correlation of the array
+    zero-padded to ``grid``, whose DFT is |DFT|^2 (Wiener-Khinchin), with the
+    zero shift alone at the origin.  Exact for integers: each r pairs with one
+    r' at most, so no sum leaves the engine's accumulator bound size * max|a|^2.
+    """
+    for m in reversed(grid):  # fold the last axis, then rotate it to the front
+        n = (values.shape[-1] + 1) // 2
+        out = np.zeros(values.shape[:-1] + (m,), dtype=values.dtype)
+        out[..., :n] += values[..., n - 1 :]  # shifts 0 .. n-1
+        out[..., m - n + 1 :] += values[..., : n - 1]  # shifts -(n-1) .. -1
+        values = np.moveaxis(out, -1, 0)
+    return values
+
+
 def _frozen(x: np.ndarray) -> np.ndarray:
     x.flags.writeable = False  # cached and shared by every caller
     return x
@@ -695,7 +707,7 @@ def convolve(a, b) -> Tensor:
 def flip(a) -> Tensor:
     """Coordinate inversion a(-r); an involution."""
     a = as_tensor(a)
-    return Tensor(np.ascontiguousarray(_reversed(a.data)), a.mode)
+    return Tensor(np.ascontiguousarray(np.flip(a.data)), a.mode)
 
 
 def outer_product(factors: Sequence) -> Tensor:
@@ -716,19 +728,6 @@ def outer_product(factors: Sequence) -> Tensor:
     for f in factors[1:]:
         out = np.multiply.outer(out, f.data.astype(dtype))
     return Tensor(out, mode)
-
-
-def dft_magnitudes(a, oversample: int = 1) -> Tensor:
-    """|DFT| at the array's native size (one bin per element per dimension).
-
-    ``oversample`` > 1 zero-pads each axis by that factor, giving a finer
-    sampling of the underlying transform; the default matches the native-size
-    convention used everywhere metrics are defined.
-    """
-    a = as_tensor(a)
-    shape = tuple(int(n * oversample) for n in a.shape)
-    mags = np.abs(np.fft.fftn(a.data.astype(np.float64), s=shape, axes=range(a.ndim)))
-    return Tensor(mags, "real")
 
 
 # ---------------------------------------------------------------------------

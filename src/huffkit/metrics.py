@@ -2,7 +2,8 @@
 
 All correlation-derived metrics are computed from the exact integer
 correlation first and converted to float last, so the reported values carry
-no rounding drift.  A perfect delta (no off-peak energy at all) reports
+no rounding drift; S too, from the correlation folded onto the DFT grid, with
+no FFT of the array.  A perfect delta (no off-peak energy at all) reports
 ``M = R = inf`` rather than raising; so does an array with no off-peak lag
 at all, a single cell.  :func:`classify` owns the report's rules: it refuses
 an input of zero energy (C0 = 0 leaves R, M and S undefined) with a
@@ -23,10 +24,10 @@ from .lattice import (
     _auto_peak,
     _edge_sets,
     _off_peak_magnitudes,
+    _periodic,
     _square_sum,
     as_tensor,
     correlate,
-    dft_magnitudes,
 )
 
 __all__ = [
@@ -44,24 +45,13 @@ __all__ = [
 
 
 def _as_auto(c) -> CorrelationResult:
-    if isinstance(c, CorrelationResult):
-        return c
-    t = as_tensor(c)
-    return correlate(t, t)
-
-
-def _off_peak_square_sum(c: CorrelationResult):
-    arr = c.values.data
-    zero = c.zero_index
-    if c.values.mode == "int":
-        return int(_square_sum(arr.reshape(-1))) - int(arr[zero]) ** 2
-    return float(np.sum(arr**2) - arr[zero] ** 2)
+    return c if isinstance(c, CorrelationResult) else correlate(c, c)
 
 
 def merit_factor(c) -> float:
     """C0^2 over the sum of squared off-peak correlation entries."""
     c = _as_auto(c)
-    denom = _off_peak_square_sum(c)
+    denom = _auto_peak(c.values) - c.peak * c.peak  # sum(C^2) less the peak's square
     if denom == 0:
         return math.inf
     return c.peak ** 2 / denom
@@ -108,15 +98,32 @@ def power(a) -> float:
     return float(np.sqrt(np.mean(arr**2)) / m)
 
 
+def _flatness(c: CorrelationResult, grid: tuple[int, ...]) -> float:
+    """S = (max - min) / mean of |F| on ``grid``, from the array's auto-correlation ``c``.
+
+    |F|^2 = C0 + m, m the DFT of the fold less C0 (taken out in integers), so
+    max - min = (m_max - m_min) / (sqrt(C0 + m_max) + sqrt(C0 + m_min)) cancels
+    nothing.  A spectral null may round below 0, so radicands are clamped there.
+    """
+    rest = _periodic(c.values.data, grid)
+    rest[(0,) * rest.ndim] -= c.peak
+    m = np.fft.fftn(np.asarray(rest, dtype=np.float64)).real
+    mags = np.sqrt(np.maximum(float(c.peak) + m, 0))  # monotone in m: the extremes pair up
+    return float((m.max() - m.min()) / ((mags.max() + mags.min()) * mags.mean()))
+
+
 def spectral_flatness(a, oversample: int = 1) -> float:
     """(max - min) / mean of the DFT magnitudes, native size by default.
 
-    ``oversample`` zero-pads the transform for a finer sampling of the
-    spectrum; published flatness figures for some arrays follow that
-    convention instead of the native one, so it is exposed here.
+    ``oversample`` zero-pads each axis to ``int(n * oversample)`` >= n points
+    (``LatticeError`` otherwise) for a finer sampling of the spectrum;
+    published flatness figures for some arrays follow that convention.
     """
-    mags = dft_magnitudes(a, oversample=oversample).data
-    return float((mags.max() - mags.min()) / mags.mean())
+    a = as_tensor(a)
+    grid = tuple(int(n * oversample) for n in a.shape)
+    if any(m < n for m, n in zip(grid, a.shape)):
+        raise LatticeError(f"oversample {oversample} gives a DFT grid {grid} smaller than the array {a.shape}")
+    return _flatness(correlate(a, a), grid)
 
 
 def bits(a) -> int:
@@ -169,7 +176,7 @@ def classify(a) -> QualityReport:
     the largest magnitude on the outer ring and the diagonal tips
     (``edge``).  other: anything else.  ``OP`` is the largest off-peak
     magnitude off the ``ends`` (the corners, plus the diagonal tips when
-    every extent is odd and at least 3).
+    every extent is odd and at least 3).  S comes from the same correlation.
     """
     a = as_tensor(a)
     if _auto_peak(a) == 0:
@@ -191,7 +198,7 @@ def classify(a) -> QualityReport:
         R=side_lobe_ratio(c),
         E=efficiency(a),
         P=power(a),
-        S=spectral_flatness(a),
+        S=_flatness(c, a.shape),
         C0=c.peak,
         C_edge=c_edge,
         OP=scalar(mags.max()),
@@ -207,13 +214,13 @@ def cross_metrics(c: CorrelationResult) -> tuple[float, float]:
     strictly smaller magnitude, while M removes a single peak occurrence from
     the energy sum (a mirrored duplicate of the peak counts as side-lobe).
     """
-    arr = c.values.data.astype(np.float64)
-    mags = np.abs(arr)
-    peak = mags.max()
+    mags = np.abs(c.values.data)
+    scalar = type(c.peak)  # int: R and M are correctly rounded int / int
+    peak = scalar(mags.max())
     if peak == 0:
         return math.inf, math.inf
     below = mags[mags < peak]
-    r = math.inf if below.size == 0 else float(peak / below.max())
-    denom = float(np.sum(arr**2) - peak**2)
-    m = math.inf if denom <= 0 else float(peak**2 / denom)
+    r = math.inf if below.size == 0 else peak / scalar(below.max())
+    denom = _auto_peak(c.values) - peak * peak
+    m = math.inf if denom <= 0 else peak * peak / denom
     return r, m

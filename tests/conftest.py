@@ -8,7 +8,9 @@ against something with no shared code path.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from decimal import Decimal, getcontext, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -129,3 +131,59 @@ def oracle_edge_values(c, shape):
     else:
         kind = "other"
     return top(sets["off_peak"] - sets["ends"]), c_edge, kind
+
+
+def _atan_inverse(n: int) -> Decimal:
+    """atan(1/n) by its Taylor series, at the current decimal precision."""
+    x2, power, total, k = n * n, Decimal(1) / n, Decimal(0), 0
+    while power > Decimal(10) ** -(getcontext().prec + 5):
+        total += (-1) ** k * power / (2 * k + 1)
+        power /= x2
+        k += 1
+    return total
+
+
+@functools.lru_cache(maxsize=None)
+def decimal_pi(digits: int) -> Decimal:
+    """pi to at least ``digits`` significant digits, by Machin's formula."""
+    with localcontext() as ctx:
+        ctx.prec = digits + 5
+        return 16 * _atan_inverse(5) - 4 * _atan_inverse(239)
+
+
+def decimal_cos_sin(x: Decimal) -> tuple[Decimal, Decimal]:
+    """(cos x, sin x) by their Taylor series, for |x| <= 2 pi, at the current precision."""
+    cos = sin = Decimal(0)
+    term, k = Decimal(1), 0
+    while k < 2 or abs(term) > Decimal(10) ** -(getcontext().prec + 5):
+        if k % 2 == 0:
+            cos += term if k % 4 == 0 else -term
+        else:
+            sin += term if k % 4 == 1 else -term
+        k += 1
+        term = term * x / k
+    return cos, sin
+
+
+def oracle_power_spectrum(a, grid, digits: int = 50) -> list[Decimal]:
+    """|F_k|^2 of integer array ``a`` zero-padded to ``grid``, by the defining DFT sum.
+
+    Every bin is sum_r a(r) exp(-2 pi i k.r / m) in ``digits``-digit decimals,
+    with cos and sin from their Taylor series: no FFT and no correlation.
+    """
+    a = np.asarray(a, dtype=object)
+    size = int(np.prod(grid))
+    with localcontext() as ctx:
+        ctx.prec = digits + 10
+        pi = decimal_pi(digits + 10)
+        table = [decimal_cos_sin(2 * pi * j / size) for j in range(size)]
+        out = []
+        for k in itertools.product(*(range(m) for m in grid)):
+            re = im = Decimal(0)
+            for r in itertools.product(*(range(n) for n in a.shape)):
+                if a[r]:
+                    cos, sin = table[sum(ki * ri * (size // m) for ki, ri, m in zip(k, r, grid)) % size]
+                    re += int(a[r]) * cos
+                    im -= int(a[r]) * sin
+            out.append(re * re + im * im)
+        return out

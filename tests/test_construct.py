@@ -26,7 +26,7 @@ from huffkit.construct import (
     tensor_huffman,
 )
 from huffkit.lattice import correlate
-from huffkit.metrics import classify
+from huffkit.metrics import classify, span_bits
 
 from conftest import DATA, oracle_autocorrelate, oracle_edge_sets
 
@@ -143,11 +143,12 @@ def test_diamond7_e1_unique():
 
 
 def test_diamond7_e3_matches_table_triples():
+    """The printed rows' (f, g, h) and their OP and span-convention bits columns."""
     sols = diamond7_solve(3)
-    got = sorted((s.values[5], s.values[6], s.values[7]) for s in sols
+    got = sorted((*s.values[5:8], span_bits(diamond_array(7, s.values)), s.report.OP) for s in sols
                  if 3 <= s.values[5] <= 20)
     with open(DATA / "table_7x7_e3.csv") as fh:
-        want = sorted((int(r["f"]), int(r["g"]), int(r["h"])) for r in csv.DictReader(fh))
+        want = sorted(tuple(int(r[k]) for k in ("f", "g", "h", "bits", "OP")) for r in csv.DictReader(fh))
     assert got == want
 
 

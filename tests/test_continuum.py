@@ -166,6 +166,13 @@ def test_synthesized_probes_are_spectrally_flat():
         assert rep.aperiodic_rel > 0.0
 
 
+def test_delta_verification_folds_an_integer_correlation_exactly(h15):
+    # a canonical array's periodic off-peak is its two end products, folded onto shifts +/-1
+    rep = verify_delta_correlation(h15)
+    assert rep.peak == 843
+    assert rep.periodic_rel == abs(int(h15.data[0]) * int(h15.data[-1])) / 843
+
+
 def test_random_tensor_fails_delta_verification():
     rng = np.random.default_rng(3)
     rep = verify_delta_correlation(Tensor(rng.normal(size=64), "real"))

@@ -7,10 +7,10 @@ from hypothesis import given, strategies as st
 from huffkit.lattice import (
     LatticeError,
     Tensor,
+    _periodic,
     as_tensor,
     convolve,
     correlate,
-    dft_magnitudes,
     flip,
     outer_product,
     read_pgm,
@@ -145,14 +145,23 @@ def test_correlate_flip_symmetry(xs, ys):
     assert np.array_equal(ab, ba[::-1])
 
 
-def test_dft_magnitudes_oversample_shape(h9):
-    assert dft_magnitudes(h9).data.shape == (9,)
-    assert dft_magnitudes(h9, oversample=4).data.shape == (36,)
-
-
-def test_parseval_on_dft_magnitudes(h9):
-    mags = dft_magnitudes(h9).data
-    assert np.isclose((mags**2).sum() / 9, 64.0)
+@given(
+    st.lists(st.tuples(st.integers(1, 4), st.integers(0, 5)), min_size=1, max_size=2),
+    st.randoms(use_true_random=False),
+    st.sampled_from([1, 2**70]),  # int64 and object-dtype correlations
+)
+def test_periodic_fold_is_the_periodic_autocorrelation(axes, rnd, scale):
+    """The fold onto m = n + pad per axis equals sum_r a(r) a((r + s) mod m) of the zero-padded array."""
+    shape, grid = tuple(n for n, _ in axes), tuple(n + pad for n, pad in axes)
+    padded = np.zeros(grid, dtype=object)
+    padded[tuple(slice(0, n) for n in shape)] = np.array(
+        [rnd.randint(-9, 9) * scale for _ in range(int(np.prod(shape)))], dtype=object
+    ).reshape(shape)
+    a = Tensor.from_values(padded[tuple(slice(0, n) for n in shape)])
+    got = _periodic(correlate(a, a).values.data, grid)
+    for s in np.ndindex(*grid):
+        want = sum(padded[r] * padded[tuple((ri + si) % m for ri, si, m in zip(r, s, grid))] for r in np.ndindex(*grid))
+        assert got[s] == want
 
 
 # -- file I/O ---------------------------------------------------------------

@@ -1,14 +1,16 @@
 """Quality metrics: frozen ground truths, invariances, and the classifier."""
 
 import json
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from huffkit.construct import build_diamond, catalog
+from huffkit.construct import build_diamond, catalog, fibonacci_huffman
 from huffkit.imaging import ghost_image, valid_region
-from huffkit.lattice import Tensor, convolve, correlate, flip
+from huffkit.lattice import LatticeError, Tensor, convolve, correlate, flip, outer_product
 from huffkit.metrics import (
     bits,
     classify,
@@ -21,7 +23,7 @@ from huffkit.metrics import (
     spectral_flatness,
 )
 
-from conftest import oracle_edge_values, oracle_ring
+from conftest import decimal_cos_sin, decimal_pi, oracle_edge_values, oracle_power_spectrum, oracle_ring
 
 # Two published 7x7 example alphabets, used all over this suite.
 ALPHA_A = (0, 0, 1, 2, 6, 7, 17, 20)
@@ -86,6 +88,88 @@ def test_flatness_oversampling_h8():
     assert spectral_flatness(h8, oversample=16) == pytest.approx(0.167, abs=0.005)
 
 
+def _fibonacci_magnitudes(n: int) -> list[Decimal]:
+    """|F_k| of the canonical Fibonacci array of length n, to 60 digits.
+
+    Its periodic auto-correlation is C0 delta + c (delta_1 + delta_-1), checked
+    here in Python ints, so |F_k|^2 = C0 + 2c cos(2 pi k / n).
+    """
+    v = [int(x) for x in fibonacci_huffman(n, 2).data]
+    periodic = [sum(v[r] * v[(r + s) % n] for r in range(n)) for s in range(n)]
+    c0, c = periodic[0], periodic[1]
+    assert periodic == [c0, c] + [0] * (n - 3) + [c]
+    pi = decimal_pi(70)
+    return [(c0 + 2 * c * decimal_cos_sin(2 * pi * min(k, n - k) / n)[0]).sqrt() for k in range(n)]
+
+
+@pytest.mark.parametrize(
+    "n, ndim, printed",
+    [(63, 1, 2.2055976233205125e-13), (127, 1, 9.300812396574174e-27),
+     (63, 2, 4.4111952466410244e-13), (127, 2, 1.860162479314835e-26)],
+)
+def test_fibonacci_flatness_matches_decimal_oracle(n, ndim, printed):
+    """S of the flattest arrays, far below float64's resolution of |F| itself.
+
+    The |F| of a product is the outer product of its factors' |F|, so the
+    product's S takes max, min and mean from the factor's.
+    """
+    f = fibonacci_huffman(n, 2)
+    a = f if ndim == 1 else outer_product([f, f])
+    with localcontext() as ctx:
+        ctx.prec = 60
+        mags = _fibonacci_magnitudes(n)
+        top, low, mean = max(mags) ** ndim, min(mags) ** ndim, (sum(mags) / n) ** ndim
+        want = (top - low) / mean
+    assert float(want) == pytest.approx(printed, rel=1e-15)
+    for got in (classify(a).S, spectral_flatness(a)):
+        assert abs(Decimal(got) - want) <= Decimal("1e-12") * want
+
+
+def _small_int_arrays():
+    one = st.lists(st.integers(-6, 6), min_size=1, max_size=8).map(np.array)
+    two = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+        lambda shape: st.lists(st.integers(-6, 6), min_size=shape[0] * shape[1], max_size=shape[0] * shape[1])
+        .map(lambda v: np.array(v).reshape(shape))
+    )
+    return st.one_of(one, two)
+
+
+@given(_small_int_arrays(), st.booleans(), st.sampled_from([1, 2, 3]))
+@example(np.array([-6, -4, 2, 1, 4, 3]), False, 1)  # nulls off the zero frequency
+@example(np.array([1, 2, 2, -2, -3]), False, 2)  # a null whose C0 + m_k rounds below 0
+@example(np.array([[1, -1, 0], [2, 0, -2]]), False, 2)  # every row sums to zero
+def test_flatness_matches_a_decimal_dft(values, zero_sum, oversample):
+    """S against a 50-digit DFT of the zero-padded array, spectral nulls included.
+
+    Each computed |F_k|^2 = C0 + m_k is within delta = C0 / 2^40 of the exact
+    one at these sizes (a few hundred units of roundoff times C0), so each
+    |F_k| is within its share of sqrt(x + delta) - sqrt(x - delta).  That is
+    about delta / (2|F_k|) on a flat spectrum, but sqrt(delta) at a null,
+    where S may be off by about 1e-8 relative.
+    """
+    values = values.copy()
+    if zero_sum:
+        values.flat[0] -= values.sum()
+    assume(values.any())
+    got = spectral_flatness(Tensor.from_values(values), oversample=oversample)
+    power = oracle_power_spectrum(values, tuple(n * oversample for n in values.shape))
+    delta = Decimal(int((values.astype(object) ** 2).sum())) / 2**40
+    with localcontext() as ctx:
+        ctx.prec = 50
+        mags = [x.sqrt() for x in power]
+        mean = sum(mags) / len(mags)
+        want = (max(mags) - min(mags)) / mean
+        spread = max((x + delta).sqrt() - max(x - delta, Decimal(0)).sqrt() for x in power)
+        bound = (2 + want) * spread / (mean - spread) + want * Decimal("1e-12")
+    assert abs(Decimal(got) - want) <= bound
+
+
+@pytest.mark.parametrize("oversample", [0, 0.5])
+def test_spectral_flatness_refuses_a_grid_smaller_than_the_array(h9, oversample):
+    with pytest.raises(LatticeError, match="smaller than the array"):
+        spectral_flatness(h9, oversample=oversample)
+
+
 def test_bits_conventions(h9, h15):
     assert bits(h9) == 3       # max |value| = 4
     assert bits(h15) == 5      # max |value| = 16
@@ -134,6 +218,18 @@ def test_cross_metrics_frozen_pair(h9):
     r, m = cross_metrics(correlate(h9, twin(h9)))
     assert r == pytest.approx(28 / 24)
     assert m == pytest.approx(784 / 3316)
+
+
+def test_cross_metrics_are_correctly_rounded_int_ratios():
+    """Past 2^53 the float64 squares and sums would round; the exact ints do not."""
+    from huffkit.project import twin
+
+    f = fibonacci_huffman(127, 2)
+    c = correlate(f, twin(f))
+    mags = sorted({abs(int(v)) for v in c.values.data})
+    peak, below = mags[-1], mags[-2]
+    energy = sum(int(v) ** 2 for v in c.values.data)
+    assert cross_metrics(c) == (float(Fraction(peak, below)), float(Fraction(peak**2, energy - peak**2)))
 
 
 def test_delta_function_classifies_canonical():
