@@ -180,6 +180,15 @@ def _parse_finite(text: str, rule: str) -> float:
     return value
 
 
+def _refuse_given(rule: str, *names: str) -> None:
+    """Usage error ``<flag> <rule>`` if the command line gave the option of any parameter in ``names``
+    (its parameter source says so, whatever the value, so a default given explicitly is refused too)."""
+    ctx = click.get_current_context()
+    for param in ctx.command.params:
+        if param.name in names and ctx.get_parameter_source(param.name) is click.core.ParameterSource.COMMANDLINE:
+            raise click.UsageError(f"{param.opts[0]} {rule}")
+
+
 def _parse_kappa(text: str, mask: Tensor, scheme: str) -> float:
     """'auto' resolves to the least admissible pedestal of ``scheme`` for the mask."""
     from .imaging import _least_kappa
@@ -206,9 +215,9 @@ _FAMILY_ALIASES = {
 @main.command()
 @click.option("--family", required=True, type=click.Choice(sorted(_FAMILY_ALIASES)))
 @click.option("--length", "-N", "--N", "length", type=int, help="Sequence length (4n+3 family).")
-@click.option("--b", type=int, default=2, show_default=True, help="Even base of the recurrence family.")
+@click.option("--b", type=int, help="Even base of the recurrence family.  [default: 2]")
 @click.option("--n", type=int, help="Index within the length-5 family.")
-@click.option("--variant", type=click.Choice(["even", "odd"]), default="even", show_default=True)
+@click.option("--variant", type=click.Choice(["even", "odd"]), help="Length-5 family variant.  [default: even]")
 @click.option("--key", help="Catalog entry name (see `generate --family catalog --key help`).")
 @click.option("--alphabet", help="Comma-separated template letters (6 for 5x5, 8 for 7x7).")
 @click.option("--e", type=int, help="7x7 inner-diamond letter.")
@@ -218,41 +227,29 @@ _FAMILY_ALIASES = {
 @click.option("--factor", "factors", multiple=True, help="Outer-product factor, e.g. catalog:H9 or fibonacci_binet:15:2.")
 @_artefact_options
 def generate(family, length, b, n, variant, key, alphabet, e, f, g, h_letter, factors, name, out):
-    """Construct an array from a named family and score it."""
+    """Construct an array from a named family and score it; an option the family does not read is refused."""
     from .construct import HuffmanSpec, build, diamond7_closed_form
     family = _FAMILY_ALIASES[family]
-    if family == "fibonacci_binet":
-        if length is None:
-            raise click.UsageError("--length is required for the fibonacci family")
-        spec = HuffmanSpec(family, length=length, b=b)
-    elif family == "h5_family":
-        if n is None:
-            raise click.UsageError("--n is required for the h5 family")
-        spec = HuffmanSpec(family, n=n, variant=variant)
-    elif family == "catalog":
-        if key is None:
-            raise click.UsageError("--key is required for catalog entries")
-        spec = HuffmanSpec(family, key=key)
-    elif family in ("diamond5", "diamond7"):
-        if alphabet is not None:
-            letters = _parse_ints(alphabet, "--alphabet")
-        elif family == "diamond7" and e is not None and f is not None:
-            if g is None or h_letter is None:
-                if e != 3:
-                    raise click.UsageError("--g/--h can only be omitted for --e 3 (closed form)")
-                g, h_letter = diamond7_closed_form(f)
-            letters = (0, 0, 0, 1, e, f, g, h_letter)
-        else:
-            raise click.UsageError(f"--alphabet (or --e/--f for diamond7) is required for {family}")
-        spec = HuffmanSpec(family, alphabet=letters)
-    else:  # outer_product; a comma inside one --factor also separates factors
-        if not factors:
-            raise click.UsageError("at least one --factor is required for outer products")
-        try:
-            fields = [HuffmanSpec._compact_fields(token) for factor in factors for token in factor.split(",")]
-        except ValueError as exc:
-            raise click.UsageError(f"--factor: {exc}") from None
-        spec = HuffmanSpec(family, factors=tuple(HuffmanSpec(**kw) for kw in fields))
+    if family != "diamond7" or alphabet is not None:
+        _refuse_given("is read by --family diamond7 without --alphabet only", "e", "f", "g", "h_letter")
+    if alphabet is not None:
+        alphabet = _parse_ints(alphabet, "--alphabet")
+    elif e is not None and f is not None:
+        if g is None and h_letter is None and e == 3:
+            g, h_letter = diamond7_closed_form(f)
+        elif g is None or h_letter is None:
+            raise click.UsageError("give both --g and --h, or neither with --e 3 (closed form)")
+        alphabet = (0, 0, 0, 1, e, f, g, h_letter)
+    try:  # a comma inside one --factor also separates factors
+        fields = [HuffmanSpec._compact_fields(token) for factor in factors for token in factor.split(",")]
+    except ValueError as exc:
+        raise click.UsageError(f"--factor: {exc}") from None
+    given = dict(length=length, b=b, n=n, variant=variant, key=key, alphabet=alphabet,
+                 factors=tuple(HuffmanSpec(**kw) for kw in fields) or None)
+    try:
+        spec = HuffmanSpec(family, **{attr: value for attr, value in given.items() if value is not None})
+    except TypeError as exc:  # a field the family reads is missing, or one it does not read is set
+        raise click.UsageError(str(exc)) from None
     tensor = build(spec)
     report = classify(tensor)
     stem = "generate_" + spec.to_text().replace("family=", "").replace(" ", "_").replace("=", "-").replace(",", "_").replace(":", "-")
@@ -344,15 +341,14 @@ def _parse_coeff(text: str) -> tuple[tuple[int, ...], float]:
 @click.option("--coeff", "coeffs", multiple=True,
               help="Phase monomial EXPONENTS=VALUE, e.g. 3=1/3 or 1,2=0.5; repeatable.")
 @click.option("--samples", help="Grid points per axis, e.g. 257 or 64,64.")
-@click.option("--step", type=float, default=1.0, show_default=True)
 @click.option("--bandwidth", type=float, default=1.0, show_default=True)
-@click.option("--kappa", type=float, default=0.0, show_default=True)
 @click.option("--plot", is_flag=True, help="Also render the probe as PGM.")
 @_artefact_options
-def probe(spec_path, coeffs, samples, step, bandwidth, kappa, plot, name, out):
-    """Synthesize a flat-spectrum probe from an odd polynomial phase."""
+def probe(spec_path, coeffs, samples, bandwidth, plot, name, out):
+    """Synthesize a flat-spectrum probe from an odd polynomial phase (--spec, or --coeff/--samples/--bandwidth)."""
     from .continuum import ProbeSpec, synthesize_probe, verify_delta_correlation
     if spec_path:
+        _refuse_given("cannot be given with --spec", "coeffs", "samples", "bandwidth")
         spec = ProbeSpec.from_json(Path(spec_path).read_text())
     else:
         if not coeffs or not samples:
@@ -360,9 +356,7 @@ def probe(spec_path, coeffs, samples, step, bandwidth, kappa, plot, name, out):
         spec = ProbeSpec(
             coefficients=dict(_parse_coeff(c) for c in coeffs),
             samples=_parse_ints(samples, "--samples"),
-            step=step,
             bandwidth=bandwidth,
-            kappa=kappa,
         )
     tensor = synthesize_probe(spec)
     delta = verify_delta_correlation(tensor)
@@ -659,6 +653,7 @@ def tables(table, e, f_min, f_max, name, out):
     """
     from .construct import diamond7_solve, diamond_array
     if table == "1":
+        _refuse_given("is read by --table 2 only", "e", "f_min", "f_max")
         # The 5x5 survey includes near-miss alphabets whose inner side lobes
         # exceed the edge value, so materialize without the quasi recheck.
         stem = "table1"

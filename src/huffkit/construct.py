@@ -15,8 +15,9 @@ Three families are covered:
 
 Outer products of 1D members (`tensor_huffman`) give the multi-dimensional
 arrays.  A `HuffmanSpec` names any of these arrays; one family table,
-`_FAMILIES`, holds each family's builder and its text fields, which `build`,
-the ``key=value`` text and the ``family:value`` factor tokens all read.
+`_FAMILIES`, holds each family's builder and its fields, which `build`, the
+spec's own field check, the ``key=value`` text and the ``family:value`` factor
+tokens all read.
 
 All constructions are deterministic and exact; solvers return results in
 lexicographic alphabet order.
@@ -25,7 +26,7 @@ lexicographic alphabet order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -465,7 +466,10 @@ class HuffmanSpec:
         family=outer_product factors=catalog:H9,fibonacci_binet:15:2
 
     which names the CLI's files and run records.  Rebuilding from a spec is
-    deterministic and bit-exact.
+    deterministic and bit-exact.  A spec holds each field `_FAMILIES` says its
+    family reads (``b`` and ``variant`` have defaults) and leaves every other
+    field at its default; otherwise it raises ``TypeError``, as a call with a
+    missing or unexpected argument does.
     """
 
     family: str
@@ -480,11 +484,15 @@ class HuffmanSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ConstructError(f"unknown family {self.family!r}")
-        if self.family == "fibonacci_binet":
-            if self.length is None or self.length % 4 != 3:
-                raise ConstructError("fibonacci_binet needs length N = 4n+3")
-            if self.b < 2 or self.b % 2:
-                raise ConstructError("fibonacci_binet needs even b >= 2")
+        reads = [attr for _, attr, _ in _FAMILIES[self.family][1]]
+        if foreign := [f.name for f in fields(self)[1:] if f.name not in reads and getattr(self, f.name) != f.default]:
+            raise TypeError(f"{self.family} does not read {', '.join(foreign)}")
+        if missing := [attr for attr in reads if getattr(self, attr) is None]:
+            raise TypeError(f"{self.family} needs {', '.join(missing)}")
+        if self.family == "fibonacci_binet" and self.length % 4 != 3:
+            raise ConstructError("fibonacci_binet needs length N = 4n+3")
+        if self.family == "fibonacci_binet" and (self.b < 2 or self.b % 2):
+            raise ConstructError("fibonacci_binet needs even b >= 2")
 
     def to_text(self) -> str:
         parts = [f"family={self.family}"]

@@ -154,15 +154,13 @@ class ProbeSpec:
     ``coefficients`` maps monomial exponent tuples to real coefficients; every
     monomial must have odd total degree, which is exactly the condition for
     phi(-k) = -phi(k) and hence a real probe.  Frequencies per axis are the
-    DFT bins scaled to bandwidth*[-pi, pi).  ``kappa`` is carried as metadata
-    for downstream non-negativity offsets; it is not added by synthesis.
+    DFT bins scaled to bandwidth*[-pi, pi).  These three fields are all that
+    ``synthesize_probe`` reads, and all that ``to_json`` records.
     """
 
     coefficients: tuple
     samples: tuple[int, ...]
-    step: float = 1.0
     bandwidth: float = 1.0
-    kappa: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "coefficients", _normalize_coefficients(self.coefficients))
@@ -170,19 +168,14 @@ class ProbeSpec:
         if not isinstance(samples, (tuple, list)) or not all(isinstance(n, numbers.Integral) for n in samples):
             raise ContinuumError(f"samples must be an integer or a list of integers, got {self.samples!r}")
         object.__setattr__(self, "samples", tuple(int(n) for n in samples))
-        for name in ("step", "bandwidth", "kappa"):
-            if not isinstance(getattr(self, name), numbers.Real):
-                raise ContinuumError(f"{name} must be a number, got {getattr(self, name)!r}")
+        if not isinstance(self.bandwidth, numbers.Real):
+            raise ContinuumError(f"bandwidth must be a number, got {self.bandwidth!r}")
         if len(self.samples) not in (1, 2):
             raise ContinuumError("probes are 1D or 2D")
         if any(n < 3 for n in self.samples):
             raise ContinuumError("need at least 3 samples per axis")
         if not (self.bandwidth > 0 and math.isfinite(self.bandwidth)):
             raise ContinuumError("bandwidth must be positive")
-        if not (self.step > 0 and math.isfinite(self.step)):
-            raise ContinuumError("step must be positive")
-        if not (self.kappa >= 0 and math.isfinite(self.kappa)):
-            raise ContinuumError("pedestal kappa must be finite and >= 0")
         dim = len(self.samples)
         for exps, value in self.coefficients:
             if len(exps) != dim:
@@ -207,9 +200,7 @@ class ProbeSpec:
                     for exps, value in self.coefficients
                 },
                 "samples": list(self.samples),
-                "step": self.step,
                 "bandwidth": self.bandwidth,
-                "kappa": self.kappa,
             },
             sort_keys=True,
         )
@@ -229,22 +220,21 @@ def synthesize_probe(spec: ProbeSpec) -> Tensor:
 
     |DFT| of the result is identically 1, so its spectral flatness is exactly
     0 and its periodic auto-correlation is a discrete delta.  Raises if the
-    imaginary residue exceeds 1e-9 (cannot happen for a valid odd phase; the
-    check guards the implementation, not the caller).
+    phase overflows float64, or if the imaginary residue exceeds 1e-9 (cannot
+    happen for a valid odd phase; that check guards the implementation).
     """
     if not isinstance(spec, ProbeSpec):
         raise ContinuumError("synthesize_probe expects a ProbeSpec")
-    axes = [
-        spec.bandwidth * 2.0 * np.pi * np.fft.fftfreq(n) for n in spec.samples
-    ]
-    grids = np.meshgrid(*axes, indexing="ij")
-    phi = np.zeros(spec.samples, dtype=np.float64)
-    for exps, value in spec.coefficients:
-        term = np.full(spec.samples, value)
-        for g, e in zip(grids, exps):
-            if e:
-                term = term * g**e
-        phi += term
+    with np.errstate(over="ignore", invalid="ignore"):  # a phase past float64 is refused below
+        axes = [spec.bandwidth * 2.0 * np.pi * np.fft.fftfreq(n) for n in spec.samples]
+        grids = np.meshgrid(*axes, indexing="ij")
+        phi = np.zeros(spec.samples, dtype=np.float64)
+        for exps, value in spec.coefficients:
+            term = np.full(spec.samples, value)
+            for g, e in zip(grids, exps):
+                if e:
+                    term = term * g**e
+            phi += term
     # Even axes have a self-paired Nyquist bin; its phase must vanish for the
     # spectrum to stay conjugate-symmetric.
     for axis, n in enumerate(spec.samples):
@@ -252,6 +242,8 @@ def synthesize_probe(spec: ProbeSpec) -> Tensor:
             sel = [slice(None)] * len(spec.samples)
             sel[axis] = n // 2
             phi[tuple(sel)] = 0.0
+    if not np.isfinite(phi).all():
+        raise ContinuumError("the phase overflows float64 on this grid; lower the coefficients or the bandwidth")
     probe = np.fft.ifftn(np.exp(1j * phi))
     residue = float(np.abs(probe.imag).max())
     scale = max(1.0, float(np.abs(probe.real).max()))

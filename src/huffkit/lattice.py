@@ -77,6 +77,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import re
 from dataclasses import dataclass
 from itertools import islice
 from itertools import product as _iproduct
@@ -162,8 +163,8 @@ class Tensor:
             raise LatticeError("empty tensor")
         if any(n < 1 for n in self.data.shape):
             raise LatticeError("tensor extents must be >= 1")
-        if self.mode == "int" and self.data.dtype.kind not in "iuO":
-            raise LatticeError(f"int tensor stored as {self.data.dtype}")
+        if self.data.dtype.kind not in ("iuO" if self.mode == "int" else "biuf"):
+            raise LatticeError(f"{self.mode} tensor stored as {self.data.dtype}")
 
     # -- construction ------------------------------------------------------
 
@@ -853,6 +854,10 @@ def write_pgm(t: Tensor, path, maxval: int = 255) -> None:
             fh.write(scaled.tobytes())
 
 
+# magic, width, height, maxval, each after whitespace and # comments; re compiles it at the first read
+_PGM_HEADER = rb"P5" + rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]\S*)(?!\S)" * 3
+
+
 def read_pgm(path) -> Tensor:
     """Binary PGM; a header or payload cut short raises ``OSError``, an
     impossible one (size below 1, maxval outside 1..65535, a sample above it) ``LatticeError``."""
@@ -860,25 +865,10 @@ def read_pgm(path) -> Tensor:
         data = fh.read()
     if not data.startswith(b"P5"):
         raise LatticeError(f"{path}: not a binary PGM file")
-    # header = magic, width, height, maxval — comments allowed
-    fields: list[bytes] = []
-    pos = 2
-    while len(fields) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos >= len(data):
-            raise OSError(f"{path}: truncated PGM header")
-        if data[pos : pos + 1] == b"#":
-            pos = data.find(b"\n", pos) + 1
-            if pos == 0:
-                raise OSError(f"{path}: truncated PGM header")
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(data[start:pos])
-    pos += 1  # single whitespace after maxval
-    width, height, maxval = (int(f) for f in fields)
+    if (header := re.match(_PGM_HEADER, data)) is None:
+        raise OSError(f"{path}: truncated PGM header")
+    width, height, maxval = (int(f) for f in header.groups())
+    pos = header.end() + 1  # single whitespace after maxval
     if width < 1 or height < 1 or not 1 <= maxval <= 65535:
         raise LatticeError(f"{path}: impossible PGM header: {width} x {height}, maxval {maxval}")
     dtype = ">u2" if maxval > 255 else np.uint8

@@ -309,6 +309,53 @@ def test_inadmissible_factor_token_is_a_domain_error(tmp_path):
     assert "4n+3" in result.output
 
 
+def _invoke_beside_a_spec(tmp_path, monkeypatch, argv):
+    """Run ``argv`` in ``tmp_path``, whose ``in/spec.json`` is a valid probe spec, writing into ``out``."""
+    (tmp_path / "in").mkdir()
+    (tmp_path / "in" / "spec.json").write_text('{"coefficients": {"3": 0.5}, "samples": 9}')
+    monkeypatch.chdir(tmp_path)
+    return CliRunner().invoke(main, [*argv, "--out", "out"])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "--family", "fibonacci", "-N", "15", "--key", "H9"], "fibonacci_binet does not read key"),
+    (["generate", "--family", "h5", "--n", "1", "--b", "4"], "h5_family does not read b"),
+    (["generate", "--family", "catalog", "--key", "H9", "--factor", "catalog:H4"], "catalog does not read factors"),
+    (["generate", "--family", "fibonacci"], "fibonacci_binet needs length"),
+    (["generate", "--family", "diamond5"], "diamond5 needs alphabet"),
+    (["generate", "--family", "fibonacci", "-N", "15", "--e", "3"], "--e is read by --family diamond7"),
+    (["generate", "--family", "diamond5", "--alphabet", "0,1,3,6,16,44", "--f", "6"], "--f is read by --family diamond7"),
+    (["generate", "--family", "diamond7", "--alphabet", "0,0,0,1,3,6,19,33", "--g", "19"],
+     "--g is read by --family diamond7 without --alphabet"),
+    (["generate", "--family", "h5", "--n", "1", "--h", "2"], "--h is read by --family diamond7"),
+    (["generate", "--family", "diamond7", "--e", "3", "--f", "6", "--g", "19"], "give both --g and --h"),
+    (["probe", "--spec", "in/spec.json", "--coeff", "3=1/3"], "--coeff cannot be given with --spec"),
+    (["probe", "--spec", "in/spec.json", "--samples", "5"], "--samples cannot be given with --spec"),
+    (["probe", "--spec", "in/spec.json", "--bandwidth", "1.0"], "--bandwidth cannot be given with --spec"),
+    (["probe", "--coeff", "3=1/3", "--samples", "9", "--step", "0.5"], "No such option '--step'"),
+    (["probe", "--coeff", "3=1/3", "--samples", "9", "--kappa", "0"], "No such option '--kappa'"),
+    (["tables", "--table", "1", "--e", "5"], "--e is read by --table 2 only"),
+    (["tables", "--table", "1", "--f-min", "3"], "--f-min is read by --table 2 only"),
+    (["tables", "--table", "1", "--f-max", "20"], "--f-max is read by --table 2 only"),
+])
+def test_an_option_the_run_does_not_read_is_a_usage_error(tmp_path, monkeypatch, argv, message):
+    """Given at any value, its default included, such an option is refused by its own flag and nothing is written."""
+    result = _invoke_beside_a_spec(tmp_path, monkeypatch, argv)
+    assert result.exit_code == 1, result.output
+    assert message in result.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["generate", "--family", "fibonacci", "-N", "9"], 3),
+    (["generate", "--family", "fibonacci", "-N", "15", "--b", "3"], 3),
+    (["generate", "--family", "fibonacci", "-N", "15", "--b", "4"], 0),
+    (["probe", "--spec", "in/spec.json", "--plot", "--name", "s"], 0),
+])
+def test_options_the_run_reads_keep_their_exit_codes(tmp_path, monkeypatch, argv, code):
+    assert _invoke_beside_a_spec(tmp_path, monkeypatch, argv).exit_code == code
+
+
 @pytest.mark.parametrize("direction, code", [("1:x", 1), ("1", 1), ("1:2:3:4", 1), ("2:2", 3), ("0:0", 3)])
 def test_project_direction_text_exits_by_whether_it_parses(tmp_path, direction, code):
     (tmp_path / "a.txt").write_text("2 2\n1 2\n3 4\n")
@@ -332,9 +379,9 @@ def test_probe_spec_without_samples_names_the_key(tmp_path):
     [
         ('{"coefficients": {"3": 0.5}, "samples": 9}', 0, None),
         ('{"coefficients": [1], "samples": 9}', 3, "coefficients must map exponents to numbers"),
-        ('{"coefficients": {"3": 0.5}, "samples": 9, "step": "x"}', 3, "step must be a number"),
+        ('{"coefficients": {"3": 0.5}, "samples": 9, "bandwidth": "x"}', 3, "bandwidth must be a number"),
     ],
-    ids=["int-samples", "list-coefficients", "text-step"],
+    ids=["int-samples", "list-coefficients", "text-bandwidth"],
 )
 def test_probe_spec_field_types_never_reach_a_traceback(tmp_path, spec, code, message):
     (tmp_path / "spec.json").write_text(spec)
@@ -348,16 +395,6 @@ def test_probe_spec_field_types_never_reach_a_traceback(tmp_path, spec, code, me
     else:
         assert message in result.output
         assert not out.exists()
-
-
-@pytest.mark.parametrize("kappa", ["nan", "inf", "-inf"])
-def test_probe_refuses_a_non_finite_kappa(tmp_path, kappa):
-    out = tmp_path / "out"
-    argv = ["probe", "--coeff", "3=1/3", "--samples", "9", "--kappa", kappa, "--out", str(out)]
-    result = CliRunner().invoke(main, argv)
-    assert result.exit_code == 3, result.output
-    assert "pedestal kappa must be finite and >= 0" in result.output
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("window", ["nan:8:0.5", "-inf:8:0.5", "0:inf:1", "0:8:nan"])

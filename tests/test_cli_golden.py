@@ -45,7 +45,7 @@ INPUTS = {
     "nan.txt": "2 2\n1.0 nan\n2.0 3.0\n",
     "cube.txt": _text(np.arange(60).reshape(3, 4, 5) ** 2 % 13 - 6),
     "pair.txt": "2 1\n1\n-1\n",  # nonzero, but every projection along 0:1 sums to 0
-    "spec.json": '{"coefficients": {"3": 0.333}, "samples": [9], "step": 0.5}\n',
+    "spec.json": '{"coefficients": {"3": 0.333}, "samples": [9]}\n',
     "typo.json": '{"coefficients": {"3": 0.333}, "samples": [9], "stpe": 0.5}\n',
 }
 
@@ -68,7 +68,7 @@ CASES = {
     "project-zero": (3, ["project", "in/pair.txt", "--dir", "0:1"]),
     "project-3d": (0, ["project", "in/cube.txt", "--dir", "1:0:-2"]),
     "twin": (0, ["twin", "in/mask.txt"]),
-    "probe": (0, ["probe", "--coeff", "3=1/3", "--samples", "33", "--step", "0.5", "--plot"]),
+    "probe": (0, ["probe", "--coeff", "3=1/3", "--samples", "33", "--plot"]),
     "probe-spec": (0, ["probe", "--spec", "in/spec.json"]),
     "probe-spec-typo": (3, ["probe", "--spec", "in/typo.json"]),
     "discretize-airy": (0, ["discretize", "--airy", "-10:4:0.5", "--max-iters", "20"]),

@@ -445,6 +445,22 @@ def test_spec_build_dispatch_matches_direct(h15):
     assert np.array_equal(t.data, h15.data)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(family="fibonacci_binet", length=15, key="H9"), "fibonacci_binet does not read key"),
+    (dict(family="h5_family", n=1, b=4), "h5_family does not read b"),
+    (dict(family="catalog", key="H9", variant="odd"), "catalog does not read variant"),
+    (dict(family="diamond5", alphabet=(0, 1, 3, 6, 16, 44), factors=(_H9,)), "diamond5 does not read factors"),
+    (dict(family="fibonacci_binet", b=2), "fibonacci_binet needs length"),
+    (dict(family="catalog"), "catalog needs key"),
+    (dict(family="outer_product"), "outer_product needs factors"),
+])
+def test_spec_refuses_a_missing_or_foreign_field(kwargs, message):
+    """_FAMILIES alone says which fields a family reads; b and variant may stay at their defaults."""
+    with pytest.raises(TypeError, match=message):
+        HuffmanSpec(**kwargs)
+    assert HuffmanSpec("h5_family", n=1, b=2, variant="odd") == HuffmanSpec("h5_family", n=1, variant="odd")
+
+
 def test_spec_rejects_garbage():
     with pytest.raises(ConstructError):
         HuffmanSpec("unobtainium")

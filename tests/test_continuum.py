@@ -61,13 +61,12 @@ def test_airy_truncated_autocorrelation_is_nearly_delta():
 
 
 def test_probe_spec_json_roundtrip():
-    spec = ProbeSpec(coefficients={3: 1 / 3}, samples=257, step=0.35)
+    spec = ProbeSpec(coefficients={3: 1 / 3}, samples=257)
     assert ProbeSpec.from_json(spec.to_json()) == spec
     spec2 = ProbeSpec(
         coefficients={(3, 0): 0.4, (2, 1): -0.2, (0, 3): 0.7},
         samples=(17, 33),
         bandwidth=2.0,
-        kappa=0.5,
     )
     assert ProbeSpec.from_json(spec2.to_json()) == spec2
     assert '"2,1"' in spec2.to_json()
@@ -89,12 +88,6 @@ def test_probe_spec_json_names_unknown_keys():
         ProbeSpec.from_json(json.dumps(raw))
 
 
-@pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
-def test_probe_spec_refuses_a_non_finite_kappa(kappa):
-    with pytest.raises(ContinuumError, match="kappa must be finite"):
-        ProbeSpec(coefficients={3: 1.0}, samples=9, kappa=kappa)
-
-
 def test_probe_spec_rejects_even_parity():
     # Realness needs phi(-k) = -phi(k), i.e. odd *total* degree: (1,1) and
     # (3,1) are symmetric under joint negation and must be refused, while a
@@ -107,15 +100,21 @@ def test_probe_spec_rejects_even_parity():
     ProbeSpec(coefficients={(2, 1): 1.0}, samples=(9, 9))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("coefficients, bandwidth", [({3: 1 / 3}, 1e300), ({3: 1e308}, 1.0), ({(1, 2): 1.0}, 1e200)])
+def test_a_phase_past_float64_is_refused_without_a_warning(coefficients, bandwidth):
+    samples = 9 if isinstance(next(iter(coefficients)), int) else (9, 9)
+    with pytest.raises(ContinuumError, match="phase overflows float64"):
+        synthesize_probe(ProbeSpec(coefficients=coefficients, samples=samples, bandwidth=bandwidth))
+
+
 def test_probe_spec_validates_grid():
     with pytest.raises(ContinuumError):
         ProbeSpec(coefficients={3: 1.0}, samples=(9, 9, 9))
     with pytest.raises(ContinuumError):
         ProbeSpec(coefficients={3: 1.0}, samples=2)
-    with pytest.raises(ContinuumError):
-        ProbeSpec(coefficients={3: 1.0}, samples=9, step=0.0)
-    with pytest.raises(ContinuumError):
-        ProbeSpec(coefficients={3: 1.0}, samples=9, kappa=-0.1)
+    with pytest.raises(ContinuumError, match="bandwidth must be positive"):
+        ProbeSpec(coefficients={3: 1.0}, samples=9, bandwidth=0.0)
     with pytest.raises(ContinuumError):
         ProbeSpec(coefficients={(3,): 1.0}, samples=(9, 9))
 

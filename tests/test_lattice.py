@@ -279,6 +279,13 @@ def test_int_tensor_refuses_non_integer_storage(data):
         Tensor(data, "int")
 
 
+@pytest.mark.parametrize("data", [np.array([1 + 2j]), np.array(["1.5"]), np.array([1.5], dtype=object)],
+                         ids=["complex", "str", "object"])
+def test_real_tensor_refuses_storage_that_cannot_hold_a_real(data):
+    with pytest.raises(LatticeError, match="real tensor stored as"):
+        Tensor(data, "real")
+
+
 def test_tensors_compare_by_value_and_are_unhashable():
     a = Tensor.from_values([[1, -2], [3, 4]])
     b = Tensor(np.array([[1, -2], [3, 4]], dtype=object), "int")
