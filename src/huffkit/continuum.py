@@ -26,7 +26,7 @@ import math
 import numbers
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -253,8 +253,7 @@ def synthesize_probe(spec: ProbeSpec) -> Tensor:
     return Tensor(out if out.ndim else out.reshape(1), "real")
 
 
-@dataclass(frozen=True)
-class DeltaReport:
+class DeltaReport(NamedTuple):
     """Relative off-peak levels of a probe's auto-correlations."""
 
     peak: float
@@ -283,8 +282,7 @@ def verify_delta_correlation(h) -> DeltaReport:
 # discretize and tweak
 
 
-@dataclass(frozen=True)
-class TweakResult:
+class TweakResult(NamedTuple):
     tensor: Tensor
     report: QualityReport
     iterations: int

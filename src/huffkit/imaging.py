@@ -29,7 +29,6 @@ Conventions shared by every operation here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -141,8 +140,7 @@ def decode(blurred, mask) -> Tensor:
 # iterative deblurring
 
 
-@dataclass(frozen=True)
-class DeblurResult:
+class DeblurResult(NamedTuple):
     estimate: Tensor  # cropped to the object extent, normalized by C0
     iterations: int  # estimates computed (p); 1 means plain decode
     diverged: bool
@@ -216,8 +214,7 @@ def pedestal_pair(obj, mask, kappa) -> Tensor:
 # computational ghost imaging
 
 
-@dataclass(frozen=True)
-class GhostResult:
+class GhostResult(NamedTuple):
     bucket: Tensor
     reconstruction: Tensor  # normalized by the mask's C0
     kappa_prime: float
@@ -338,15 +335,14 @@ def watermark_locate(marked, mark) -> WatermarkMatch:
 # random-array baseline
 
 
-@dataclass(frozen=True)
-class BaselineStats:
+class BaselineStats(NamedTuple):
     trials: int
     seed: int
     shape: tuple[int, ...]
     R: tuple[float, float, float]  # min, mean, max
     M: tuple[float, float, float]
-    R_values: tuple[float, ...] = field(repr=False)
-    M_values: tuple[float, ...] = field(repr=False)
+    R_values: tuple[float, ...]
+    M_values: tuple[float, ...]
 
 
 def random_baseline(
@@ -399,8 +395,7 @@ def random_baseline(
 # multiplex (Fellgett) noise study
 
 
-@dataclass(frozen=True)
-class NoiseStudy:
+class NoiseStudy(NamedTuple):
     trials: int
     seed: int
     sigma: float
@@ -408,7 +403,7 @@ class NoiseStudy:
     mse_raster: float
     mse_diffuse: float
     ratio_mean: float
-    ratios: tuple[float, ...] = field(repr=False)
+    ratios: tuple[float, ...]
 
 
 def multiplex_noise_study(obj, mask, sigma: float, trials: int = 500, seed: int = 0) -> NoiseStudy:

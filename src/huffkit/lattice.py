@@ -225,8 +225,7 @@ def as_tensor(x, mode: str | None = None) -> Tensor:
     return Tensor.from_values(x, mode)
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
+class CorrelationResult(NamedTuple):
     """Full aperiodic correlation plus the headline scalar views of it.
 
     ``peak`` is the zero-shift value C0; ``off_peak_max`` the largest

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,18 +30,8 @@ from .lattice import (
     correlate,
 )
 
-__all__ = [
-    "QualityReport",
-    "merit_factor",
-    "side_lobe_ratio",
-    "efficiency",
-    "power",
-    "spectral_flatness",
-    "bits",
-    "span_bits",
-    "classify",
-    "cross_metrics",
-]
+__all__ = ["QualityReport", "merit_factor", "side_lobe_ratio", "efficiency", "power", "spectral_flatness", "bits",
+           "span_bits", "classify", "cross_metrics"]
 
 
 def _as_auto(c) -> CorrelationResult:
@@ -145,8 +135,7 @@ def span_bits(a) -> int:
     return max(1, (span - 1).bit_length())
 
 
-@dataclass
-class QualityReport:
+class QualityReport(NamedTuple):
     """The five quality measures plus the auxiliary correlation scalars."""
 
     M: float
@@ -161,7 +150,7 @@ class QualityReport:
     classification: str
 
     def to_json(self) -> str:
-        d = asdict(self)
+        d = self._asdict()
         d["Cedge"] = d.pop("C_edge")
         d["class"] = d.pop("classification")
         return json.dumps(d, sort_keys=True)

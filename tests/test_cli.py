@@ -62,8 +62,7 @@ def test_failed_sum_check_exits_numerical(tmp_path, monkeypatch):
 
 
 def test_table2_classifies_each_solution_once(tmp_path, monkeypatch):
-    import huffkit.cli
-    from huffkit import construct, metrics
+    from huffkit import _cli_array, construct, metrics
 
     calls = []
 
@@ -71,7 +70,7 @@ def test_table2_classifies_each_solution_once(tmp_path, monkeypatch):
         calls.append(a)
         return metrics.classify(a)
 
-    for module in (construct, huffkit.cli):
+    for module in (construct, _cli_array):
         monkeypatch.setattr(module, "classify", counted)
     result = CliRunner().invoke(main, ["tables", "--table", "2", "--out", str(tmp_path)])
     assert result.exit_code == 0, result.output
@@ -104,21 +103,24 @@ def test_cli_import_does_not_load_scipy(module):
 @pytest.mark.parametrize(
     "argv, own",
     [
-        (["generate", "--family", "h5", "--n", "1"], ["huffkit.construct"]),
-        (["analyze", "{tmp}/h9.txt"], []),
-        (["discretize", "--airy", "-4:4:0.5", "--max-iters", "2"], ["huffkit.continuum"]),
-        (["baseline", "--trials", "5"], ["huffkit.imaging"]),
+        (["generate", "--family", "h5", "--n", "1"], ["huffkit.construct", "huffkit._cli_array"]),
+        (["analyze", "{tmp}/h9.txt"], ["huffkit._cli_array"]),
+        (["discretize", "--airy", "-4:4:0.5", "--max-iters", "2"], ["huffkit.continuum", "huffkit._cli_continuum"]),
+        (["baseline", "--trials", "5"], ["huffkit.imaging", "huffkit._cli_imaging"]),
+        (["encode", "{tmp}/h9.txt", "{tmp}/h9.txt"], ["huffkit.imaging", "huffkit._cli_imaging"]),
     ],
-    ids=["generate", "analyze", "discretize", "baseline"],
+    ids=["generate", "analyze", "discretize", "baseline", "encode"],
 )
 def test_command_loads_only_its_own_domain_module(tmp_path, argv, own):
+    """Of the lazily loaded modules, a command loads its domain module (if any) and its command module only."""
     (tmp_path / "h9.txt").write_text("9\n1 3 4 2 -2 -2 4 -3 1\n")
     argv = [a.format(tmp=tmp_path) for a in argv] + ["--out", str(tmp_path)]
     code = (
         "import sys\n"
         "from huffkit.cli import main\n"
         f"main({argv!r})\n"
-        "lazy = ('huffkit.construct', 'huffkit.continuum', 'huffkit.imaging')\n"
+        "lazy = ('huffkit.construct', 'huffkit.continuum', 'huffkit.imaging',\n"
+        "        'huffkit._cli_array', 'huffkit._cli_continuum', 'huffkit._cli_imaging')\n"
         "print([m for m in lazy if m in sys.modules])\n"
         "print([m for m in ('importlib.metadata', 'email') if m in sys.modules])\n"
     )
@@ -126,6 +128,18 @@ def test_command_loads_only_its_own_domain_module(tmp_path, argv, own):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-2:] == [repr(own), "[]"]
+
+
+def test_module_entry_imports_each_source_file_once(tmp_path):
+    """Under ``python -m huffkit.cli`` the file runs as __main__, so nothing may import it as huffkit.cli."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    argv = ["-X", "importtime", "-m", "huffkit.cli", "generate", "--family", "h5", "--n", "1", "--out", str(tmp_path)]
+    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    ours = [name for name in imported if name.split(".")[0] == "huffkit"]
+    assert sorted(ours) == ["huffkit", "huffkit._cli", "huffkit._cli_array", "huffkit.construct", "huffkit.lattice",
+                            "huffkit.metrics", "huffkit.project"]
 
 
 def test_non_finite_plot_is_a_domain_error(tmp_path):
@@ -337,6 +351,11 @@ def _invoke_beside_a_spec(tmp_path, monkeypatch, argv):
     (["tables", "--table", "1", "--e", "5"], "--e is read by --table 2 only"),
     (["tables", "--table", "1", "--f-min", "3"], "--f-min is read by --table 2 only"),
     (["tables", "--table", "1", "--f-max", "20"], "--f-max is read by --table 2 only"),
+    # a foreign option at the spec's default value, and one next to an inadmissible factor, are refused too
+    (["generate", "--family", "h5", "--n", "1", "--b", "2"], "h5_family does not read b"),
+    (["generate", "--family", "fibonacci", "-N", "15", "--variant", "even"], "fibonacci_binet does not read variant"),
+    (["generate", "--family", "fibonacci", "-N", "15", "--factor", "fibonacci_binet:9:2"],
+     "fibonacci_binet does not read factors"),
 ])
 def test_an_option_the_run_does_not_read_is_a_usage_error(tmp_path, monkeypatch, argv, message):
     """Given at any value, its default included, such an option is refused by its own flag and nothing is written."""
@@ -403,6 +422,15 @@ def test_non_finite_airy_window_is_a_usage_error(tmp_path, window):
     result = CliRunner().invoke(main, ["discretize", f"--airy={window}", "--out", str(out)])
     assert result.exit_code == 1, result.output
     assert f"--airy needs finite LO < HI and STEP > 0, got {window!r}" in result.output
+    assert not out.exists()
+
+
+def test_empty_airy_window_is_a_usage_error(tmp_path):
+    # an empty window is a malformed one, not a missing one
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["discretize", "--airy", "", "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert "--airy must be LO:HI:STEP, got ''" in result.output
     assert not out.exists()
 
 

@@ -1,12 +1,14 @@
-"""Near-miss fuzzing of ``generate`` and ``probe`` through click's CliRunner.
+"""Near-miss fuzzing of ``generate``, ``probe``, ``discretize`` and ``baseline``
+through click's CliRunner.
 
-Each example draws a family (or a probe recipe) and option text from near
-misses of valid input: 0, -1, lengths of the form 4n+1, odd bases, ``nan``,
-``inf``, ``1_0``, ``+7``, empty text, bad factor tokens and ``3=1/0``.  Every
-draw is cheap to build.  Every run must end with an exit code of the CLI's
-taxonomy, print no traceback and raise no ``RuntimeWarning``, and leave
-``--out`` empty unless it succeeded.  An option that the run does not read,
-per the tables below, must exit 1.
+Each example draws a family (or a probe recipe, an input) and option text
+from near misses of valid input: 0, -1, lengths of the form 4n+1, odd bases,
+``nan``, ``inf``, ``1_0``, ``+7``, empty text, bad factor tokens, ``3=1/0``,
+and input files that are empty, truncated or not finite.  Every draw is cheap
+to build.  Every run must end with an exit code of the CLI's taxonomy, print
+no traceback and raise no ``RuntimeWarning``, and leave ``--out`` empty
+unless it succeeded.  An option that the run does not read, per the tables
+below, must exit 1.
 """
 
 import warnings
@@ -18,8 +20,8 @@ from huffkit.cli import main
 
 INTS = ["0", "-1", "1_0", "+7", "nan", "inf", "", "x", "2.5"]
 
-# option -> (admissible values, near misses); the first admissible value is
-# the one a foreign option is given (never a HuffmanSpec default)
+# option -> (admissible values, near misses); a foreign option is given an
+# admissible value, a HuffmanSpec default (--b 2, --variant even) included
 GENERATE = {
     "-N": (["15", "7", "31"], ["5", "9", "13", "11", *INTS]),
     "--b": (["4", "2"], ["3", "1", *INTS]),
@@ -55,6 +57,8 @@ def _invoke(tmp_path_factory, argv):
     (root / "spec.json").write_text('{"coefficients": {"3": 0.25}, "samples": [9]}')
     (root / "step.json").write_text('{"coefficients": {"3": 0.25}, "samples": [9], "step": 0.5}')
     (root / "cut.json").write_text('{"coefficients": {"3": 0.2')
+    for fname, text in INPUTS.items():
+        (root / fname).write_text(text)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = CliRunner().invoke(main, [*argv, "--out", str(root / "out")], catch_exceptions=False)
@@ -79,12 +83,11 @@ def test_generate_near_misses_end_in_a_clean_exit(tmp_path_factory, data):
     foreign = data.draw(st.none() | st.sampled_from(sorted(set(GENERATE) - reads)), label="foreign")
     argv = ["generate", "--family", family, *(word for item in values.items() for word in item)]
     if foreign is not None:
-        argv += [foreign, GENERATE[foreign][0][0]]
+        argv += [foreign, data.draw(st.sampled_from(GENERATE[foreign][0]), label="foreign value")]
     result = _invoke(tmp_path_factory, argv)
-    if foreign is not None:
-        assert result.exit_code != 0, (argv, result.output)
+    if foreign is not None:  # refused before anything is built, whatever the other values
+        assert result.exit_code == 1, (argv, result.output)
         if all(value in GENERATE[opt][0] for opt, value in values.items()):
-            assert result.exit_code == 1, (argv, result.output)
             assert "does not read" in result.output or f"{foreign} is read by" in result.output, result.output
 
 
@@ -108,3 +111,62 @@ def test_probe_near_misses_end_in_a_clean_exit(tmp_path_factory, data):
     result = _invoke(tmp_path_factory, argv)
     if spec is not None and options:  # a recipe comes from --spec or from the options, never from both
         assert result.exit_code == 1, (argv, result.output)
+
+
+# input files of discretize, written beside the probe specs
+INPUTS = {
+    "ok.txt": "5\n0.1 0.5 1 0.5 0.1\n",
+    "grid.txt": "2 3\n1 -2 3\n0.5 4 -1\n",
+    "empty.txt": "",
+    "cut.txt": "5\n0.1 0.5 1",
+    "shape.txt": "x\n1 2\n",
+    "nan.txt": "3\n1 nan 2\n",
+    "inf.txt": "3\n1 -inf 2\n",
+    "huge.txt": "3\n1 1e400 2\n",
+    "tiny.txt": "2\n1e-310 5e-311\n",
+    "zero.txt": "3\n0 0 0\n",
+    "one.txt": "1\n-3\n",
+}
+
+DISCRETIZE = {
+    "--airy": ["-4:4:0.5", "-2:2:0.25", "4:-4:0.5", "-4:4:0", "-4:4:-0.5", "nan:4:0.5", "-4:inf:0.5", "-4:4",
+               "-4:4:0.5:1", "", "x:4:0.5", "-4:4:1e400", "1_0:2_0:1", "+1:+3:+1"],
+    "--bits": ["3", "7", "15", "31", "62", "63", "64", "2", "0", "-1", "nan", "", "1_0", "+7"],
+    "--max-iters": ["0", "1", "5", "-1", "nan", "", "1_0", "+3", "2.5"],
+    "--objective": ["M", "R", "m", "S", ""],
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_discretize_near_misses_end_in_a_clean_exit(tmp_path_factory, data):
+    source = data.draw(st.sampled_from([None, "airy", "missing.txt", *INPUTS]), label="source")
+    argv = ["discretize"] if source in (None, "airy") else ["discretize", "{in}/" + source]
+    options = data.draw(st.lists(st.sampled_from(sorted(DISCRETIZE)), unique=True), label="options")
+    if source == "airy" and "--airy" not in options:
+        options.append("--airy")
+    if "--max-iters" not in options:  # the default 500 iterations are not a near miss
+        argv += ["--max-iters", "5"]
+    for opt in options:
+        argv += [opt, data.draw(st.sampled_from(DISCRETIZE[opt]), label=opt)]
+    result = _invoke(tmp_path_factory, argv)
+    if (source not in (None, "airy")) == ("--airy" in options):  # INPUT or --airy, exactly one
+        assert result.exit_code == 1, (argv, result.output)
+
+
+BASELINE = {
+    "--shape": ["5,5", "3", "2,3", "1", "3,3,2", "0", "-1", "2,0", "", "x", "2,,2", "+3", "1_0", "nan"],
+    "--values": ["-12:14", "0:3", "0:30", "3:0", "0:0", "0", "0:3:1", "", "x:y", "nan:3", "-1_0:1_0", "+0:+30"],
+    "--trials": ["1", "5", "30", "0", "-1", "", "nan", "1_0", "+3"],
+    "--seed": ["0", "7", "-1", "1_0", "", "nan", "+3", str(2**64), str(-2**63 - 1)],
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_baseline_near_misses_end_in_a_clean_exit(tmp_path_factory, data):
+    options = data.draw(st.lists(st.sampled_from(sorted(BASELINE)), unique=True), label="options")
+    argv = ["baseline"] if "--trials" in options else ["baseline", "--trials", "5"]  # not the default 10 000
+    for opt in options:
+        argv += [opt, data.draw(st.sampled_from(BASELINE[opt]), label=opt)]
+    _invoke(tmp_path_factory, argv)

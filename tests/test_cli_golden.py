@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from huffkit import cli
+from huffkit import _cli
 from huffkit.cli import main
 
 from conftest import DATA, oracle_correlate
@@ -163,7 +163,7 @@ def test_failed_write_leaves_no_artefacts(tmp_path, monkeypatch):
         Path(path).write_bytes(b"P5\n")
         raise OSError(f"disk full: {path}")
 
-    monkeypatch.setattr(cli, "_plot_pgm", refuse)
+    monkeypatch.setattr(_cli, "_plot_pgm", refuse)
     result, files = _run(tmp_path, CASES["encode"][1], monkeypatch)
     assert result.exit_code == 2, result.output
     assert (tmp_path / "out").is_dir()

@@ -3,7 +3,6 @@ random baseline against the per-trial loop it replaced."""
 
 import math
 from contextlib import contextmanager
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -239,7 +238,7 @@ def baseline_loop(shape, values, trials, seed):
 
 def _fields(stats: BaselineStats) -> str:
     """Every field, means included; repr tells every float apart and matches nan to nan."""
-    return repr(astuple(stats))
+    return repr(tuple(stats))
 
 
 SCORING = pytest.mark.parametrize("scoring", ["shipped", "small-blocks", "engine"])

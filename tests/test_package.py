@@ -94,3 +94,25 @@ def test_dir_lists_every_export():
 
 def test_unknown_attribute_is_an_attribute_error():
     assert not hasattr(huffkit, "no_such_name")
+
+
+def test_imports_run_no_collection_and_restore_the_callers_setting():
+    fresh(
+        "import gc\n"
+        "starts = []\n"
+        "gc.callbacks.append(lambda phase, info: phase == 'start' and starts.append(info['generation']))\n"
+        "import huffkit\n"
+        "huffkit.imaging, huffkit.construct\n"
+        "assert not starts, starts\n"
+        "assert gc.isenabled() and gc.get_freeze_count() == 0\n"
+        "for enabled in (False, True):\n"
+        "    (gc.enable if enabled else gc.disable)()\n"
+        "    with huffkit._collector_paused():\n"
+        "        assert not gc.isenabled()\n"
+        "    assert gc.isenabled() == enabled and gc.get_freeze_count() == 0\n"
+        "gc.freeze()\n"
+        "frozen = gc.get_freeze_count()\n"
+        "with huffkit._collector_paused():\n"
+        "    pass\n"
+        "assert gc.get_freeze_count() == frozen  # the caller's frozen objects stay frozen\n"
+    )

@@ -1,4 +1,4 @@
-"""The CLI as a real process: launchers, exit codes, files and the exit-time GC freeze."""
+"""The CLI as a real process: launchers, exit codes, files, and the exit through run()."""
 
 import gc
 import json
@@ -14,7 +14,9 @@ from click.testing import CliRunner
 from huffkit.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
-ENV = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+# without PYTHONUNBUFFERED, so that stdout through a pipe is block-buffered as in a user's shell
+ENV = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+ENV["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
 
 
 def _python(cwd, *args):
@@ -63,6 +65,27 @@ def test_zero_mask_decode_process_exits_domain_and_writes_nothing(tmp_path):
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("domain error")
     assert not list((tmp_path / "out").glob("zdec*"))
+
+
+def test_numerical_failure_process_exits_4_without_a_warning_or_files(tmp_path):
+    proc = _cli(tmp_path, "discretize", "--airy", "-10:4:0.5", "--bits", "31", "--out", "out")
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("numerical error") and "RuntimeWarning" not in proc.stderr
+    assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
+
+
+def test_last_stdout_line_arrives_whole_through_a_pipe(tmp_path):
+    proc = _cli(tmp_path, "tables", "--table", "1", "--out", "out")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("\n") and proc.stdout.splitlines()[-1] == "8 rows -> table1.csv"
+
+
+def test_help_process_lists_every_command(tmp_path):
+    proc = _cli(tmp_path, "--help")
+    assert proc.returncode == 0, proc.stderr
+    listed = re.findall(r"^  (\S+)", proc.stdout.split("Commands:")[1], re.MULTILINE)
+    assert listed == ["analyze", "baseline", "deblur", "decode", "discretize", "encode", "generate", "ghost",
+                      "noise-study", "pedestal", "probe", "project", "tables", "twin", "watermark"]
 
 
 def test_in_process_invoke_leaves_the_heap_unfrozen(tmp_path):
