@@ -6,7 +6,9 @@ tie them to their continuum (Airy) limit, and run the imaging experiments
 they enable: diffuse-mask encode/decode and deblurring, two-shot pedestal
 acquisition, computational ghost imaging, watermarking, and noise studies.
 
-``lattice``, ``metrics`` and ``project`` (with numpy) load with the package.
+``lattice`` and ``project`` (with numpy) load with the package; ``project``
+loads eagerly so that ``huffkit.project`` is the function, which a later
+import of the submodule would rebind to the module.  ``metrics``,
 ``construct``, ``continuum`` and ``imaging`` load on first use of one of
 their names or of the submodule itself (PEP 562), so a program, such as one
 CLI command, compiles and imports only the modules it runs.  The package and
@@ -37,7 +39,6 @@ def _collector_paused():
 
 with _collector_paused():
     from .lattice import *
-    from .metrics import *
     from .project import *  # binds huffkit.project to the function, not the module
 
 __version__ = "0.1.0"
@@ -45,6 +46,10 @@ __version__ = "0.1.0"
 # the lazy submodules' export lists, here so that a name finds its module without
 # importing it; each of those modules takes its __all__ from this table
 _LAZY = {
+    "metrics": (
+        "QualityReport", "merit_factor", "side_lobe_ratio", "efficiency", "power", "spectral_flatness", "bits",
+        "span_bits", "classify", "cross_metrics",
+    ),
     "construct": (
         "ConstructError", "HuffmanSpec", "AlphabetSolution", "phi_value", "fibonacci_huffman",
         "h5_family", "catalog", "diamond5_solve", "diamond7_solve", "diamond7_closed_form",

@@ -1,6 +1,8 @@
-"""The CLI's group, exit-code mapping and shared plumbing; see ``huffkit.cli``."""
+"""The CLI's argparse front end, exit-code mapping and shared plumbing; see ``huffkit.cli``."""
 
+import argparse
 import atexit
+import contextvars
 import gc
 import json
 import math
@@ -14,63 +16,181 @@ import numpy as np
 from . import __version__, _collector_paused
 from .lattice import Tensor, read_pgm, read_text, write_pgm, write_text
 
-with _collector_paused():
-    import click
-
 _EXIT_USAGE = 1
 _EXIT_IO = 2
 _EXIT_DOMAIN = 3
 _EXIT_NUMERICAL = 4
 
 
+class UsageError(Exception):
+    """A command line that does not parse, or gives an option the run does not read; maps to exit code 1."""
+
+
 class DivergenceError(RuntimeError):
     """An iteration diverged; maps to exit code 4."""
 
 
-# command -> the module that defines it, imported when the name is resolved
+# command -> the module that defines it, imported when the name is read
 _COMMANDS = {
     **dict.fromkeys("generate analyze project twin tables".split(), "_cli_array"),
     **dict.fromkeys("probe discretize".split(), "_cli_continuum"),
     **dict.fromkeys("encode decode deblur pedestal ghost watermark baseline noise-study".split(), "_cli_imaging"),
 }
+_REGISTRY = {}  # command name -> function, filled by the command modules as they import
+
+# (command words, the arguments its command line gave) of the command running in this context
+_CALL = contextvars.ContextVar("huffkit_cli_call")
 
 
-class _Group(click.Group):
-    """Group whose commands load on first use and whose main() maps exceptions onto the exit-code taxonomy."""
+def command(name=None, parent=None):
+    """Register the decorated function as command ``name`` (default: its own name), or as a subcommand of ``parent``."""
+    def register(fn):
+        (_REGISTRY if parent is None else parent.commands)[name or fn.__name__] = fn
+        return fn
+    return register
 
-    def list_commands(self, ctx):  # noqa: D102 - click override
-        return sorted(_COMMANDS)
 
-    def get_command(self, ctx, name):  # noqa: D102 - click override
-        if name in _COMMANDS:
+def group(fn):
+    """Register ``fn``, which only names its subcommands, as a command group; ``command(parent=fn)`` adds to it."""
+    fn.commands = {}
+    return command()(fn)
+
+
+def option(*names, **kwargs):
+    """Declare an ``add_argument`` of the decorated command; declarations read top-down.
+
+    A default other than None or an empty list is shown in the help as ``[default: <value>]``.
+    """
+    if kwargs.get("default") not in (None, []):
+        kwargs["help"] = f"{kwargs.get('help', '')}  [default: {kwargs['default']}]".lstrip()
+
+    def declare(fn):
+        fn.arguments = [(names, kwargs), *getattr(fn, "arguments", [])]
+        return fn
+    return declare
+
+
+def at_least(low: int):
+    """argparse type: an int no smaller than ``low``."""
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is not in the range x>={low}")
+        return value
+    convert.__name__ = "int"  # argparse names the type in "invalid int value"
+    return convert
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # noqa: D102 - argparse override: raise, so that main() maps it to exit 1
+        raise UsageError(message)
+
+
+def _summary(fn) -> str:
+    return fn.__doc__.strip().split("\n")[0]
+
+
+def _group_help(prog: str, doc: str, commands: dict) -> str:
+    """A group's help in argparse's layout, listing its commands under ``Commands:``."""
+    width = max(map(len, commands))
+    listing = "".join(f"\n  {name:<{width}}  {_summary(fn)}" for name, fn in sorted(commands.items()))
+    return (f"usage: {prog} [--help] COMMAND [ARGS]...\n\n{doc}\n\n"
+            f"options:\n  --help  show this help message and exit\n\nCommands:{listing}\n")
+
+
+def _run_command(prog: str, fn, argv: list[str], words: list[str]):
+    """Parse ``argv`` with the parser ``fn`` declares and call ``fn``; print the help instead on ``--help``.
+
+    Each option is joined to its value as ``--long-name=value`` before argparse reads it, so that the value is
+    always the next word (or what follows ``=``), even one that starts with ``-``.
+    """
+    parser = _Parser(prog=prog, description=fn.__doc__, add_help=False, allow_abbrev=False)
+    flags = {"--help": parser.add_argument("--help", action="help", help="show this help message and exit")}
+    declared = [parser.add_argument(*names, **kwargs) for names, kwargs in fn.arguments]
+    flags.update((flag, action) for action in declared for flag in action.option_strings)
+    args, given, rest = [], set(), iter(argv)
+    for word in rest:
+        if word == "--":
+            args += [word, *rest]
+        elif word[:1] != "-" or word == "-":
+            args.append(word)
+        else:
+            flag, eq, value = word.partition("=")
+            action = flags.get(flag)
+            if action is None:
+                raise UsageError(f"No such option '{flag}'.")
+            if flag == "--help":
+                parser.print_help()
+                return 0
+            if action.nargs != 0:
+                if not eq and (value := next(rest, None)) is None:
+                    raise UsageError(f"Option '{flag}' requires an argument.")
+                word = f"{action.option_strings[0]}={value}"
+            given.add(action)
+            args.append(word)
+    namespace = vars(parser.parse_args(args))
+    token = _CALL.set((words, [action for action in declared if action in given]))
+    try:
+        return fn(**namespace)
+    finally:
+        _CALL.reset(token)
+
+
+def _dispatch(prog: str, argv: list[str], words: list[str]):
+    """Resolve the command words of ``argv`` (a group's too), importing only the module that defines them."""
+    fn, commands = main, _REGISTRY
+    while True:
+        if not argv or argv[0] == "--help":
+            if commands is _REGISTRY:
+                with _collector_paused():
+                    for module in sorted(set(_COMMANDS.values())):
+                        __import__(f"huffkit.{module}")
+            text = _group_help(prog, _summary(fn), commands)
+            if not argv:
+                raise UsageError(text.rstrip("\n"))
+            print(text, end="")
+            return 0
+        name, argv = argv[0], argv[1:]
+        if name.startswith("-"):
+            raise UsageError(f"No such option '{name.partition('=')[0]}'.")
+        if commands is _REGISTRY and name in _COMMANDS:
             with _collector_paused():
                 __import__(f"huffkit.{_COMMANDS[name]}")
-        return super().get_command(ctx, name)
-
-    def main(self, *args, **kwargs):  # noqa: D102 - click override
-        kwargs.setdefault("standalone_mode", False)
-        try:
-            return super().main(*args, **kwargs)  # click returns --help's exit code itself
-        except click.Abort:
-            click.echo("aborted", err=True)
-            sys.exit(_EXIT_USAGE)
-        except click.ClickException as exc:  # includes UsageError
-            click.echo(f"usage error: {exc.format_message()}", err=True)
-            sys.exit(_EXIT_USAGE)
-        except (DivergenceError, ArithmeticError) as exc:
-            click.echo(f"numerical error: {exc}", err=True)
-            sys.exit(_EXIT_NUMERICAL)
-        except OSError as exc:
-            click.echo(f"i/o error: {exc}", err=True)
-            sys.exit(_EXIT_IO)
-        except (ValueError, KeyError) as exc:  # all module domain errors
-            click.echo(f"domain error: {exc}", err=True)
-            sys.exit(_EXIT_DOMAIN)
+        if name not in commands:
+            raise UsageError(f"No such command '{name}'.")
+        fn, prog = commands[name], f"{prog} {name}"
+        words.append(name)
+        if not hasattr(fn, "commands"):
+            return _run_command(prog, fn, argv, words)
+        commands = fn.commands
 
 
-@click.group(cls=_Group)
-def main() -> None:
-    """Delta-correlated arrays: construct, score, project, image."""
+def main(argv=None, prog_name=None):
+    """Delta-correlated arrays: construct, score, project, image.
+
+    Runs one command line (default ``sys.argv[1:]``): returns once the command succeeds, and on a failure prints
+    its message and raises ``SystemExit`` with the failure's exit code.
+    """
+    words = []
+    try:
+        return _dispatch(prog_name or "huffkit", sys.argv[1:] if argv is None else list(argv), words)
+    except KeyboardInterrupt:
+        _fail(_EXIT_USAGE, "aborted")
+    except UsageError as exc:
+        _fail(_EXIT_USAGE, f"usage error: {exc}")
+    except (DivergenceError, ArithmeticError) as exc:
+        _fail(_EXIT_NUMERICAL, f"numerical error: {exc}")
+    except MemoryError as exc:  # too large an input or window for this machine
+        _fail(_EXIT_DOMAIN, f"domain error: {' '.join(words)} ran out of memory" + (f": {exc}" if str(exc) else ""))
+    except OSError as exc:
+        _fail(_EXIT_IO, f"i/o error: {exc}")
+    except (ValueError, KeyError) as exc:  # all module domain errors
+        _fail(_EXIT_DOMAIN, f"domain error: {exc}")
+
+
+def _fail(code: int, message: str):
+    print(message, file=sys.stderr)
+    sys.exit(code)
 
 
 def _read_tensor(path: str) -> Tensor:
@@ -92,10 +212,10 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _artefact_options(command):
+def _artefact_options(fn):
     """The ``--name``/``--out`` pair every artefact-writing command takes."""
-    command = click.option("--out", help="Output directory (default $HUFFKIT_OUT or cwd).")(command)
-    return click.option("--name", help="Output file stem.")(command)
+    fn = option("--out", help="Output directory (default $HUFFKIT_OUT or cwd).")(fn)
+    return option("--name", help="Output file stem.")(fn)
 
 
 def _finish(name: str | None, out: str | None, stem: str, arguments: dict, artefacts: dict,
@@ -111,19 +231,15 @@ def _finish(name: str | None, out: str | None, stem: str, arguments: dict, artef
 
     The record's ``package`` holds ``huffkit.__version__`` and its
     ``versions`` hold ``np.__version__`` and ``platform.python_version()``,
-    the two versions a run's numbers depend on; click's parse is pinned by
-    the resolved ``arguments``.
+    the two versions a run's numbers depend on; the parse is pinned by the
+    resolved ``arguments``.
     """
     stem = name or stem
     base = Path(out) if out else Path(os.environ.get("HUFFKIT_OUT", "."))
     base.mkdir(parents=True, exist_ok=True)
     payloads = {stem + suffix: payload for suffix, payload in artefacts.items() if payload is not None}
-    ctx, words = click.get_current_context(), []
-    while ctx.parent is not None:  # the root's info_name is the program name
-        words.insert(0, ctx.info_name)
-        ctx = ctx.parent
     record = {
-        "command": " ".join(words),
+        "command": " ".join(_CALL.get()[0]),
         "arguments": arguments,
         "files": sorted(payloads),
         "seed": seed,
@@ -157,7 +273,7 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(v) for v in text.split(","))
     except ValueError:
-        raise click.UsageError(f"{what} must be comma-separated integers, got {text!r}")
+        raise UsageError(f"{what} must be comma-separated integers, got {text!r}")
 
 
 def _parse_finite(text: str, rule: str) -> float:
@@ -167,20 +283,19 @@ def _parse_finite(text: str, rule: str) -> float:
     except ValueError:
         value = math.nan  # refused below, with the non-finite values
     if not math.isfinite(value):
-        raise click.UsageError(f"{rule}, got {text!r}")
+        raise UsageError(f"{rule}, got {text!r}")
     return value
 
 
-def _given(*names: str) -> list[click.Parameter]:
-    """The parameters in ``names`` whose option the command line gave, at any value (by click's parameter source)."""
-    ctx, source = click.get_current_context(), click.core.ParameterSource.COMMANDLINE
-    return [p for p in ctx.command.params if p.name in names and ctx.get_parameter_source(p.name) is source]
+def _given(*names: str) -> list[argparse.Action]:
+    """The arguments with a ``dest`` in ``names`` whose option the command line gave, at any value, in their order."""
+    return [action for action in _CALL.get()[1] if action.dest in names]
 
 
 def _refuse_given(rule: str, *names: str) -> None:
     """Usage error ``<flag> <rule>`` if the command line gave the option of any parameter in ``names``."""
     if given := _given(*names):
-        raise click.UsageError(f"{given[0].opts[0]} {rule}")
+        raise UsageError(f"{given[0].option_strings[0]} {rule}")
 
 
 def run():

@@ -3,10 +3,10 @@
 import json
 from pathlib import Path
 
-import click
 import numpy as np
 
-from ._cli import _artefact_options, _finish, _given, _parse_ints, _read_tensor, _refuse_given, _report_payload, main
+from ._cli import (UsageError, _artefact_options, _finish, _given, _parse_ints, _read_tensor, _refuse_given,
+                   _report_payload, at_least, command, option)
 from .lattice import Tensor, correlate
 from .metrics import classify, cross_metrics, span_bits, spectral_flatness
 from .project import _direction_components, as_direction, project, twin as twin_of
@@ -15,20 +15,20 @@ from .project import _direction_components, as_direction, project, twin as twin_
 _FAMILY_ALIASES = {"fibonacci": "fibonacci_binet", "h5": "h5_family", "even": "catalog", "outer": "outer_product"}
 
 
-@main.command()
-@click.option("--family", required=True,
-              type=click.Choice(sorted([*_FAMILY_ALIASES, "catalog", "diamond5", "diamond7"])))
-@click.option("--length", "-N", "--N", "length", type=int, help="Sequence length (4n+3 family).")
-@click.option("--b", type=int, help="Even base of the recurrence family.  [default: 2]")
-@click.option("--n", type=int, help="Index within the length-5 family.")
-@click.option("--variant", type=click.Choice(["even", "odd"]), help="Length-5 family variant.  [default: even]")
-@click.option("--key", help="Catalog entry name (see `generate --family catalog --key help`).")
-@click.option("--alphabet", help="Comma-separated template letters (6 for 5x5, 8 for 7x7).")
-@click.option("--e", type=int, help="7x7 inner-diamond letter.")
-@click.option("--f", type=int, help="7x7 free letter; with --e 3 and no --g/--h, uses the closed form.")
-@click.option("--g", type=int)
-@click.option("--h", "h_letter", type=int)
-@click.option("--factor", "factors", multiple=True, help="Outer-product factor, e.g. catalog:H9 or fibonacci_binet:15:2.")
+@command()
+@option("--family", required=True, choices=sorted([*_FAMILY_ALIASES, "catalog", "diamond5", "diamond7"]))
+@option("--length", "-N", "--N", type=int, help="Sequence length (4n+3 family).")
+@option("--b", type=int, help="Even base of the recurrence family.  [default: 2]")
+@option("--n", type=int, help="Index within the length-5 family.")
+@option("--variant", choices=["even", "odd"], help="Length-5 family variant.  [default: even]")
+@option("--key", help="Catalog entry name (see `generate --family catalog --key help`).")
+@option("--alphabet", help="Comma-separated template letters (6 for 5x5, 8 for 7x7).")
+@option("--e", type=int, help="7x7 inner-diamond letter.")
+@option("--f", type=int, help="7x7 free letter; with --e 3 and no --g/--h, uses the closed form.")
+@option("--g", type=int)
+@option("--h", dest="h_letter", metavar="H", type=int)
+@option("--factor", dest="factors", metavar="FACTOR", action="append", default=[],
+        help="Outer-product factor, e.g. catalog:H9 or fibonacci_binet:15:2.")
 @_artefact_options
 def generate(family, length, b, n, variant, key, alphabet, e, f, g, h_letter, factors, name, out):
     """Construct an array from a named family and score it; an option the family does not read is refused."""
@@ -37,41 +37,40 @@ def generate(family, length, b, n, variant, key, alphabet, e, f, g, h_letter, fa
     if family != "diamond7" or alphabet is not None:
         _refuse_given("is read by --family diamond7 without --alphabet only", "e", "f", "g", "h_letter")
     reads = [attr for _, attr, _ in construct._FAMILIES[family][1]]
-    if foreign := [p.name for p in _given("length", "b", "n", "variant", "key", "alphabet", "factors")
-                   if p.name not in reads]:
-        raise click.UsageError(f"{family} does not read {', '.join(foreign)}")
+    if foreign := [p.dest for p in _given("length", "b", "n", "variant", "key", "alphabet", "factors")
+                   if p.dest not in reads]:
+        raise UsageError(f"{family} does not read {', '.join(foreign)}")
     if alphabet is not None:
         alphabet = _parse_ints(alphabet, "--alphabet")
     elif e is not None and f is not None:
         if g is None and h_letter is None and e == 3:
             g, h_letter = construct.diamond7_closed_form(f)
         elif g is None or h_letter is None:
-            raise click.UsageError("give both --g and --h, or neither with --e 3 (closed form)")
+            raise UsageError("give both --g and --h, or neither with --e 3 (closed form)")
         alphabet = (0, 0, 0, 1, e, f, g, h_letter)
     try:  # a comma inside one --factor also separates factors
         fields = [construct.HuffmanSpec._compact_fields(token) for factor in factors for token in factor.split(",")]
     except ValueError as exc:
-        raise click.UsageError(f"--factor: {exc}") from None
+        raise UsageError(f"--factor: {exc}") from None
     given = dict(length=length, b=b, n=n, variant=variant, key=key, alphabet=alphabet,
                  factors=tuple(construct.HuffmanSpec(**kw) for kw in fields) or None)
     try:
         spec = construct.HuffmanSpec(family, **{attr: value for attr, value in given.items() if value is not None})
     except TypeError as exc:  # a field the family reads is missing
-        raise click.UsageError(str(exc)) from None
+        raise UsageError(str(exc)) from None
     tensor = construct.build(spec)
     report = classify(tensor)
     stem = "generate_" + spec.to_text().replace("family=", "").replace(" ", "_").replace("=", "-").replace(",", "_").replace(":", "-")
     _finish(name, out, stem, {"spec": spec.to_text()},
             {".txt": tensor, ".report.json": _report_payload(report)},
             results={"shape": list(tensor.shape)})
-    click.echo(report.to_json())
+    print(report.to_json())
 
 
-@main.command()
-@click.argument("input_path", metavar="INPUT")
-@click.option("--oversample", type=click.IntRange(min=1), default=1, show_default=True,
-              help="Zero-padding factor for the spectral-flatness DFT.")
-@click.option("--plot", is_flag=True, help="Also render |auto-correlation| as PGM.")
+@command()
+@option("input_path", metavar="INPUT")
+@option("--oversample", type=at_least(1), default=1, help="Zero-padding factor for the spectral-flatness DFT.")
+@option("--plot", action="store_true", help="Also render |auto-correlation| as PGM.")
 @_artefact_options
 def analyze(input_path, oversample, plot, name, out):
     """Score an array: merit factor, side-lobe ratio, flatness, class."""
@@ -88,19 +87,19 @@ def analyze(input_path, oversample, plot, name, out):
     _finish(name, out, f"analyze_{Path(input_path).stem}",
             {"input": input_path, "oversample": oversample},
             {".report.json": payload, ".corr.pgm": mags})
-    click.echo(json.dumps(payload, sort_keys=True))
+    print(json.dumps(payload, sort_keys=True))
 
 
-@main.command(name="project")
-@click.argument("input_path", metavar="INPUT")
-@click.option("--dir", "direction", required=True, help="Projection direction p:q (2D) or p:q:r (3D).")
+@command("project")
+@option("input_path", metavar="INPUT")
+@option("--dir", dest="direction", metavar="DIR", required=True, help="Projection direction p:q (2D) or p:q:r (3D).")
 @_artefact_options
 def project_cmd(input_path, direction, name, out):
     """Project an array along a rational direction and score the result."""
     try:
         components = _direction_components(direction)
     except ValueError as exc:
-        raise click.UsageError(f"--dir: {exc}") from None
+        raise UsageError(f"--dir: {exc}") from None
     tensor = _read_tensor(input_path)
     d = as_direction(components, ndim=tensor.ndim)
     projected = project(tensor, d)
@@ -109,11 +108,11 @@ def project_cmd(input_path, direction, name, out):
             {"input": input_path, "dir": str(d)},
             {".txt": projected, ".report.json": _report_payload(report)},
             results={"shape": list(projected.shape)})
-    click.echo(report.to_json())
+    print(report.to_json())
 
 
-@main.command(name="twin")
-@click.argument("input_path", metavar="INPUT")
+@command("twin")
+@option("input_path", metavar="INPUT")
 @_artefact_options
 def twin_cmd(input_path, name, out):
     """Emit the parity-flipped twin and its cross-correlation metrics."""
@@ -126,7 +125,7 @@ def twin_cmd(input_path, name, out):
     payload.update(results)
     _finish(name, out, f"twin_{Path(input_path).stem}", {"input": input_path},
             {".txt": tw, ".report.json": payload}, results=results)
-    click.echo(json.dumps(results, sort_keys=True))
+    print(json.dumps(results, sort_keys=True))
 
 
 
@@ -149,11 +148,11 @@ def _off_peak_span(tensor: Tensor) -> tuple[int, int]:
     return int(off.min()), int(off.max())
 
 
-@main.command()
-@click.option("--table", type=click.Choice(["1", "2"]), required=True)
-@click.option("--e", type=int, default=3, show_default=True, help="Inner-diamond letter (table 2).")
-@click.option("--f-min", type=click.IntRange(min=1), default=3, show_default=True)
-@click.option("--f-max", type=int, default=20, show_default=True)
+@command()
+@option("--table", choices=["1", "2"], required=True)
+@option("--e", type=int, default=3, help="Inner-diamond letter (table 2).")
+@option("--f-min", type=at_least(1), default=3)
+@option("--f-max", type=int, default=20)
 @_artefact_options
 def tables(table, e, f_min, f_max, name, out):
     """Regenerate the 5x5 / 7x7 family tables as CSV.
@@ -190,4 +189,4 @@ def tables(table, e, f_min, f_max, name, out):
         args = {"table": 2, "e": e, "f_min": f_min, "f_max": f_max}
 
     files = _finish(name, out, stem, args, {".csv": "\n".join(lines) + "\n"}, results={"rows": len(lines) - 1})
-    click.echo(f"{len(lines) - 1} rows -> {files[0]}")
+    print(f"{len(lines) - 1} rows -> {files[0]}")

@@ -4,10 +4,10 @@ import json
 import math
 from pathlib import Path
 
-import click
 import numpy as np
 
-from ._cli import _artefact_options, _finish, _parse_ints, _read_tensor, _refuse_given, _report_payload, main
+from ._cli import (UsageError, _artefact_options, _finish, _parse_ints, _read_tensor, _refuse_given, _report_payload,
+                   at_least, command, option)
 from .continuum import ProbeSpec, airy, discretize_and_tweak, synthesize_probe, verify_delta_correlation
 
 
@@ -19,16 +19,16 @@ def _parse_coeff(text: str) -> tuple[tuple[int, ...], float]:
             return tuple(int(v) for v in key.split(",")), float(num) / float(den) if slash else float(num)
     except (ValueError, ZeroDivisionError):
         pass
-    raise click.UsageError(f"--coeff needs EXPONENTS=VALUE, e.g. 3=1/3 or 1,2=0.5, got {text!r}")
+    raise UsageError(f"--coeff needs EXPONENTS=VALUE, e.g. 3=1/3 or 1,2=0.5, got {text!r}")
 
 
-@main.command()
-@click.option("--spec", "spec_path", help="ProbeSpec JSON file (alternative to flags).")
-@click.option("--coeff", "coeffs", multiple=True,
-              help="Phase monomial EXPONENTS=VALUE, e.g. 3=1/3 or 1,2=0.5; repeatable.")
-@click.option("--samples", help="Grid points per axis, e.g. 257 or 64,64.")
-@click.option("--bandwidth", type=float, default=1.0, show_default=True)
-@click.option("--plot", is_flag=True, help="Also render the probe as PGM.")
+@command()
+@option("--spec", dest="spec_path", metavar="SPEC", help="ProbeSpec JSON file (alternative to flags).")
+@option("--coeff", dest="coeffs", metavar="COEFF", action="append", default=[],
+        help="Phase monomial EXPONENTS=VALUE, e.g. 3=1/3 or 1,2=0.5; repeatable.")
+@option("--samples", help="Grid points per axis, e.g. 257 or 64,64.")
+@option("--bandwidth", type=float, default=1.0)
+@option("--plot", action="store_true", help="Also render the probe as PGM.")
 @_artefact_options
 def probe(spec_path, coeffs, samples, bandwidth, plot, name, out):
     """Synthesize a flat-spectrum probe from an odd polynomial phase (--spec, or --coeff/--samples/--bandwidth)."""
@@ -37,7 +37,7 @@ def probe(spec_path, coeffs, samples, bandwidth, plot, name, out):
         spec = ProbeSpec.from_json(Path(spec_path).read_text())
     else:
         if not coeffs or not samples:
-            raise click.UsageError("--coeff and --samples are required without --spec")
+            raise UsageError("--coeff and --samples are required without --spec")
         spec = ProbeSpec(
             coefficients=dict(_parse_coeff(c) for c in coeffs),
             samples=_parse_ints(samples, "--samples"),
@@ -50,27 +50,27 @@ def probe(spec_path, coeffs, samples, bandwidth, plot, name, out):
             {".txt": tensor, ".spec.json": spec.to_json() + "\n", ".delta.json": dict(results, peak=delta.peak),
              ".pgm": tensor if plot else None},
             results=results)
-    click.echo(json.dumps(results, sort_keys=True))
+    print(json.dumps(results, sort_keys=True))
 
 
-@main.command()
-@click.argument("input_path", metavar="[INPUT]", required=False)
-@click.option("--airy", "airy_window", help="Sample Ai(x) instead of reading INPUT: LO:HI:STEP, e.g. -40:8:0.5.")
-@click.option("--bits", type=click.IntRange(min=3), default=7, show_default=True)
-@click.option("--objective", type=click.Choice(["M", "R"]), default="M", show_default=True)
-@click.option("--max-iters", type=click.IntRange(min=0), default=500, show_default=True)
+@command()
+@option("input_path", metavar="INPUT", nargs="?")
+@option("--airy", dest="airy_window", metavar="LO:HI:STEP", help="Sample Ai(x) instead of reading INPUT, e.g. -40:8:0.5.")
+@option("--bits", type=at_least(3), default=7)
+@option("--objective", choices=["M", "R"], default="M")
+@option("--max-iters", type=at_least(0), default=500)
 @_artefact_options
 def discretize(input_path, airy_window, bits, objective, max_iters, name, out):
     """Round a real sequence to integers and greedily tweak it delta-ward."""
     if (input_path is None) == (airy_window is None):
-        raise click.UsageError("give exactly one of INPUT or --airy")
+        raise UsageError("give exactly one of INPUT or --airy")
     if airy_window is not None:  # "" is a malformed window, not a missing one
         try:
             lo, hi, step = (float(v) for v in airy_window.split(":"))
         except ValueError:
-            raise click.UsageError(f"--airy must be LO:HI:STEP, got {airy_window!r}")
+            raise UsageError(f"--airy must be LO:HI:STEP, got {airy_window!r}")
         if not (-math.inf < lo < hi < math.inf and 0 < step < math.inf):  # nan fails every comparison
-            raise click.UsageError(f"--airy needs finite LO < HI and STEP > 0, got {airy_window!r}")
+            raise UsageError(f"--airy needs finite LO < HI and STEP > 0, got {airy_window!r}")
         tensor = airy(np.arange(lo, hi + step / 2, step))
         source = {"airy": airy_window}
     else:
@@ -82,4 +82,4 @@ def discretize(input_path, airy_window, bits, objective, max_iters, name, out):
     results = {"iterations": result.iterations, "M": payload["M"], "R": payload["R"]}
     _finish(name, out, "discretize", dict(source, bits=bits, objective=objective, max_iters=max_iters),
             {".txt": result.tensor, ".report.json": payload}, results=results)
-    click.echo(json.dumps(results, sort_keys=True))
+    print(json.dumps(results, sort_keys=True))

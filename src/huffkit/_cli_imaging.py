@@ -1,13 +1,14 @@
 """The CLI's imaging commands: encode, decode, deblur, pedestal, ghost, watermark, baseline and noise-study."""
 
 import json
+import sys
 from pathlib import Path
 
-import click
 import numpy as np
 
 from . import imaging
-from ._cli import DivergenceError, _artefact_options, _finish, _parse_finite, _parse_ints, _read_tensor, main
+from ._cli import (DivergenceError, UsageError, _artefact_options, _finish, _parse_finite, _parse_ints, _read_tensor,
+                   at_least, command, group, option)
 from .lattice import Tensor
 
 
@@ -18,10 +19,10 @@ def _parse_kappa(text: str, mask: Tensor, scheme: str) -> float:
     return _parse_finite(text, "--kappa must be a finite number or 'auto'")
 
 
-@main.command()
-@click.argument("object_path", metavar="OBJECT")
-@click.argument("mask_path", metavar="MASK")
-@click.option("--plot", is_flag=True, help="Also render the blurred image as PGM.")
+@command()
+@option("object_path", metavar="OBJECT")
+@option("mask_path", metavar="MASK")
+@option("--plot", action="store_true", help="Also render the blurred image as PGM.")
 @_artefact_options
 def encode(object_path, mask_path, plot, name, out):
     """Blur an object with a diffuse mask (full cross-correlation)."""
@@ -31,13 +32,13 @@ def encode(object_path, mask_path, plot, name, out):
                     {"object": object_path, "mask": mask_path},
                     {".txt": blurred, ".pgm": blurred if plot else None},
                     results={"shape": list(blurred.shape)})
-    click.echo(f"blurred {blurred.shape} -> {files[0]}")
+    print(f"blurred {blurred.shape} -> {files[0]}")
 
 
-@main.command()
-@click.argument("blurred_path", metavar="BLURRED")
-@click.argument("mask_path", metavar="MASK")
-@click.option("--plot", is_flag=True, help="Also render the estimate as PGM.")
+@command()
+@option("blurred_path", metavar="BLURRED")
+@option("mask_path", metavar="MASK")
+@option("--plot", action="store_true", help="Also render the estimate as PGM.")
 @_artefact_options
 def decode(blurred_path, mask_path, plot, name, out):
     """First-order decode: back-correlate, crop, normalize by C0."""
@@ -48,15 +49,15 @@ def decode(blurred_path, mask_path, plot, name, out):
                     {"blurred": blurred_path, "mask": mask_path},
                     {".txt": estimate, ".pgm": estimate if plot else None},
                     results={"shape": list(estimate.shape), "C0": c0})
-    click.echo(f"estimate {estimate.shape} -> {files[0]}")
+    print(f"estimate {estimate.shape} -> {files[0]}")
 
 
-@main.command()
-@click.argument("blurred_path", metavar="BLURRED")
-@click.argument("mask_path", metavar="MASK")
-@click.option("--iterations", "-p", type=click.IntRange(min=1), default=2, show_default=True,
-              help="Estimates computed; 2 = one de-blur step after the first decode.")
-@click.option("--plot", is_flag=True, help="Also render the estimate as PGM.")
+@command()
+@option("blurred_path", metavar="BLURRED")
+@option("mask_path", metavar="MASK")
+@option("--iterations", "-p", type=at_least(1), default=2,
+        help="Estimates computed; 2 = one de-blur step after the first decode.")
+@option("--plot", action="store_true", help="Also render the estimate as PGM.")
 @_artefact_options
 def deblur(blurred_path, mask_path, iterations, plot, name, out):
     """Iteratively remove alias copies from a blurred image."""
@@ -70,14 +71,14 @@ def deblur(blurred_path, mask_path, iterations, plot, name, out):
     if result.diverged:
         raise DivergenceError(f"step size grew 3x in a row after {result.iterations} iterations; "
                               "is the mask delta-correlated?")
-    click.echo(f"estimate {result.estimate.shape} -> {files[0]}")
+    print(f"estimate {result.estimate.shape} -> {files[0]}")
 
 
-@main.command()
-@click.argument("object_path", metavar="OBJECT")
-@click.argument("mask_path", metavar="MASK")
-@click.option("--kappa", default="auto", show_default=True,
-              help="Pedestal making both +mask and -mask exposures non-negative; 'auto' = max|mask|.")
+@command()
+@option("object_path", metavar="OBJECT")
+@option("mask_path", metavar="MASK")
+@option("--kappa", default="auto",
+        help="Pedestal making both +mask and -mask exposures non-negative; 'auto' = max|mask|.")
 @_artefact_options
 def pedestal(object_path, mask_path, kappa, name, out):
     """Two-shot acquisition: I1 - I2 with masks (+H + k) and (-H + k)."""
@@ -87,7 +88,7 @@ def pedestal(object_path, mask_path, kappa, name, out):
     files = _finish(name, out, f"pedestal_{Path(object_path).stem}",
                     {"object": object_path, "mask": mask_path, "kappa": k}, {".txt": diff},
                     results={"shape": list(diff.shape)})
-    click.echo(f"difference image {diff.shape} -> {files[0]}")
+    print(f"difference image {diff.shape} -> {files[0]}")
 
 
 def _parse_scan(text: str) -> list[slice]:
@@ -96,20 +97,18 @@ def _parse_scan(text: str) -> list[slice]:
         try:  # unpacking other than two bounds is a ValueError too
             lo, hi = (int(v) if v else None for v in part.split(":"))
         except ValueError:
-            raise click.UsageError(f"--scan needs integer LO:HI per axis, got {part!r}") from None
+            raise UsageError(f"--scan needs integer LO:HI per axis, got {part!r}") from None
         out.append(slice(lo, hi))
     return out
 
 
-@main.command()
-@click.argument("object_path", metavar="OBJECT")
-@click.argument("mask_path", metavar="MASK")
-@click.option("--kappa", default="auto", show_default=True,
-              help="Pedestal making mask + kappa non-negative; 'auto' = -min(mask).")
-@click.option("--kappa-prime", default="exact", show_default=True,
-              help="'exact' (needs known object sum), 'boundary', or a number.")
-@click.option("--scan", help="Recorded bucket positions as LO:HI[,LO:HI...]; rest is lost.")
-@click.option("--plot", is_flag=True, help="Also render the reconstruction as PGM.")
+@command()
+@option("object_path", metavar="OBJECT")
+@option("mask_path", metavar="MASK")
+@option("--kappa", default="auto", help="Pedestal making mask + kappa non-negative; 'auto' = -min(mask).")
+@option("--kappa-prime", default="exact", help="'exact' (needs known object sum), 'boundary', or a number.")
+@option("--scan", help="Recorded bucket positions as LO:HI[,LO:HI...]; rest is lost.")
+@option("--plot", action="store_true", help="Also render the reconstruction as PGM.")
 @_artefact_options
 def ghost(object_path, mask_path, kappa, kappa_prime, scan, plot, name, out):
     """Bucket-signal ghost imaging with a scanned non-negative mask."""
@@ -128,21 +127,20 @@ def ghost(object_path, mask_path, kappa, kappa_prime, scan, plot, name, out):
                              "kappa_prime_mode": result.kappa_prime_mode,
                              "partial": result.partial})
     if result.partial:
-        click.echo("warning: scan does not cover every bucket position; "
-                   "reconstruction flagged partial", err=True)
-    click.echo(f"reconstruction {result.reconstruction.shape} -> {files[1]}")
+        print("warning: scan does not cover every bucket position; reconstruction flagged partial", file=sys.stderr)
+    print(f"reconstruction {result.reconstruction.shape} -> {files[1]}")
 
 
-@main.group()
+@group
 def watermark() -> None:
     """Embed a delta-correlated mark in an image, or locate one."""
 
 
-@watermark.command()
-@click.argument("host_path", metavar="HOST")
-@click.argument("mark_path", metavar="MARK")
-@click.option("--offset", required=True, help="Top-left corner of the mark, e.g. 16,16.")
-@click.option("--plot", is_flag=True, help="Also render the marked image as PGM.")
+@command(parent=watermark)
+@option("host_path", metavar="HOST")
+@option("mark_path", metavar="MARK")
+@option("--offset", required=True, help="Top-left corner of the mark, e.g. 16,16.")
+@option("--plot", action="store_true", help="Also render the marked image as PGM.")
 @_artefact_options
 def embed(host_path, mark_path, offset, plot, name, out):
     """Add the mark into the host at a fixed offset."""
@@ -152,12 +150,12 @@ def embed(host_path, mark_path, offset, plot, name, out):
     files = _finish(name, out, f"marked_{Path(host_path).stem}",
                     {"host": host_path, "mark": mark_path, "offset": list(off)},
                     {".txt": marked, ".pgm": marked if plot else None})
-    click.echo(f"marked image -> {files[0]}")
+    print(f"marked image -> {files[0]}")
 
 
-@watermark.command()
-@click.argument("image_path", metavar="IMAGE")
-@click.argument("mark_path", metavar="MARK")
+@command(parent=watermark)
+@option("image_path", metavar="IMAGE")
+@option("mark_path", metavar="MARK")
 @_artefact_options
 def locate(image_path, mark_path, name, out):
     """Search an image for the mark by a single cross-correlation."""
@@ -165,16 +163,16 @@ def locate(image_path, mark_path, name, out):
     payload = imaging.watermark_locate(image, mark)._asdict()
     _finish(name, out, f"locate_{Path(image_path).stem}", {"image": image_path, "mark": mark_path},
             {".locate.json": payload}, results=payload)
-    click.echo(json.dumps(payload, sort_keys=True))
+    print(json.dumps(payload, sort_keys=True))
 
 
-@main.command()
-@click.option("--shape", default="5,5", show_default=True, help="Array extents, comma-separated.")
-@click.option("--values", default="-12:14", show_default=True,
-              help="Half-open integer pool LO:HI the entries are drawn from without replacement.")
-@click.option("--trials", type=click.IntRange(min=1), default=10_000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--dump-values", is_flag=True, help="Also write per-trial R and M as CSV.")
+@command()
+@option("--shape", default="5,5", help="Array extents, comma-separated.")
+@option("--values", default="-12:14",
+        help="Half-open integer pool LO:HI the entries are drawn from without replacement.")
+@option("--trials", type=at_least(1), default=10_000)
+@option("--seed", type=int, default=0)
+@option("--dump-values", action="store_true", help="Also write per-trial R and M as CSV.")
 @_artefact_options
 def baseline(shape, values, trials, seed, dump_values, name, out):
     """Monte-Carlo R and M statistics of random non-repeating arrays."""
@@ -182,7 +180,7 @@ def baseline(shape, values, trials, seed, dump_values, name, out):
     try:
         lo, hi = (int(v) for v in values.split(":"))
     except ValueError:
-        raise click.UsageError(f"--values must be LO:HI integers, got {values!r}")
+        raise UsageError(f"--values must be LO:HI integers, got {values!r}")
     stats = imaging.random_baseline(shape=shp, values=range(lo, hi),
                                     trials=trials, seed=seed)
     payload = {
@@ -199,15 +197,15 @@ def baseline(shape, values, trials, seed, dump_values, name, out):
     _finish(name, out, f"baseline_{'x'.join(str(v) for v in shp)}_{trials}",
             {"shape": list(shp), "values": values, "trials": trials},
             {".json": payload, ".csv": csv}, seed=seed, results=payload)
-    click.echo(json.dumps(payload, sort_keys=True))
+    print(json.dumps(payload, sort_keys=True))
 
 
-@main.command(name="noise-study")
-@click.argument("object_path", metavar="OBJECT")
-@click.argument("mask_path", metavar="MASK")
-@click.option("--sigma", type=float, default=1.0, show_default=True)
-@click.option("--trials", type=click.IntRange(min=1), default=500, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@command("noise-study")
+@option("object_path", metavar="OBJECT")
+@option("mask_path", metavar="MASK")
+@option("--sigma", type=float, default=1.0)
+@option("--trials", type=at_least(1), default=500)
+@option("--seed", type=int, default=0)
 @_artefact_options
 def noise_study(object_path, mask_path, sigma, trials, seed, name, out):
     """Raster vs diffuse acquisition MSE under equal per-measurement noise."""
@@ -217,4 +215,4 @@ def noise_study(object_path, mask_path, sigma, trials, seed, name, out):
     _finish(name, out, f"noise_{Path(object_path).stem}",
             {"object": object_path, "mask": mask_path, "sigma": sigma, "trials": trials},
             {".json": payload}, seed=seed, results=payload)
-    click.echo(json.dumps(payload, sort_keys=True))
+    print(json.dumps(payload, sort_keys=True))

@@ -35,7 +35,6 @@ import numpy as np
 
 from . import _LAZY
 from .lattice import Tensor, _auto_lags, _auto_peak, _convolver, _int_dtype, _ring, as_tensor, convolve, correlate
-from .metrics import _lag_scores
 
 __all__ = list(_LAZY["imaging"])
 
@@ -374,11 +373,12 @@ def random_baseline(
         raise ImagingError("trials must be >= 1")
     if len(pool) < count:
         raise ImagingError(f"value pool smaller than {count} cells")
+    from . import metrics  # loads on first use, through the package
     rs, ms = np.empty(trials), np.empty(trials)
     draws = (trial_rng(seed, i).choice(pool, size=count, replace=False) for i in range(trials))
     done = 0
     for lags in _auto_lags(draws, shape):
-        rs[done : done + len(lags)], ms[done : done + len(lags)] = _lag_scores(lags)
+        rs[done : done + len(lags)], ms[done : done + len(lags)] = metrics._lag_scores(lags)
         done += len(lags)
     return BaselineStats(
         trials,

@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _LAZY
 from .lattice import (
     CorrelationResult,
     LatticeError,
@@ -30,8 +31,7 @@ from .lattice import (
     correlate,
 )
 
-__all__ = ["QualityReport", "merit_factor", "side_lobe_ratio", "efficiency", "power", "spectral_flatness", "bits",
-           "span_bits", "classify", "cross_metrics"]
+__all__ = list(_LAZY["metrics"])
 
 
 def _as_auto(c) -> CorrelationResult:

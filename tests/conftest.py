@@ -9,9 +9,12 @@ against something with no shared code path.
 from __future__ import annotations
 
 import functools
+import io
 import itertools
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal, getcontext, localcontext
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -187,3 +190,36 @@ def oracle_power_spectrum(a, grid, digits: int = 50) -> list[Decimal]:
                     im -= int(a[r]) * sin
             out.append(re * re + im * im)
         return out
+
+
+class _Copying(io.StringIO):
+    """A stream that also writes all it is given to ``copy``."""
+
+    def __init__(self, copy: io.StringIO):
+        super().__init__()
+        self.copy = copy
+
+    def write(self, text: str) -> int:
+        self.copy.write(text)
+        return super().write(text)
+
+
+def invoke(argv):
+    """Run ``huffkit.cli.main(argv)`` in this process with its output captured.
+
+    Returns ``exit_code``, ``stdout``, ``output`` (stdout and stderr as they
+    were interleaved) and ``exception``, the ``SystemExit`` of a failed run
+    (None on success).  Any other exception propagates.
+    """
+    from huffkit.cli import main
+
+    output = io.StringIO()
+    stdout = _Copying(output)
+    exit_code, exception = 0, None
+    with redirect_stdout(stdout), redirect_stderr(output):
+        try:
+            main(argv, prog_name="huffkit")
+        except SystemExit as exc:
+            exit_code = exc.code
+            exception = exc if exc.code else None
+    return SimpleNamespace(exit_code=exit_code, stdout=stdout.getvalue(), output=output.getvalue(), exception=exception)

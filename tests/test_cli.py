@@ -12,12 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from huffkit import lattice
+from huffkit._cli import _COMMANDS
 from huffkit.cli import main
 
-from conftest import DATA
+from conftest import DATA, invoke
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -30,7 +30,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 def test_truncated_pgm_is_an_io_error(tmp_path, content):
     path = tmp_path / "cut.pgm"
     path.write_bytes(content)
-    result = CliRunner().invoke(main, ["analyze", str(path), "--out", str(tmp_path)])
+    result = invoke(["analyze", str(path), "--out", str(tmp_path)])
     assert result.exit_code == 2, result.output
     with pytest.raises(OSError, match="truncated"):
         lattice.read_pgm(path)
@@ -40,7 +40,7 @@ def test_impossible_pgm_is_a_domain_error(tmp_path):
     path = tmp_path / "bad.pgm"
     path.write_bytes(b"P5\n2 1\n3\n\x05\x07")
     out = tmp_path / "out"
-    result = CliRunner().invoke(main, ["analyze", str(path), "--out", str(out)])
+    result = invoke(["analyze", str(path), "--out", str(out)])
     assert result.exit_code == 3, result.output
     assert "above maxval 3" in result.output
     assert not out.exists()
@@ -55,9 +55,7 @@ def test_failed_sum_check_exits_numerical(tmp_path, monkeypatch):
         return out
 
     monkeypatch.setattr(lattice, "_direct", off_by_one)
-    result = CliRunner().invoke(
-        main, ["generate", "--family", "fibonacci", "-N", "7", "--out", str(tmp_path)]
-    )
+    result = invoke(["generate", "--family", "fibonacci", "-N", "7", "--out", str(tmp_path)])
     assert result.exit_code == 4, result.output
 
 
@@ -72,7 +70,7 @@ def test_table2_classifies_each_solution_once(tmp_path, monkeypatch):
 
     for module in (construct, _cli_array):
         monkeypatch.setattr(module, "classify", counted)
-    result = CliRunner().invoke(main, ["tables", "--table", "2", "--out", str(tmp_path)])
+    result = invoke(["tables", "--table", "2", "--out", str(tmp_path)])
     assert result.exit_code == 0, result.output
     assert "66 rows" in result.output
     # the solver scans only f = 3..20, so it classifies each printed row once
@@ -82,9 +80,7 @@ def test_table2_classifies_each_solution_once(tmp_path, monkeypatch):
 def test_run_record_reads_click_version_without_deprecation(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
-        result = CliRunner().invoke(
-            main, ["generate", "--family", "h5", "--n", "1", "--name", "h5", "--out", str(tmp_path)]
-        )
+        result = invoke(["generate", "--family", "h5", "--n", "1", "--name", "h5", "--out", str(tmp_path)])
     assert result.exit_code == 0, result.output
     record = json.loads((tmp_path / "h5.run.json").read_text())
     assert record["versions"] == {"numpy": np.__version__, "python": platform.python_version()}
@@ -103,26 +99,27 @@ def test_cli_import_does_not_load_scipy(module):
 @pytest.mark.parametrize(
     "argv, own",
     [
-        (["generate", "--family", "h5", "--n", "1"], ["huffkit.construct", "huffkit._cli_array"]),
-        (["analyze", "{tmp}/h9.txt"], ["huffkit._cli_array"]),
-        (["discretize", "--airy", "-4:4:0.5", "--max-iters", "2"], ["huffkit.continuum", "huffkit._cli_continuum"]),
-        (["baseline", "--trials", "5"], ["huffkit.imaging", "huffkit._cli_imaging"]),
+        (["generate", "--family", "h5", "--n", "1"], ["huffkit.metrics", "huffkit.construct", "huffkit._cli_array"]),
+        (["analyze", "{tmp}/h9.txt"], ["huffkit.metrics", "huffkit._cli_array"]),
+        (["discretize", "--airy", "-4:4:0.5", "--max-iters", "2"],
+         ["huffkit.metrics", "huffkit.continuum", "huffkit._cli_continuum"]),
+        (["baseline", "--trials", "5"], ["huffkit.metrics", "huffkit.imaging", "huffkit._cli_imaging"]),
         (["encode", "{tmp}/h9.txt", "{tmp}/h9.txt"], ["huffkit.imaging", "huffkit._cli_imaging"]),
     ],
     ids=["generate", "analyze", "discretize", "baseline", "encode"],
 )
 def test_command_loads_only_its_own_domain_module(tmp_path, argv, own):
-    """Of the lazily loaded modules, a command loads its domain module (if any) and its command module only."""
+    """Of the lazily loaded modules, a command loads the ones it runs and its command module only, and never click."""
     (tmp_path / "h9.txt").write_text("9\n1 3 4 2 -2 -2 4 -3 1\n")
     argv = [a.format(tmp=tmp_path) for a in argv] + ["--out", str(tmp_path)]
     code = (
         "import sys\n"
         "from huffkit.cli import main\n"
         f"main({argv!r})\n"
-        "lazy = ('huffkit.construct', 'huffkit.continuum', 'huffkit.imaging',\n"
+        "lazy = ('huffkit.metrics', 'huffkit.construct', 'huffkit.continuum', 'huffkit.imaging',\n"
         "        'huffkit._cli_array', 'huffkit._cli_continuum', 'huffkit._cli_imaging')\n"
         "print([m for m in lazy if m in sys.modules])\n"
-        "print([m for m in ('importlib.metadata', 'email') if m in sys.modules])\n"
+        "print([m for m in ('importlib.metadata', 'email', 'click') if m in sys.modules])\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
@@ -147,7 +144,7 @@ def test_non_finite_plot_is_a_domain_error(tmp_path):
     obj.write_text("2 2\n1.0 nan\n2.0 3.0\n")
     mask = tmp_path / "mask.txt"
     mask.write_text("1 1\n1\n")
-    result = CliRunner().invoke(main, ["encode", str(obj), str(mask), "--plot", "--out", str(tmp_path)])
+    result = invoke(["encode", str(obj), str(mask), "--plot", "--out", str(tmp_path)])
     assert result.exit_code == 3, result.output
     assert "finite" in result.output
 
@@ -159,7 +156,7 @@ def test_zero_mask_decode_is_a_domain_error(tmp_path):
     mask = tmp_path / "zero.txt"
     mask.write_text("2 2\n0 0\n0 0\n")
     out = tmp_path / "out"
-    result = CliRunner().invoke(main, ["decode", str(blurred), str(mask), "--plot", "--out", str(out)])
+    result = invoke(["decode", str(blurred), str(mask), "--plot", "--out", str(out)])
     assert result.exit_code == 3, result.output
     assert "finite" in result.output
     assert "zero-energy mask" in result.output
@@ -177,7 +174,7 @@ def test_ghost_scan_needs_one_slice_per_axis(tmp_path, shape, scan):
     (tmp_path / "mask.txt").write_text(" ".join(["2"] * len(shape)) + "\n" + " ".join(["1"] * 2 ** len(shape)) + "\n")
     out = tmp_path / "out"
     argv = ["ghost", str(tmp_path / "obj.txt"), str(tmp_path / "mask.txt"), "--scan", scan, "--out", str(out)]
-    result = CliRunner().invoke(main, argv)
+    result = invoke(argv)
     assert result.exit_code == 3, result.output
     assert "one per axis" in result.output
     assert not out.exists()
@@ -187,21 +184,21 @@ def test_pedestal_auto_kappa_is_the_largest_magnitude(tmp_path):
     (tmp_path / "obj.txt").write_text("3\n1 2 3\n")
     (tmp_path / "mask.txt").write_text("2\n1 -5\n")
     argv = ["pedestal", str(tmp_path / "obj.txt"), str(tmp_path / "mask.txt"), "--name", "p", "--out", str(tmp_path)]
-    result = CliRunner().invoke(main, argv)
+    result = invoke(argv)
     assert result.exit_code == 0, result.output
     assert json.loads((tmp_path / "p.run.json").read_text())["arguments"]["kappa"] == 5.0
 
 
 @pytest.mark.parametrize("coeff", ["3=abc", "x=1", "3=1/x", "3=1/0"])
 def test_malformed_probe_coeff_is_a_usage_error(tmp_path, coeff):
-    result = CliRunner().invoke(main, ["probe", "--coeff", coeff, "--samples", "9", "--out", str(tmp_path)])
+    result = invoke(["probe", "--coeff", coeff, "--samples", "9", "--out", str(tmp_path)])
     assert result.exit_code == 1, result.output
     assert f"got {coeff!r}" in result.output
 
 
 @pytest.mark.parametrize("shape", ["0,5", "-1,5", "-2,-3"])
 def test_baseline_shape_below_one_is_a_domain_error(tmp_path, shape):
-    result = CliRunner().invoke(main, ["baseline", "--shape", shape, "--trials", "3", "--out", str(tmp_path)])
+    result = invoke(["baseline", "--shape", shape, "--trials", "3", "--out", str(tmp_path)])
     assert result.exit_code == 3, result.output
     assert f"got ({shape.replace(',', ', ')})" in result.output
 
@@ -212,7 +209,7 @@ def test_non_finite_kappa_is_a_usage_error(tmp_path, command, kappa):
     (tmp_path / "obj.txt").write_text("3\n1 2 3\n")
     (tmp_path / "mask.txt").write_text("2\n1 -5\n")
     argv = [command, str(tmp_path / "obj.txt"), str(tmp_path / "mask.txt"), "--kappa", kappa, "--out", str(tmp_path)]
-    result = CliRunner().invoke(main, argv)
+    result = invoke(argv)
     assert result.exit_code == 1, result.output
     assert f"--kappa must be a finite number or 'auto', got {kappa!r}" in result.output
 
@@ -223,7 +220,7 @@ def test_malformed_ghost_scan_is_a_usage_error(tmp_path, scan):
     (tmp_path / "mask.txt").write_text("2 2\n1 -1\n1 1\n")
     out = tmp_path / "out"
     argv = ["ghost", str(tmp_path / "obj.txt"), str(tmp_path / "mask.txt"), "--scan", scan, "--out", str(out)]
-    result = CliRunner().invoke(main, argv)
+    result = invoke(argv)
     assert result.exit_code == 1, result.output
     assert "--scan needs integer LO:HI per axis, got" in result.output
     assert not out.exists()
@@ -236,7 +233,7 @@ def test_non_finite_kappa_prime_is_a_usage_error(tmp_path, kappa_prime):
     out = tmp_path / "out"
     argv = ["ghost", str(tmp_path / "obj.txt"), str(tmp_path / "mask.txt"), "--kappa-prime", kappa_prime,
             "--out", str(out)]
-    result = CliRunner().invoke(main, argv)
+    result = invoke(argv)
     assert result.exit_code == 1, result.output
     assert f"--kappa-prime must be 'exact', 'boundary', or a finite number, got {kappa_prime!r}" in result.output
     assert not out.exists()
@@ -244,7 +241,7 @@ def test_non_finite_kappa_prime_is_a_usage_error(tmp_path, kappa_prime):
 
 @pytest.mark.parametrize("values", ["a:b", "1.5:9", "3", "1:2:3"])
 def test_baseline_non_integer_values_is_a_usage_error(tmp_path, values):
-    result = CliRunner().invoke(main, ["baseline", "--values", values, "--trials", "3", "--out", str(tmp_path)])
+    result = invoke(["baseline", "--values", values, "--trials", "3", "--out", str(tmp_path)])
     assert result.exit_code == 1, result.output
     assert f"--values must be LO:HI integers, got {values!r}" in result.output
 
@@ -266,7 +263,7 @@ def test_zero_energy_input_is_a_domain_error(tmp_path, monkeypatch, case):
         (tmp_path / f"{kind}.txt").write_text(text)
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "out"
-    result = CliRunner().invoke(main, [*_ZERO_RUNS[case], "--out", str(out)])
+    result = invoke([*_ZERO_RUNS[case], "--out", str(out)])
     assert result.exit_code == 3, result.output
     assert "zero-energy input" in result.output
     assert not out.exists()
@@ -277,7 +274,7 @@ def test_zero_mask_ghost_is_a_domain_error(tmp_path):
     (tmp_path / "obj.txt").write_text("3 3\n1 2 3\n4 5 6\n7 8 9\n")
     (tmp_path / "mask.txt").write_text("2 2\n0 0\n0 0\n")
     out = tmp_path / "out"
-    result = CliRunner().invoke(main, ["ghost", str(tmp_path / "obj.txt"), str(tmp_path / "mask.txt"),
+    result = invoke(["ghost", str(tmp_path / "obj.txt"), str(tmp_path / "mask.txt"),
                                        "--out", str(out)])
     assert result.exit_code == 3, result.output
     assert "zero-energy mask" in result.output and "text output" not in result.output
@@ -288,7 +285,7 @@ def test_zero_mark_locate_is_a_domain_error(tmp_path):
     (tmp_path / "image.txt").write_text("3 3\n1 2 3\n4 5 6\n7 8 9\n")
     (tmp_path / "mark.txt").write_text("2 2\n0 0\n0 0\n")
     out = tmp_path / "out"
-    result = CliRunner().invoke(main, ["watermark", "locate", str(tmp_path / "image.txt"), str(tmp_path / "mark.txt"),
+    result = invoke(["watermark", "locate", str(tmp_path / "image.txt"), str(tmp_path / "mark.txt"),
                                        "--out", str(out)])
     assert result.exit_code == 3, result.output
     assert "zero-energy mark" in result.output and "detected" not in result.output
@@ -304,21 +301,21 @@ def test_generate_spec_from_options_names_files_as_the_spec_text_did(tmp_path):
         "generate_diamond7_alphabet-0_0_0_1_3_6_19_33.txt": ["--family", "diamond7", "--e", "3", "--f", "6"],
     }
     for expected, argv in runs.items():
-        result = CliRunner().invoke(main, ["generate", *argv, "--out", str(tmp_path)])
+        result = invoke(["generate", *argv, "--out", str(tmp_path)])
         assert result.exit_code == 0, result.output
         assert (tmp_path / expected).exists(), sorted(p.name for p in tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("factor", ["fibonacci_binet:a:2", "h5_family:x", "fibonacci_binet:15", "catalog"])
 def test_malformed_factor_token_is_a_usage_error(tmp_path, factor):
-    result = CliRunner().invoke(main, ["generate", "--family", "outer", "--factor", factor, "--out", str(tmp_path)])
+    result = invoke(["generate", "--family", "outer", "--factor", factor, "--out", str(tmp_path)])
     assert result.exit_code == 1, result.output
     assert f"--factor: bad factor token {factor!r}" in result.output
 
 
 def test_inadmissible_factor_token_is_a_domain_error(tmp_path):
     argv = ["generate", "--family", "outer", "--factor", "fibonacci_binet:13:2", "--out", str(tmp_path)]
-    result = CliRunner().invoke(main, argv)
+    result = invoke(argv)
     assert result.exit_code == 3, result.output
     assert "4n+3" in result.output
 
@@ -328,7 +325,7 @@ def _invoke_beside_a_spec(tmp_path, monkeypatch, argv):
     (tmp_path / "in").mkdir()
     (tmp_path / "in" / "spec.json").write_text('{"coefficients": {"3": 0.5}, "samples": 9}')
     monkeypatch.chdir(tmp_path)
-    return CliRunner().invoke(main, [*argv, "--out", "out"])
+    return invoke([*argv, "--out", "out"])
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -379,7 +376,7 @@ def test_options_the_run_reads_keep_their_exit_codes(tmp_path, monkeypatch, argv
 def test_project_direction_text_exits_by_whether_it_parses(tmp_path, direction, code):
     (tmp_path / "a.txt").write_text("2 2\n1 2\n3 4\n")
     out = tmp_path / "out"
-    result = CliRunner().invoke(main, ["project", str(tmp_path / "a.txt"), "--dir", direction, "--out", str(out)])
+    result = invoke(["project", str(tmp_path / "a.txt"), "--dir", direction, "--out", str(out)])
     assert result.exit_code == code, result.output
     if code == 1:
         assert f"--dir: cannot parse direction {direction!r}" in result.output
@@ -388,7 +385,7 @@ def test_project_direction_text_exits_by_whether_it_parses(tmp_path, direction, 
 
 def test_probe_spec_without_samples_names_the_key(tmp_path):
     (tmp_path / "spec.json").write_text('{"coefficients": {"3": 0.5}}')
-    result = CliRunner().invoke(main, ["probe", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path)])
+    result = invoke(["probe", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path)])
     assert result.exit_code == 3, result.output
     assert "probe spec has no 'samples'" in result.output
 
@@ -406,7 +403,7 @@ def test_probe_spec_field_types_never_reach_a_traceback(tmp_path, spec, code, me
     (tmp_path / "spec.json").write_text(spec)
     out = tmp_path / "out"
     argv = ["probe", "--spec", str(tmp_path / "spec.json"), "--out", str(out)]
-    result = CliRunner().invoke(main, argv, catch_exceptions=False)
+    result = invoke(argv)
     assert result.exit_code == code, result.output
     assert "Traceback" not in result.output
     if message is None:
@@ -419,7 +416,7 @@ def test_probe_spec_field_types_never_reach_a_traceback(tmp_path, spec, code, me
 @pytest.mark.parametrize("window", ["nan:8:0.5", "-inf:8:0.5", "0:inf:1", "0:8:nan"])
 def test_non_finite_airy_window_is_a_usage_error(tmp_path, window):
     out = tmp_path / "out"
-    result = CliRunner().invoke(main, ["discretize", f"--airy={window}", "--out", str(out)])
+    result = invoke(["discretize", f"--airy={window}", "--out", str(out)])
     assert result.exit_code == 1, result.output
     assert f"--airy needs finite LO < HI and STEP > 0, got {window!r}" in result.output
     assert not out.exists()
@@ -428,7 +425,7 @@ def test_non_finite_airy_window_is_a_usage_error(tmp_path, window):
 def test_empty_airy_window_is_a_usage_error(tmp_path):
     # an empty window is a malformed one, not a missing one
     out = tmp_path / "out"
-    result = CliRunner().invoke(main, ["discretize", "--airy", "", "--out", str(out)])
+    result = invoke(["discretize", "--airy", "", "--out", str(out)])
     assert result.exit_code == 1, result.output
     assert "--airy must be LO:HI:STEP, got ''" in result.output
     assert not out.exists()
@@ -439,7 +436,7 @@ def test_empty_airy_window_is_a_usage_error(tmp_path):
 def test_discretize_past_int64_is_refused_before_any_cast(tmp_path, bits):
     """At 31 bits the first correlation leaves int64; from 32 bits the rounded samples' squares do."""
     out = tmp_path / "out"
-    result = CliRunner().invoke(main, ["discretize", "--airy", "-10:4:0.5", "--bits", str(bits), "--out", str(out)])
+    result = invoke(["discretize", "--airy", "-10:4:0.5", "--bits", str(bits), "--out", str(out)])
     assert result.exit_code == 4, result.output
     assert "a +/-1 move would take the auto-correlation past int64" in result.output
     assert not out.exists()
@@ -455,7 +452,7 @@ def test_discretize_rounds_a_tiny_peak_as_its_power_of_two_rescaling(tmp_path, e
     out = tmp_path / "out"
     for stem in ("reported", "tiny", "plain"):
         argv = ["discretize", str(tmp_path / f"{stem}.txt"), "--bits", str(bits), "--name", stem, "--out", str(out)]
-        result = CliRunner().invoke(main, argv)
+        result = invoke(argv)
         assert result.exit_code == 0, result.output
     assert (out / "tiny.txt").read_text() == (out / "plain.txt").read_text()
 
@@ -470,7 +467,7 @@ def test_table1_matches_the_printed_5x5_table(tmp_path):
     from huffkit.construct import diamond_array
     from huffkit.metrics import bits
 
-    result = CliRunner().invoke(main, ["tables", "--table", "1", "--out", str(tmp_path)])
+    result = invoke(["tables", "--table", "1", "--out", str(tmp_path)])
     assert result.exit_code == 0, result.output
     with open(tmp_path / "table1.csv") as fh:
         got = list(csv.DictReader(fh))
@@ -495,7 +492,7 @@ def test_ghost_auto_kappa_lifts_the_most_negative_entry(tmp_path):
     (tmp_path / "obj.txt").write_text("3\n1 2 3\n")
     (tmp_path / "mask.txt").write_text("2\n9 -5\n")
     argv = ["ghost", str(tmp_path / "obj.txt"), str(tmp_path / "mask.txt"), "--name", "g", "--out", str(tmp_path)]
-    result = CliRunner().invoke(main, argv)
+    result = invoke(argv)
     assert result.exit_code == 0, result.output
     assert json.loads((tmp_path / "g.run.json").read_text())["arguments"]["kappa"] == 5.0
 
@@ -505,6 +502,80 @@ def test_pedestal_with_a_non_integral_kappa_writes_integers(tmp_path):
     (tmp_path / "mask.txt").write_text("2\n1 -5\n")
     argv = ["pedestal", str(tmp_path / "obj.txt"), str(tmp_path / "mask.txt"), "--kappa", "5.5", "--name", "p",
             "--out", str(tmp_path)]
-    result = CliRunner().invoke(main, argv)
+    result = invoke(argv)
     assert result.exit_code == 0, result.output
     assert (tmp_path / "p.txt").read_text() == "4\n-10 -18 -26 6\n"
+
+
+# every command with a small run that succeeds; values that start with "-" are read as values
+_PARITY_INPUTS = {
+    "obj.txt": "4 4\n1 2 3 4\n5 6 7 8\n0 1 0 1\n9 8 7 6\n",
+    "mask.txt": "3 3\n1 2 -1\n2 -4 2\n-1 2 1\n",
+    "blurred.txt": "6 6\n" + "".join(" ".join(str((r * c) % 5 - 2) for c in range(6)) + "\n" for r in range(6)),
+}
+_PARITY_RUNS = {
+    "generate": ["generate", "--family", "h5", "--n", "1", "--variant", "odd"],
+    "analyze": ["analyze", "mask.txt", "--oversample", "2", "--plot"],
+    "project": ["project", "mask.txt", "--dir", "-1:2"],
+    "twin": ["twin", "mask.txt"],
+    "tables": ["tables", "--table", "2", "--e", "3", "--f-min", "3", "--f-max", "4"],
+    "probe": ["probe", "--coeff", "3=-1/3", "--samples", "9", "--bandwidth", "0.5"],
+    "discretize": ["discretize", "--airy", "-4:4:0.5", "--bits", "5", "--objective", "R", "--max-iters", "2"],
+    "encode": ["encode", "obj.txt", "mask.txt", "--plot"],
+    "decode": ["decode", "blurred.txt", "mask.txt"],
+    "deblur": ["deblur", "blurred.txt", "mask.txt", "-p", "2"],
+    "pedestal": ["pedestal", "obj.txt", "mask.txt", "--kappa", "4.5"],
+    "ghost": ["ghost", "obj.txt", "mask.txt", "--kappa", "auto", "--kappa-prime", "-0.5", "--scan", "0:6,-3:"],
+    "watermark embed": ["watermark", "embed", "blurred.txt", "mask.txt", "--offset", "1,2"],
+    "watermark locate": ["watermark", "locate", "blurred.txt", "mask.txt"],
+    "baseline": ["baseline", "--shape", "2,2", "--values", "-3:3", "--trials", "3", "--seed", "-1"],
+    "noise-study": ["noise-study", "obj.txt", "mask.txt", "--sigma", "0.5", "--trials", "2", "--seed", "7"],
+}
+
+
+def _invoke_in(root, monkeypatch, argv):
+    """``invoke(argv)`` in a fresh ``root`` holding the parity inputs, writing into ``root/out``; also the files."""
+    root.mkdir(exist_ok=True)
+    for fname, text in _PARITY_INPUTS.items():
+        (root / fname).write_text(text)
+    monkeypatch.chdir(root)
+    result = invoke([*argv, "--out", "out"])
+    out = root / "out"
+    return result, {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
+
+
+def test_parity_table_runs_every_command():
+    assert {argv[0] for argv in _PARITY_RUNS.values()} == set(_COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(_PARITY_RUNS))
+def test_option_takes_the_next_word_even_with_a_dash(tmp_path, monkeypatch, command):
+    result, files = _invoke_in(tmp_path, monkeypatch, [*_PARITY_RUNS[command], "--name", "-dashed"])
+    assert result.exit_code == 0, result.output
+    assert "-dashed.run.json" in files
+
+
+@pytest.mark.parametrize("command", sorted(_PARITY_RUNS))
+def test_option_equals_value_is_option_then_value(tmp_path, monkeypatch, command):
+    argv, words = [], iter(_PARITY_RUNS[command])
+    for word in words:
+        argv.append(f"{word}={next(words)}" if word.startswith("-") and word != "--plot" else word)
+    spaced, spaced_files = _invoke_in(tmp_path / "spaced", monkeypatch, _PARITY_RUNS[command])
+    joined, joined_files = _invoke_in(tmp_path / "joined", monkeypatch, argv)
+    assert spaced.exit_code == 0, spaced.output
+    assert (joined.exit_code, joined.output, joined_files) == (0, spaced.output, spaced_files)
+
+
+@pytest.mark.parametrize("word", ["--nam", "--iter", "-h", "--bogus"], ids=["abbreviation", "iter", "h", "unknown"])
+@pytest.mark.parametrize("command", sorted(_PARITY_RUNS))
+def test_abbreviation_short_h_and_unknown_option_are_no_such_option(tmp_path, monkeypatch, command, word):
+    result, files = _invoke_in(tmp_path, monkeypatch, [*_PARITY_RUNS[command], word, "3"])
+    assert result.exit_code == 1, result.output
+    assert f"No such option '{word}'" in result.output
+    assert files == {}
+
+
+@pytest.mark.parametrize("command", [*sorted(_COMMANDS), "watermark embed", "watermark locate"])
+def test_help_exits_0_for_every_command(capsys, command):
+    assert main([*command.split(), "--help", "--out", "never"], prog_name="huffkit") == 0  # returns, as on success
+    assert capsys.readouterr().out.startswith(f"usage: huffkit {command} ")

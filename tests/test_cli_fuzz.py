@@ -1,5 +1,6 @@
-"""Near-miss fuzzing of ``generate``, ``probe``, ``discretize`` and ``baseline``
-through click's CliRunner.
+"""Near-miss fuzzing of ``generate``, ``probe``, ``discretize``, ``baseline``
+and the imaging commands ``encode``, ``decode``, ``deblur``, ``pedestal``,
+``ghost`` and ``noise-study``, run in this process.
 
 Each example draws a family (or a probe recipe, an input) and option text
 from near misses of valid input: 0, -1, lengths of the form 4n+1, odd bases,
@@ -13,10 +14,9 @@ below, must exit 1.
 
 import warnings
 
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from huffkit.cli import main
+from conftest import invoke
 
 INTS = ["0", "-1", "1_0", "+7", "nan", "inf", "", "x", "2.5"]
 
@@ -50,23 +50,26 @@ READS = {
 }
 
 
-def _invoke(tmp_path_factory, argv):
-    """Run ``argv`` with ``{in}`` naming a fresh directory of spec files; check the exit, return the result."""
+def _invoke(tmp_path_factory, argv, keeps=(0,)):
+    """Run ``argv`` with ``{in}`` naming a fresh directory of spec files; check the exit, return the result.
+
+    Only an exit code in ``keeps`` may leave files in ``--out``.
+    """
     root = tmp_path_factory.mktemp("fuzz")
     argv = [arg.replace("{in}", str(root)) for arg in argv]
     (root / "spec.json").write_text('{"coefficients": {"3": 0.25}, "samples": [9]}')
     (root / "step.json").write_text('{"coefficients": {"3": 0.25}, "samples": [9], "step": 0.5}')
     (root / "cut.json").write_text('{"coefficients": {"3": 0.2')
-    for fname, text in INPUTS.items():
+    for fname, text in {**INPUTS, **IMAGES}.items():
         (root / fname).write_text(text)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = CliRunner().invoke(main, [*argv, "--out", str(root / "out")], catch_exceptions=False)
+        result = invoke([*argv, "--out", str(root / "out")])
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
     assert result.exit_code in (0, 1, 2, 3, 4), (argv, result.output)
     assert "Traceback" not in result.output and "RuntimeWarning" not in result.output, (argv, result.output)
     left = sorted(p.name for p in (root / "out").iterdir()) if (root / "out").is_dir() else []
-    assert result.exit_code == 0 or not left, (argv, result.output, left)
+    assert result.exit_code in keeps or not left, (argv, result.output, left)
     return result
 
 
@@ -170,3 +173,50 @@ def test_baseline_near_misses_end_in_a_clean_exit(tmp_path_factory, data):
     for opt in options:
         argv += [opt, data.draw(st.sampled_from(BASELINE[opt]), label=opt)]
     _invoke(tmp_path_factory, argv)
+
+
+# inputs of the imaging commands, written beside the probe specs
+IMAGES = {
+    "obj.txt": "4 4\n1 2 3 4\n5 6 7 8\n0 1 0 1\n9 8 7 6\n",
+    "mask.txt": "3 3\n1 2 -1\n2 -4 2\n-1 2 1\n",
+    "blur.txt": "6 6\n" + "".join(" ".join(str((r * c) % 5 - 2) for c in range(6)) + "\n" for r in range(6)),
+    "img.pgm": "P5\n3 2\n255\nabcdef",
+    "empty.img": "",
+    "header.txt": "4 4\n",
+    "cut.pgm": "P5\n4 4\n255\nab",
+    "nan.img": "2 2\n1 nan\n2 3\n",
+    "line.txt": "3\n1 -2 1\n",
+    "zero.img": "2 2\n0 0\n0 0\n",
+}
+IMAGING = {  # command -> options it reads, each with its admissible values and near misses
+    "encode": {"--plot": None},
+    "decode": {"--plot": None},
+    "deblur": {"-p": ["2", "3", "0", "-1", "1_0", "+7", "nan", ""], "--plot": None},
+    "pedestal": {"--kappa": ["auto", "5", "2.5", "nan", "inf", "-1", "1e400", ""]},
+    "ghost": {
+        "--kappa": ["auto", "4", "nan", "inf", "-1", "1e400", ""],
+        "--kappa-prime": ["exact", "boundary", "0.5", "x", "-0", ""],
+        "--scan": ["0:6,0:6", "1:4,:", ":", "0:5,", "a:b", "0:2,0:2,0:2"],
+        "--plot": None,
+    },
+    "noise-study": {
+        "--sigma": ["1", "0.5", "nan", "-1"],
+        "--trials": ["2", "0"],
+        "--seed": ["0", "7", "-1", str(2**64)],
+    },
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_imaging_near_misses_end_in_a_clean_exit(tmp_path_factory, data):
+    command = data.draw(st.sampled_from(sorted(IMAGING)), label="command")
+    inputs = [data.draw(st.sampled_from(sorted(IMAGES)), label=role) for role in ("object", "mask")]
+    argv = [command, *("{in}/" + name for name in inputs)]
+    if command == "noise-study":  # not the default 500 trials
+        argv += ["--trials", "2"]
+    options = data.draw(st.lists(st.sampled_from(sorted(IMAGING[command])), unique=True), label="options")
+    for opt in options:
+        values = IMAGING[command][opt]
+        argv += [opt] if values is None else [opt, data.draw(st.sampled_from(values), label=opt)]
+    _invoke(tmp_path_factory, argv, keeps=(0, 4) if command == "deblur" else (0,))  # a diverged deblur keeps its record

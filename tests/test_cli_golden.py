@@ -1,4 +1,4 @@
-"""Golden runs of every CLI command through click's CliRunner.
+"""Golden runs of every CLI command in this process.
 
 Each case runs twice, in two fresh directories, on the same small inputs.
 Both runs must give the same exit code, output and file bytes, and every
@@ -14,12 +14,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from huffkit import _cli
-from huffkit.cli import main
 
-from conftest import DATA, oracle_correlate
+from conftest import DATA, invoke, oracle_correlate
 
 PINNED = json.loads((DATA / "cli_golden.json").read_text())
 
@@ -99,7 +97,7 @@ def _run(root: Path, argv, monkeypatch):
     for name, text in INPUTS.items():
         (root / "in" / name).write_text(text)
     monkeypatch.chdir(root)
-    result = CliRunner().invoke(main, [*argv, "--out", "out"])
+    result = invoke([*argv, "--out", "out"])
     out = root / "out"
     files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
     return result, files

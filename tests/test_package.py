@@ -61,6 +61,15 @@ def test_each_name_loads_only_its_own_submodule():
         )
 
 
+def test_metrics_loads_on_first_use():
+    fresh(
+        "import sys, huffkit\n"
+        "assert 'huffkit.metrics' not in sys.modules\n"
+        "assert huffkit.classify is sys.modules['huffkit.metrics'].classify\n"
+        "assert huffkit.metrics is sys.modules['huffkit.metrics']\n"
+    )
+
+
 def test_submodule_attribute_works_without_an_import():
     fresh(
         "import sys, huffkit\n"

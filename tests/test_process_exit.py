@@ -4,14 +4,14 @@ import gc
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from huffkit.cli import main
+from conftest import invoke
 
 ROOT = Path(__file__).resolve().parents[1]
 # without PYTHONUNBUFFERED, so that stdout through a pipe is block-buffered as in a user's shell
@@ -74,6 +74,19 @@ def test_numerical_failure_process_exits_4_without_a_warning_or_files(tmp_path):
     assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
 
 
+def test_out_of_memory_process_exits_3_without_a_traceback_or_files(tmp_path):
+    """A window of 8e9 samples cannot be allocated under a 2 GiB address-space limit set in the child only."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    argv = [sys.executable, "-m", "huffkit.cli", "discretize", "--airy", "-4:4:1e-9", "--out", "out"]
+    env = dict(ENV, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")  # per-thread BLAS buffers count against the limit
+    proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120, preexec_fn=limit)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("domain error: discretize ran out of memory") and "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
+
+
 def test_last_stdout_line_arrives_whole_through_a_pipe(tmp_path):
     proc = _cli(tmp_path, "tables", "--table", "1", "--out", "out")
     assert proc.returncode == 0, proc.stderr
@@ -90,7 +103,7 @@ def test_help_process_lists_every_command(tmp_path):
 
 def test_in_process_invoke_leaves_the_heap_unfrozen(tmp_path):
     before = gc.get_freeze_count()
-    result = CliRunner().invoke(main, ["generate", "--family", "h5", "--n", "1", "--out", str(tmp_path)])
+    result = invoke(["generate", "--family", "h5", "--n", "1", "--out", str(tmp_path)])
     assert result.exit_code == 0, result.output
     assert gc.get_freeze_count() == before
 
