@@ -38,7 +38,7 @@ _COMMANDS = {
 }
 _REGISTRY = {}  # command name -> function, filled by the command modules as they import
 
-# (command words, the arguments its command line gave) of the command running in this context
+# (command words, the arguments its command line gave, --name, --out) of the command running in this context
 _CALL = contextvars.ContextVar("huffkit_cli_call")
 
 
@@ -81,6 +81,18 @@ def at_least(low: int):
     return convert
 
 
+def _plain_name(text: str) -> str:
+    """argparse type of ``--name``: a file name that stays in ``--out``."""
+    if text in ("", ".", "..") or os.path.basename(text) != text:
+        raise argparse.ArgumentTypeError(f"must be a plain file name, not '', '.', '..' or a path, got {text!r}")
+    return text
+
+
+# where every command writes, declared after the command's own options; _finish reads it
+_LOCATION = [(("--name",), {"type": _plain_name, "help": "Output file stem."}),
+             (("--out",), {"help": "Output directory (default $HUFFKIT_OUT or cwd)."})]
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: D102 - argparse override: raise, so that main() maps it to exit 1
         raise UsageError(message)
@@ -106,7 +118,7 @@ def _run_command(prog: str, fn, argv: list[str], words: list[str]):
     """
     parser = _Parser(prog=prog, description=fn.__doc__, add_help=False, allow_abbrev=False)
     flags = {"--help": parser.add_argument("--help", action="help", help="show this help message and exit")}
-    declared = [parser.add_argument(*names, **kwargs) for names, kwargs in fn.arguments]
+    declared = [parser.add_argument(*names, **kwargs) for names, kwargs in [*fn.arguments, *_LOCATION]]
     flags.update((flag, action) for action in declared for flag in action.option_strings)
     args, given, rest = [], set(), iter(argv)
     for word in rest:
@@ -129,7 +141,8 @@ def _run_command(prog: str, fn, argv: list[str], words: list[str]):
             given.add(action)
             args.append(word)
     namespace = vars(parser.parse_args(args))
-    token = _CALL.set((words, [action for action in declared if action in given]))
+    given = [action for action in declared if action in given]
+    token = _CALL.set((words, given, namespace.pop("name"), namespace.pop("out")))
     try:
         return fn(**namespace)
     finally:
@@ -212,34 +225,31 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _artefact_options(fn):
-    """The ``--name``/``--out`` pair every artefact-writing command takes."""
-    fn = option("--out", help="Output directory (default $HUFFKIT_OUT or cwd).")(fn)
-    return option("--name", help="Output file stem.")(fn)
-
-
-def _finish(name: str | None, out: str | None, stem: str, arguments: dict, artefacts: dict,
-            seed: int | None = None, results: dict | None = None) -> list[str]:
+def _finish(stem: str, arguments: dict, artefacts: dict, seed: int | None = None,
+            results: dict | None = None) -> list[str]:
     """Write a run's artefacts, then its ``<stem>.run.json``; all or nothing.
 
     ``artefacts`` maps file suffix to payload in writing order: a Tensor is
     written as text, or rendered when the suffix ends in ``.pgm``; a dict is
-    written as JSON, a str as is, and None is skipped.  ``name`` (the
-    ``--name`` option) overrides the default ``stem``.  If any write fails,
-    every file this call began writing is removed and the error re-raised.
-    Returns the artefact file names in writing order.
+    written as JSON, a str as is, and None is skipped.  The files go into
+    the running command's ``--out`` and ``--name`` overrides the default
+    ``stem``; the front end declares both for every command and parses them
+    into ``_CALL``, which this reads.  If any write fails, every file this
+    call began writing is removed and the error re-raised.  Returns the
+    artefact file names in writing order.
 
     The record's ``package`` holds ``huffkit.__version__`` and its
     ``versions`` hold ``np.__version__`` and ``platform.python_version()``,
     the two versions a run's numbers depend on; the parse is pinned by the
     resolved ``arguments``.
     """
+    words, _, name, out = _CALL.get()
     stem = name or stem
     base = Path(out) if out else Path(os.environ.get("HUFFKIT_OUT", "."))
     base.mkdir(parents=True, exist_ok=True)
     payloads = {stem + suffix: payload for suffix, payload in artefacts.items() if payload is not None}
     record = {
-        "command": " ".join(_CALL.get()[0]),
+        "command": " ".join(words),
         "arguments": arguments,
         "files": sorted(payloads),
         "seed": seed,

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._cli import (UsageError, _artefact_options, _finish, _given, _parse_ints, _read_tensor, _refuse_given,
+from ._cli import (UsageError, _finish, _given, _parse_ints, _read_tensor, _refuse_given,
                    _report_payload, at_least, command, option)
 from .lattice import Tensor, correlate
 from .metrics import classify, cross_metrics, span_bits, spectral_flatness
@@ -29,8 +29,7 @@ _FAMILY_ALIASES = {"fibonacci": "fibonacci_binet", "h5": "h5_family", "even": "c
 @option("--h", dest="h_letter", metavar="H", type=int)
 @option("--factor", dest="factors", metavar="FACTOR", action="append", default=[],
         help="Outer-product factor, e.g. catalog:H9 or fibonacci_binet:15:2.")
-@_artefact_options
-def generate(family, length, b, n, variant, key, alphabet, e, f, g, h_letter, factors, name, out):
+def generate(family, length, b, n, variant, key, alphabet, e, f, g, h_letter, factors):
     """Construct an array from a named family and score it; an option the family does not read is refused."""
     from . import construct  # through the package, which pauses the collector while construct imports
     family = _FAMILY_ALIASES.get(family, family)
@@ -61,8 +60,7 @@ def generate(family, length, b, n, variant, key, alphabet, e, f, g, h_letter, fa
     tensor = construct.build(spec)
     report = classify(tensor)
     stem = "generate_" + spec.to_text().replace("family=", "").replace(" ", "_").replace("=", "-").replace(",", "_").replace(":", "-")
-    _finish(name, out, stem, {"spec": spec.to_text()},
-            {".txt": tensor, ".report.json": _report_payload(report)},
+    _finish(stem, {"spec": spec.to_text()}, {".txt": tensor, ".report.json": _report_payload(report)},
             results={"shape": list(tensor.shape)})
     print(report.to_json())
 
@@ -71,8 +69,7 @@ def generate(family, length, b, n, variant, key, alphabet, e, f, g, h_letter, fa
 @option("input_path", metavar="INPUT")
 @option("--oversample", type=at_least(1), default=1, help="Zero-padding factor for the spectral-flatness DFT.")
 @option("--plot", action="store_true", help="Also render |auto-correlation| as PGM.")
-@_artefact_options
-def analyze(input_path, oversample, plot, name, out):
+def analyze(input_path, oversample, plot):
     """Score an array: merit factor, side-lobe ratio, flatness, class."""
     tensor = _read_tensor(input_path)
     report = classify(tensor)
@@ -84,8 +81,7 @@ def analyze(input_path, oversample, plot, name, out):
     if plot:
         corr = correlate(tensor, tensor)
         mags = Tensor(np.abs(np.asarray(corr.values.data, dtype=np.float64)), "real")
-    _finish(name, out, f"analyze_{Path(input_path).stem}",
-            {"input": input_path, "oversample": oversample},
+    _finish(f"analyze_{Path(input_path).stem}", {"input": input_path, "oversample": oversample},
             {".report.json": payload, ".corr.pgm": mags})
     print(json.dumps(payload, sort_keys=True))
 
@@ -93,8 +89,7 @@ def analyze(input_path, oversample, plot, name, out):
 @command("project")
 @option("input_path", metavar="INPUT")
 @option("--dir", dest="direction", metavar="DIR", required=True, help="Projection direction p:q (2D) or p:q:r (3D).")
-@_artefact_options
-def project_cmd(input_path, direction, name, out):
+def project_cmd(input_path, direction):
     """Project an array along a rational direction and score the result."""
     try:
         components = _direction_components(direction)
@@ -104,7 +99,7 @@ def project_cmd(input_path, direction, name, out):
     d = as_direction(components, ndim=tensor.ndim)
     projected = project(tensor, d)
     report = classify(projected)
-    _finish(name, out, f"project_{Path(input_path).stem}_{str(d).replace(':', '_').replace('-', 'm')}",
+    _finish(f"project_{Path(input_path).stem}_{str(d).replace(':', '_').replace('-', 'm')}",
             {"input": input_path, "dir": str(d)},
             {".txt": projected, ".report.json": _report_payload(report)},
             results={"shape": list(projected.shape)})
@@ -113,8 +108,7 @@ def project_cmd(input_path, direction, name, out):
 
 @command("twin")
 @option("input_path", metavar="INPUT")
-@_artefact_options
-def twin_cmd(input_path, name, out):
+def twin_cmd(input_path):
     """Emit the parity-flipped twin and its cross-correlation metrics."""
     tensor = _read_tensor(input_path)
     tw = twin_of(tensor)
@@ -123,7 +117,7 @@ def twin_cmd(input_path, name, out):
     payload = _report_payload(report)
     results = {"cross_R": cross_r, "cross_M": cross_m}
     payload.update(results)
-    _finish(name, out, f"twin_{Path(input_path).stem}", {"input": input_path},
+    _finish(f"twin_{Path(input_path).stem}", {"input": input_path},
             {".txt": tw, ".report.json": payload}, results=results)
     print(json.dumps(results, sort_keys=True))
 
@@ -153,8 +147,7 @@ def _off_peak_span(tensor: Tensor) -> tuple[int, int]:
 @option("--e", type=int, default=3, help="Inner-diamond letter (table 2).")
 @option("--f-min", type=at_least(1), default=3)
 @option("--f-max", type=int, default=20)
-@_artefact_options
-def tables(table, e, f_min, f_max, name, out):
+def tables(table, e, f_min, f_max):
     """Regenerate the 5x5 / 7x7 family tables as CSV.
 
     The bits column follows the printed tables' span convention
@@ -188,5 +181,5 @@ def tables(table, e, f_min, f_max, name, out):
             lines.append("%d,%d,%d,%.6g,%.6g,%.6g,%d,%s" % (*sol.values[5:8], rep.R, rep.M, rep.S, bits, rep.OP))
         args = {"table": 2, "e": e, "f_min": f_min, "f_max": f_max}
 
-    files = _finish(name, out, stem, args, {".csv": "\n".join(lines) + "\n"}, results={"rows": len(lines) - 1})
+    files = _finish(stem, args, {".csv": "\n".join(lines) + "\n"}, results={"rows": len(lines) - 1})
     print(f"{len(lines) - 1} rows -> {files[0]}")

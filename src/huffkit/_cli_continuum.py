@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._cli import (UsageError, _artefact_options, _finish, _parse_ints, _read_tensor, _refuse_given, _report_payload,
+from ._cli import (UsageError, _finish, _parse_ints, _read_tensor, _refuse_given, _report_payload,
                    at_least, command, option)
 from .continuum import ProbeSpec, airy, discretize_and_tweak, synthesize_probe, verify_delta_correlation
 
@@ -29,8 +29,7 @@ def _parse_coeff(text: str) -> tuple[tuple[int, ...], float]:
 @option("--samples", help="Grid points per axis, e.g. 257 or 64,64.")
 @option("--bandwidth", type=float, default=1.0)
 @option("--plot", action="store_true", help="Also render the probe as PGM.")
-@_artefact_options
-def probe(spec_path, coeffs, samples, bandwidth, plot, name, out):
+def probe(spec_path, coeffs, samples, bandwidth, plot):
     """Synthesize a flat-spectrum probe from an odd polynomial phase (--spec, or --coeff/--samples/--bandwidth)."""
     if spec_path:
         _refuse_given("cannot be given with --spec", "coeffs", "samples", "bandwidth")
@@ -46,7 +45,7 @@ def probe(spec_path, coeffs, samples, bandwidth, plot, name, out):
     tensor = synthesize_probe(spec)
     delta = verify_delta_correlation(tensor)
     results = {"periodic_rel": delta.periodic_rel, "aperiodic_rel": delta.aperiodic_rel}
-    _finish(name, out, "probe", {"spec": json.loads(spec.to_json())},
+    _finish("probe", {"spec": json.loads(spec.to_json())},
             {".txt": tensor, ".spec.json": spec.to_json() + "\n", ".delta.json": dict(results, peak=delta.peak),
              ".pgm": tensor if plot else None},
             results=results)
@@ -59,8 +58,7 @@ def probe(spec_path, coeffs, samples, bandwidth, plot, name, out):
 @option("--bits", type=at_least(3), default=7)
 @option("--objective", choices=["M", "R"], default="M")
 @option("--max-iters", type=at_least(0), default=500)
-@_artefact_options
-def discretize(input_path, airy_window, bits, objective, max_iters, name, out):
+def discretize(input_path, airy_window, bits, objective, max_iters):
     """Round a real sequence to integers and greedily tweak it delta-ward."""
     if (input_path is None) == (airy_window is None):
         raise UsageError("give exactly one of INPUT or --airy")
@@ -80,6 +78,6 @@ def discretize(input_path, airy_window, bits, objective, max_iters, name, out):
     payload = _report_payload(result.report)
     payload["iterations"] = result.iterations
     results = {"iterations": result.iterations, "M": payload["M"], "R": payload["R"]}
-    _finish(name, out, "discretize", dict(source, bits=bits, objective=objective, max_iters=max_iters),
+    _finish("discretize", dict(source, bits=bits, objective=objective, max_iters=max_iters),
             {".txt": result.tensor, ".report.json": payload}, results=results)
     print(json.dumps(results, sort_keys=True))

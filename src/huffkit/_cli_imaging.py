@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from . import imaging
-from ._cli import (DivergenceError, UsageError, _artefact_options, _finish, _parse_finite, _parse_ints, _read_tensor,
+from ._cli import (DivergenceError, UsageError, _finish, _parse_finite, _parse_ints, _read_tensor,
                    at_least, command, group, option)
 from .lattice import Tensor
 
@@ -23,13 +23,11 @@ def _parse_kappa(text: str, mask: Tensor, scheme: str) -> float:
 @option("object_path", metavar="OBJECT")
 @option("mask_path", metavar="MASK")
 @option("--plot", action="store_true", help="Also render the blurred image as PGM.")
-@_artefact_options
-def encode(object_path, mask_path, plot, name, out):
+def encode(object_path, mask_path, plot):
     """Blur an object with a diffuse mask (full cross-correlation)."""
     obj, mask = _read_tensor(object_path), _read_tensor(mask_path)
     blurred = imaging.encode(obj, mask)
-    files = _finish(name, out, f"encode_{Path(object_path).stem}",
-                    {"object": object_path, "mask": mask_path},
+    files = _finish(f"encode_{Path(object_path).stem}", {"object": object_path, "mask": mask_path},
                     {".txt": blurred, ".pgm": blurred if plot else None},
                     results={"shape": list(blurred.shape)})
     print(f"blurred {blurred.shape} -> {files[0]}")
@@ -39,14 +37,12 @@ def encode(object_path, mask_path, plot, name, out):
 @option("blurred_path", metavar="BLURRED")
 @option("mask_path", metavar="MASK")
 @option("--plot", action="store_true", help="Also render the estimate as PGM.")
-@_artefact_options
-def decode(blurred_path, mask_path, plot, name, out):
+def decode(blurred_path, mask_path, plot):
     """First-order decode: back-correlate, crop, normalize by C0."""
     blurred, mask = _read_tensor(blurred_path), _read_tensor(mask_path)
     c0 = imaging._energy(mask, "mask")
     estimate = Tensor(np.asarray(imaging.decode(blurred, mask).data, dtype=np.float64) / c0, "real")
-    files = _finish(name, out, f"decode_{Path(blurred_path).stem}",
-                    {"blurred": blurred_path, "mask": mask_path},
+    files = _finish(f"decode_{Path(blurred_path).stem}", {"blurred": blurred_path, "mask": mask_path},
                     {".txt": estimate, ".pgm": estimate if plot else None},
                     results={"shape": list(estimate.shape), "C0": c0})
     print(f"estimate {estimate.shape} -> {files[0]}")
@@ -58,12 +54,11 @@ def decode(blurred_path, mask_path, plot, name, out):
 @option("--iterations", "-p", type=at_least(1), default=2,
         help="Estimates computed; 2 = one de-blur step after the first decode.")
 @option("--plot", action="store_true", help="Also render the estimate as PGM.")
-@_artefact_options
-def deblur(blurred_path, mask_path, iterations, plot, name, out):
+def deblur(blurred_path, mask_path, iterations, plot):
     """Iteratively remove alias copies from a blurred image."""
     blurred, mask = _read_tensor(blurred_path), _read_tensor(mask_path)
     result = imaging.deblur(blurred, mask, iterations=iterations)
-    files = _finish(name, out, f"deblur_{Path(blurred_path).stem}",
+    files = _finish(f"deblur_{Path(blurred_path).stem}",
                     {"blurred": blurred_path, "mask": mask_path, "iterations": iterations},
                     {".txt": result.estimate, ".pgm": result.estimate if plot else None},
                     results={"iterations": result.iterations, "diverged": result.diverged,
@@ -79,13 +74,12 @@ def deblur(blurred_path, mask_path, iterations, plot, name, out):
 @option("mask_path", metavar="MASK")
 @option("--kappa", default="auto",
         help="Pedestal making both +mask and -mask exposures non-negative; 'auto' = max|mask|.")
-@_artefact_options
-def pedestal(object_path, mask_path, kappa, name, out):
+def pedestal(object_path, mask_path, kappa):
     """Two-shot acquisition: I1 - I2 with masks (+H + k) and (-H + k)."""
     obj, mask = _read_tensor(object_path), _read_tensor(mask_path)
     k = _parse_kappa(kappa, mask, "pedestal")
     diff = imaging.pedestal_pair(obj, mask, k)
-    files = _finish(name, out, f"pedestal_{Path(object_path).stem}",
+    files = _finish(f"pedestal_{Path(object_path).stem}",
                     {"object": object_path, "mask": mask_path, "kappa": k}, {".txt": diff},
                     results={"shape": list(diff.shape)})
     print(f"difference image {diff.shape} -> {files[0]}")
@@ -109,8 +103,7 @@ def _parse_scan(text: str) -> list[slice]:
 @option("--kappa-prime", default="exact", help="'exact' (needs known object sum), 'boundary', or a number.")
 @option("--scan", help="Recorded bucket positions as LO:HI[,LO:HI...]; rest is lost.")
 @option("--plot", action="store_true", help="Also render the reconstruction as PGM.")
-@_artefact_options
-def ghost(object_path, mask_path, kappa, kappa_prime, scan, plot, name, out):
+def ghost(object_path, mask_path, kappa, kappa_prime, scan, plot):
     """Bucket-signal ghost imaging with a scanned non-negative mask."""
     obj, mask = _read_tensor(object_path), _read_tensor(mask_path)
     k = _parse_kappa(kappa, mask, "ghost")
@@ -118,13 +111,11 @@ def ghost(object_path, mask_path, kappa, kappa_prime, scan, plot, name, out):
         kappa_prime = _parse_finite(kappa_prime, "--kappa-prime must be 'exact', 'boundary', or a finite number")
     scan_slices = _parse_scan(scan) if scan else None
     result = imaging.ghost_image(obj, mask, k, kappa_prime=kappa_prime, scan=scan_slices)
-    files = _finish(name, out, f"ghost_{Path(object_path).stem}",
-                    {"object": object_path, "mask": mask_path, "kappa": k,
-                     "kappa_prime": kappa_prime, "scan": scan},
+    files = _finish(f"ghost_{Path(object_path).stem}",
+                    {"object": object_path, "mask": mask_path, "kappa": k, "kappa_prime": kappa_prime, "scan": scan},
                     {".bucket.txt": result.bucket, ".txt": result.reconstruction,
                      ".pgm": result.reconstruction if plot else None},
-                    results={"kappa_prime": result.kappa_prime,
-                             "kappa_prime_mode": result.kappa_prime_mode,
+                    results={"kappa_prime": result.kappa_prime, "kappa_prime_mode": result.kappa_prime_mode,
                              "partial": result.partial})
     if result.partial:
         print("warning: scan does not cover every bucket position; reconstruction flagged partial", file=sys.stderr)
@@ -141,14 +132,12 @@ def watermark() -> None:
 @option("mark_path", metavar="MARK")
 @option("--offset", required=True, help="Top-left corner of the mark, e.g. 16,16.")
 @option("--plot", action="store_true", help="Also render the marked image as PGM.")
-@_artefact_options
-def embed(host_path, mark_path, offset, plot, name, out):
+def embed(host_path, mark_path, offset, plot):
     """Add the mark into the host at a fixed offset."""
     host, mark = _read_tensor(host_path), _read_tensor(mark_path)
     off = _parse_ints(offset, "--offset")
     marked = imaging.watermark_embed(host, mark, off)
-    files = _finish(name, out, f"marked_{Path(host_path).stem}",
-                    {"host": host_path, "mark": mark_path, "offset": list(off)},
+    files = _finish(f"marked_{Path(host_path).stem}", {"host": host_path, "mark": mark_path, "offset": list(off)},
                     {".txt": marked, ".pgm": marked if plot else None})
     print(f"marked image -> {files[0]}")
 
@@ -156,12 +145,11 @@ def embed(host_path, mark_path, offset, plot, name, out):
 @command(parent=watermark)
 @option("image_path", metavar="IMAGE")
 @option("mark_path", metavar="MARK")
-@_artefact_options
-def locate(image_path, mark_path, name, out):
+def locate(image_path, mark_path):
     """Search an image for the mark by a single cross-correlation."""
     image, mark = _read_tensor(image_path), _read_tensor(mark_path)
     payload = imaging.watermark_locate(image, mark)._asdict()
-    _finish(name, out, f"locate_{Path(image_path).stem}", {"image": image_path, "mark": mark_path},
+    _finish(f"locate_{Path(image_path).stem}", {"image": image_path, "mark": mark_path},
             {".locate.json": payload}, results=payload)
     print(json.dumps(payload, sort_keys=True))
 
@@ -173,8 +161,7 @@ def locate(image_path, mark_path, name, out):
 @option("--trials", type=at_least(1), default=10_000)
 @option("--seed", type=int, default=0)
 @option("--dump-values", action="store_true", help="Also write per-trial R and M as CSV.")
-@_artefact_options
-def baseline(shape, values, trials, seed, dump_values, name, out):
+def baseline(shape, values, trials, seed, dump_values):
     """Monte-Carlo R and M statistics of random non-repeating arrays."""
     shp = _parse_ints(shape, "--shape")
     try:
@@ -194,7 +181,7 @@ def baseline(shape, values, trials, seed, dump_values, name, out):
         csv = "trial,R,M\n" + "".join(
             "%d,%.9g,%.9g\n" % (i, r_v, m_v) for i, (r_v, m_v) in enumerate(zip(stats.R_values, stats.M_values))
         )
-    _finish(name, out, f"baseline_{'x'.join(str(v) for v in shp)}_{trials}",
+    _finish(f"baseline_{'x'.join(str(v) for v in shp)}_{trials}",
             {"shape": list(shp), "values": values, "trials": trials},
             {".json": payload, ".csv": csv}, seed=seed, results=payload)
     print(json.dumps(payload, sort_keys=True))
@@ -206,13 +193,12 @@ def baseline(shape, values, trials, seed, dump_values, name, out):
 @option("--sigma", type=float, default=1.0)
 @option("--trials", type=at_least(1), default=500)
 @option("--seed", type=int, default=0)
-@_artefact_options
-def noise_study(object_path, mask_path, sigma, trials, seed, name, out):
+def noise_study(object_path, mask_path, sigma, trials, seed):
     """Raster vs diffuse acquisition MSE under equal per-measurement noise."""
     obj, mask = _read_tensor(object_path), _read_tensor(mask_path)
     study = imaging.multiplex_noise_study(obj, mask, sigma, trials=trials, seed=seed)
     payload = {key: value for key, value in study._asdict().items() if key not in ("seed", "ratios")}
-    _finish(name, out, f"noise_{Path(object_path).stem}",
+    _finish(f"noise_{Path(object_path).stem}",
             {"object": object_path, "mask": mask_path, "sigma": sigma, "trials": trials},
             {".json": payload}, seed=seed, results=payload)
     print(json.dumps(payload, sort_keys=True))

@@ -1,15 +1,22 @@
 """Command-line surface for construction, analysis, and the imaging demos.
 
-Every command writes its artifacts into ``--out`` (default: ``$HUFFKIT_OUT``
-or the working directory) together with a ``<name>.run.json`` provenance
-record holding the resolved arguments, the library versions, and the seed —
-never a timestamp, so re-running with identical flags reproduces every CSV
-and JSON byte for byte (PGM renders may differ by a rounding ulp in real
-mode).  The files of one run are written all or nothing: if any write fails,
-the files already written by that run are removed and the command exits with
-the failure's code.  Text arrays must hold finite values: ``nan``, ``inf`` or
-an overflowing literal such as ``1e400`` in an input, or a non-finite result
-about to be written, is a domain error (exit 3).
+The front end gives every command two options, listed after its own:
+``--name``, the stem of its files' names (default: one the command derives
+from its inputs), and ``--out``, the directory it writes into (default:
+``$HUFFKIT_OUT`` or the working directory).  ``--name`` must be a plain file
+name: an empty name, ``.``, ``..`` or a name holding a path separator is a
+usage error (exit 1), refused before the command runs, so nothing is written.
+
+Every command writes its artifacts into ``--out`` together with a
+``<name>.run.json`` provenance record holding the resolved arguments, the
+library versions, and the seed — never a timestamp, so re-running with
+identical flags reproduces every CSV and JSON byte for byte (PGM renders may
+differ by a rounding ulp in real mode).  The files of one run are written all
+or nothing: if any write fails, the files already written by that run are
+removed and the command exits with the failure's code.  Text arrays must hold
+finite values: ``nan``, ``inf`` or an overflowing literal such as ``1e400``
+in an input, or a non-finite result about to be written, is a domain error
+(exit 3).
 
 Exit codes: 0 success, 1 usage, 2 I/O, 3 domain (constraint violation, or
 an input or window too large for the memory the process may allocate),

@@ -579,3 +579,23 @@ def test_abbreviation_short_h_and_unknown_option_are_no_such_option(tmp_path, mo
 def test_help_exits_0_for_every_command(capsys, command):
     assert main([*command.split(), "--help", "--out", "never"], prog_name="huffkit") == 0  # returns, as on success
     assert capsys.readouterr().out.startswith(f"usage: huffkit {command} ")
+
+
+@pytest.mark.parametrize("name", ["../x", "a/b", "", ".", ".."])
+@pytest.mark.parametrize("command", sorted(_PARITY_RUNS))
+def test_name_must_be_a_plain_file_name(tmp_path, monkeypatch, command, name):
+    """A ``--name`` that is empty, ``.``, ``..`` or a path is refused before any work, and no file is written."""
+    result, _ = _invoke_in(tmp_path / "run", monkeypatch, [*_PARITY_RUNS[command], "--name", name])
+    assert (result.exit_code, result.output) == (
+        1, f"usage error: argument --name: must be a plain file name, not '', '.', '..' or a path, got {name!r}\n")
+    written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*"))
+    assert written == ["run", *(f"run/{fname}" for fname in sorted(_PARITY_INPUTS))]
+
+
+@pytest.mark.parametrize("command", sorted(_PARITY_RUNS))
+def test_help_lists_name_and_out_after_the_command_s_own_options(capsys, command):
+    assert main([*command.split(), "--help"], prog_name="huffkit") == 0
+    options = capsys.readouterr().out.partition("\noptions:\n")[2]
+    flags = [line.split()[0].rstrip(",") for line in options.splitlines() if line.startswith("  -")]
+    assert flags[0] == "--help" and flags[-2:] == ["--name", "--out"], flags
+    assert flags.count("--name") == flags.count("--out") == 1, flags

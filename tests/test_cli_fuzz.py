@@ -1,15 +1,20 @@
-"""Near-miss fuzzing of ``generate``, ``probe``, ``discretize``, ``baseline``
-and the imaging commands ``encode``, ``decode``, ``deblur``, ``pedestal``,
-``ghost`` and ``noise-study``, run in this process.
+"""Near-miss fuzzing of every command, run in this process: ``generate``,
+``analyze``, ``project``, ``twin``, ``tables``, ``probe``, ``discretize``,
+``baseline``, the imaging commands ``encode``, ``decode``, ``deblur``,
+``pedestal``, ``ghost`` and ``noise-study``, and ``watermark embed`` and
+``watermark locate``.
 
 Each example draws a family (or a probe recipe, an input) and option text
 from near misses of valid input: 0, -1, lengths of the form 4n+1, odd bases,
 ``nan``, ``inf``, ``1_0``, ``+7``, empty text, bad factor tokens, ``3=1/0``,
-and input files that are empty, truncated or not finite.  Every draw is cheap
-to build.  Every run must end with an exit code of the CLI's taxonomy, print
-no traceback and raise no ``RuntimeWarning``, and leave ``--out`` empty
-unless it succeeded.  An option that the run does not read, per the tables
-below, must exit 1.
+directions such as ``1:`` and ``1:1:1:1``, and input files that are empty,
+header only, truncated, all zero, a single cell, 3-D or not finite.  Every
+example may also draw a ``--name``: a plain file name, or a near miss (a
+path, ``..``, empty text) that must exit 1.  Every draw is cheap to build.
+Every run must end with an exit code of the CLI's taxonomy, print no
+traceback and raise no ``RuntimeWarning``, write nothing outside ``--out``,
+and leave ``--out`` empty unless it succeeded.  An option that the run does
+not read, per the tables below, must exit 1.
 """
 
 import warnings
@@ -19,6 +24,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import invoke
 
 INTS = ["0", "-1", "1_0", "+7", "nan", "inf", "", "x", "2.5"]
+# --name values: plain file names, which name the files, and near misses, which exit 1
+NAMES = ["run", "-dashed", "a.b", " "]
+NOT_NAMES = ["../x", "a/b", "", ".", "..", "x/", "/x"]
 
 # option -> (admissible values, near misses); a foreign option is given an
 # admissible value, a HuffmanSpec default (--b 2, --variant even) included
@@ -50,18 +58,21 @@ READS = {
 }
 
 
-def _invoke(tmp_path_factory, argv, keeps=(0,)):
-    """Run ``argv`` with ``{in}`` naming a fresh directory of spec files; check the exit, return the result.
+def _invoke(tmp_path_factory, data, argv, keeps=(0,)):
+    """Run ``argv``, with a drawn ``--name`` or none, and ``{in}`` naming a fresh directory of input files.
 
-    Only an exit code in ``keeps`` may leave files in ``--out``.
+    Checks the exit and returns the result, with the drawn name as ``name``.  Only an exit code in ``keeps``
+    may leave files in ``--out``, and no run may write beside it.
     """
+    name = data.draw(st.none() | st.sampled_from(NAMES + NOT_NAMES), label="--name")
     root = tmp_path_factory.mktemp("fuzz")
-    argv = [arg.replace("{in}", str(root)) for arg in argv]
+    argv = [arg.replace("{in}", str(root)) for arg in argv] + ([] if name is None else ["--name", name])
     (root / "spec.json").write_text('{"coefficients": {"3": 0.25}, "samples": [9]}')
     (root / "step.json").write_text('{"coefficients": {"3": 0.25}, "samples": [9], "step": 0.5}')
     (root / "cut.json").write_text('{"coefficients": {"3": 0.2')
-    for fname, text in {**INPUTS, **IMAGES}.items():
+    for fname, text in {**INPUTS, **IMAGES, **ARRAYS}.items():
         (root / fname).write_text(text)
+    inputs = sorted(p.name for p in root.iterdir())
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = invoke([*argv, "--out", str(root / "out")])
@@ -70,7 +81,25 @@ def _invoke(tmp_path_factory, argv, keeps=(0,)):
     assert "Traceback" not in result.output and "RuntimeWarning" not in result.output, (argv, result.output)
     left = sorted(p.name for p in (root / "out").iterdir()) if (root / "out").is_dir() else []
     assert result.exit_code in keeps or not left, (argv, result.output, left)
+    assert sorted(p.name for p in root.iterdir() if p.name != "out") == inputs, (argv, result.output)
+    if name in NOT_NAMES:  # refused as the command line is parsed
+        assert result.exit_code == 1, (argv, result.output)
+    result.name = name
     return result
+
+
+def _options(data, table, always=()):
+    """Command-line words for a drawn subset of ``table``'s options (and every one in ``always``).
+
+    ``table`` maps an option to its values, or to None for a flag.
+    """
+    drawn = sorted(set(table) - set(always))
+    options = data.draw(st.lists(st.sampled_from(drawn), unique=True), label="options") if drawn else []
+    words = []
+    for opt in [*always, *options]:
+        values = table[opt]
+        words += [opt] if values is None else [opt, data.draw(st.sampled_from(values), label=opt)]
+    return words
 
 
 @settings(max_examples=300)
@@ -87,10 +116,10 @@ def test_generate_near_misses_end_in_a_clean_exit(tmp_path_factory, data):
     argv = ["generate", "--family", family, *(word for item in values.items() for word in item)]
     if foreign is not None:
         argv += [foreign, data.draw(st.sampled_from(GENERATE[foreign][0]), label="foreign value")]
-    result = _invoke(tmp_path_factory, argv)
+    result = _invoke(tmp_path_factory, data, argv)
     if foreign is not None:  # refused before anything is built, whatever the other values
         assert result.exit_code == 1, (argv, result.output)
-        if all(value in GENERATE[opt][0] for opt, value in values.items()):
+        if all(value in GENERATE[opt][0] for opt, value in values.items()) and result.name not in NOT_NAMES:
             assert "does not read" in result.output or f"{foreign} is read by" in result.output, result.output
 
 
@@ -111,7 +140,7 @@ def test_probe_near_misses_end_in_a_clean_exit(tmp_path_factory, data):
     for opt in options:  # --coeff is repeatable
         values = data.draw(st.lists(st.sampled_from(PROBE[opt]), min_size=1, max_size=2 if opt == "--coeff" else 1))
         argv += [word for value in values for word in (opt, value)]
-    result = _invoke(tmp_path_factory, argv)
+    result = _invoke(tmp_path_factory, data, argv)
     if spec is not None and options:  # a recipe comes from --spec or from the options, never from both
         assert result.exit_code == 1, (argv, result.output)
 
@@ -152,7 +181,7 @@ def test_discretize_near_misses_end_in_a_clean_exit(tmp_path_factory, data):
         argv += ["--max-iters", "5"]
     for opt in options:
         argv += [opt, data.draw(st.sampled_from(DISCRETIZE[opt]), label=opt)]
-    result = _invoke(tmp_path_factory, argv)
+    result = _invoke(tmp_path_factory, data, argv)
     if (source not in (None, "airy")) == ("--airy" in options):  # INPUT or --airy, exactly one
         assert result.exit_code == 1, (argv, result.output)
 
@@ -172,7 +201,7 @@ def test_baseline_near_misses_end_in_a_clean_exit(tmp_path_factory, data):
     argv = ["baseline"] if "--trials" in options else ["baseline", "--trials", "5"]  # not the default 10 000
     for opt in options:
         argv += [opt, data.draw(st.sampled_from(BASELINE[opt]), label=opt)]
-    _invoke(tmp_path_factory, argv)
+    _invoke(tmp_path_factory, data, argv)
 
 
 # inputs of the imaging commands, written beside the probe specs
@@ -215,8 +244,71 @@ def test_imaging_near_misses_end_in_a_clean_exit(tmp_path_factory, data):
     argv = [command, *("{in}/" + name for name in inputs)]
     if command == "noise-study":  # not the default 500 trials
         argv += ["--trials", "2"]
-    options = data.draw(st.lists(st.sampled_from(sorted(IMAGING[command])), unique=True), label="options")
-    for opt in options:
-        values = IMAGING[command][opt]
-        argv += [opt] if values is None else [opt, data.draw(st.sampled_from(values), label=opt)]
-    _invoke(tmp_path_factory, argv, keeps=(0, 4) if command == "deblur" else (0,))  # a diverged deblur keeps its record
+    argv += _options(data, IMAGING[command])
+    _invoke(tmp_path_factory, data, argv, keeps=(0, 4) if command == "deblur" else (0,))  # a diverged deblur keeps its record
+
+
+# more near-miss arrays, for the array and watermark commands
+ARRAYS = {
+    "h9.txt": "9\n1 3 4 2 -2 -2 4 -3 1\n",
+    "cube.txt": "2 2 2\n1 -1 2 1\n-1 1 1 3\n",
+    "row.txt": "1 5\n1 2 -3 4 5\n",
+    "head.pgm": "P5\n3 2\n255\n",
+    "big.txt": "2\n9223372036854775807 -9223372036854775808\n",
+    "shape0.txt": "0 3\n",
+}
+FILES = sorted(["missing.txt", *INPUTS, *IMAGES, *ARRAYS])
+ARRAY = {  # command -> options it reads, each with its admissible values and near misses (None: a flag)
+    "analyze": {"--oversample": ["1", "2", "3", "0", "-1", "1_0", "+2", "nan", "", "2.5"], "--plot": None},
+    "project": {"--dir": ["1:0", "0:1", "1:1", "-1:2", "2:-1", "1:1:1", "1:-1:2", "0:0:1", "2:4", "1:", "0:0",
+                          "1:1:1:1", "1_0:1", ":", "", "x:1", "nan:1", "+1:2", "1", "1.5:1", "0:-0"]},
+    "twin": {},
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_array_command_near_misses_end_in_a_clean_exit(tmp_path_factory, data):
+    command = data.draw(st.sampled_from(sorted(ARRAY)), label="command")
+    argv = [command, "{in}/" + data.draw(st.sampled_from(FILES), label="input")]
+    argv += _options(data, ARRAY[command], always=["--dir"] if command == "project" else [])
+    _invoke(tmp_path_factory, data, argv)
+
+
+TABLES = {
+    "--e": ["3", "4", "1", "0", "-1", "1_0", "+3", "nan", "", "2.5"],
+    "--f-min": ["3", "1", "5", "0", "-1", "1_0", "nan", "", "+2"],
+    "--f-max": ["4", "6", "2", "0", "-1", "+5", "nan", "", "2.5"],
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_tables_near_misses_end_in_a_clean_exit(tmp_path_factory, data):
+    table = data.draw(st.sampled_from(["1", "2", "3", "0", "", "1_0", "+2", None]), label="--table")
+    argv = ["tables", *_options(data, TABLES)]
+    if table is not None:
+        argv += ["--table", table]
+    if table != "1" and "--f-max" not in argv:  # not the default 20
+        argv += ["--f-max", "4"]
+    result = _invoke(tmp_path_factory, data, argv)
+    if table == "1" and len(argv) > 3:  # table 1 reads none of the table-2 options
+        assert result.exit_code == 1, (argv, result.output)
+
+
+WATERMARK = {
+    "embed": {"--offset": ["0,0", "1,2", "2,1", "3,3", "-1,0", "0", "0,0,0", "", "x", "1_0,1", "+1,1", "nan,0",
+                           "1,", ",", "9223372036854775808,0"],
+              "--plot": None},
+    "locate": {},
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_watermark_near_misses_end_in_a_clean_exit(tmp_path_factory, data):
+    command = data.draw(st.sampled_from(sorted(WATERMARK)), label="command")
+    inputs = [data.draw(st.sampled_from(FILES), label=role) for role in ("image", "mark")]
+    argv = ["watermark", command, *("{in}/" + name for name in inputs)]
+    argv += _options(data, WATERMARK[command], always=["--offset"] if command == "embed" else [])
+    _invoke(tmp_path_factory, data, argv)
