@@ -171,6 +171,8 @@ def tables(table, e, f_min, f_max):
             )
         args = {"table": 1}
     else:
+        if f_min > f_max:
+            raise UsageError(f"--f-min {f_min} is above --f-max {f_max}, so the f range is empty")
         stem = f"table2_e{e}"
         lines = ["f,g,h,R,M,S,bits,OP"]
         rows = sorted(construct.diamond7_solve(e, range(f_min, f_max + 1)),

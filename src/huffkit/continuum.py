@@ -14,9 +14,13 @@ the chosen quality metric.  |a_i| <= 2^bits - 1 holds as a hard bound (an
 integer input already past it may only move toward zero).  A move
 a_i -> a_i + t changes the auto-correlation to C + t*g_i + delta with
 g_i(s) = a(i+s) + a(i-s), so the peak and energy of every move follow from
-one correlation of C with a and one self-convolution of a per iteration, and
-the merit factor of all 2N moves is scored at once in exact integers.  Ties go
-to the lowest flat index, +1 before -1.
+D = C correlated with a and S = a convolved with a, and the merit factor of
+all 2N moves is scored at once in exact integers.  Ties go to the lowest flat
+index, +1 before -1.  The engine computes C, D and S once; the walk then
+carries them from move to move with exact O(size) updates (``_Walk``).  Three
+checks guard them: every move's sums (sum D = sum C * sum a and
+sum S = (sum a)^2), the rebuild of the winning move's C', and a fresh engine
+run when the walk stops, which must give the carried C, D and S.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import _LAZY
 from .lattice import (
     Tensor,
+    _exact_sum,
     _int_dtype,
     _off_peak_magnitudes,
     _periodic,
@@ -307,6 +312,102 @@ def _ratio(num: int, den: int):
     return math.inf if den == 0 else Fraction(num, den)
 
 
+def _box(offset, shape) -> tuple[slice, ...]:
+    """The window of ``shape`` that starts at ``offset`` on every axis."""
+    return tuple(slice(o, o + m) for o, m in zip(offset, shape))
+
+
+def _total(x: np.ndarray, bound: int) -> int:
+    """sum(x) as a Python int, given max|x| <= bound."""
+    return _exact_sum(x, _int_dtype(x.size * bound) is np.int64)
+
+
+def _engine_state(a: np.ndarray):
+    """C = a correlated with a, D = C correlated with a, S = a convolved with a, all from the engine."""
+    t = Tensor(np.ascontiguousarray(a), "int")
+    corr = correlate(t, t).values
+    return corr.data, correlate(corr, t).values.data, convolve(t, t).data
+
+
+class _Walk:
+    """What the greedy walk carries from move to move, for the integer array ``a``.
+
+    ``a`` is the centre of one zero-padded buffer (n - 1 zeros on both sides
+    of every axis), so ``windows``, every window of C's shape on that buffer,
+    follows each move with no copy: window i holds a at offset n - 1 - i.
+    ``corr`` is C = a correlated with a (extent 2n - 1 per axis), ``d`` is
+    D = C correlated with a (3n - 2) and ``s`` is S = a convolved with a
+    (2n - 1), each in ``_int_dtype`` of its bound: |C|, |S| <= c0 and
+    |D| <= c0 * sum|a|.  ``energy`` is sum C^2 and ``maxoff`` the off-peak
+    max |C|.  The engine builds all of it once; ``advance`` then updates it
+    exactly.
+    """
+
+    def __init__(self, start: np.ndarray):
+        padded = np.zeros(tuple(3 * n - 2 for n in start.shape), dtype=np.int64)
+        self.centre = tuple(slice(n - 1, 2 * n - 1) for n in start.shape)  # a@(n-1) in D's frame too
+        self.a = padded[self.centre]
+        self.a[...] = start
+        self.zero = tuple(n - 1 for n in start.shape)
+        self.windows = sliding_window_view(padded, tuple(2 * n - 1 for n in start.shape))
+        self.abs_sum = int(np.abs(start).sum())
+        corr, d, s = _engine_state(start)
+        c0 = int(corr[self.zero])
+        self.corr = corr.astype(_int_dtype(c0), copy=False)
+        self.d = d.astype(_int_dtype(c0 * self.abs_sum), copy=False)
+        self.s = s.astype(_int_dtype(c0), copy=False)
+        self.energy = int(_square_sum(self.corr.reshape(-1)))
+        self.maxoff = int(_off_peak_magnitudes(self.corr, self.zero).max())
+
+    def advance(self, move: "_Move") -> None:
+        """Apply a_i += t to every carried value; each update reads the old values.
+
+        With x@o for x added into the window that starts at offset o:
+
+            C' = C + t*a@(n-1-i) + t*flip(a)@i + delta@(n-1)   (the scan's rebuilt C')
+            S' = S + 2t*a@i + delta@(2i)
+            D' = D + t*(C + C')@i + t*S@(n-1-i) + a@(n-1)
+
+        The last is D + 2t*C@i + t*S@(n-1-i) + a@(n-1) + t*(C' - C)@i, since
+        flip(C) = C makes D = C convolved with a.  c0', E' and the off-peak
+        max are the winner's, which the scan's rebuild check has verified.
+        Raises ``ArithmeticError`` unless sum D' = sum C' * sum a' and
+        sum S' = (sum a')^2, the engine's own check.
+        """
+        shape, i, t, new = self.a.shape, np.unravel_index(move.flat, self.a.shape), move.t, move.corr
+        c0, c0_new = int(self.corr[self.zero]), int(new[self.zero])
+        # every partial sum of D' is within c0 * sum|a| + |C + C'| + |S| + max|a| <= this
+        d = self.d.astype(_int_dtype(max(c0, c0_new) * (self.abs_sum + 4)), copy=False)
+        d[_box(i, new.shape)] += t * (self.corr.astype(d.dtype, copy=False) + new)
+        d[_box([n - 1 - k for n, k in zip(shape, i)], self.s.shape)] += t * self.s
+        d[self.centre] += self.a
+        self.s[_box(i, shape)] += 2 * t * self.a  # within c0 + 2 max|a| + 1, which the scan bounded
+        self.s[tuple(2 * k for k in i)] += 1
+        self.abs_sum += abs(int(self.a[i]) + t) - abs(int(self.a[i]))
+        self.a[i] += t
+        self.corr, self.energy, self.maxoff = new, move.energy, move.maxoff
+        self.d = d.astype(_int_dtype(c0_new * self.abs_sum), copy=False)
+        total = _total(self.a, c0_new)
+        if (_total(self.s, c0_new) != total * total
+                or _total(self.d, c0_new * self.abs_sum) != _total(new, c0_new) * total):
+            raise ArithmeticError("the tweak's carried correlations failed their sum check; result withheld")
+
+    def check(self) -> None:
+        """Raise ``ArithmeticError`` unless the engine, run afresh on ``a``, gives the carried C, D and S."""
+        if not all(map(np.array_equal, _engine_state(self.a), (self.corr, self.d, self.s))):
+            raise ArithmeticError("the tweak's carried correlations disagree with the engine's; result withheld")
+
+
+class _Move(NamedTuple):
+    """The scan's winner a_flat += t, its rebuilt C', and that C''s energy and off-peak max."""
+
+    flat: int
+    t: int
+    corr: np.ndarray
+    energy: int
+    maxoff: int
+
+
 def _moved(corr: np.ndarray, windows: np.ndarray, zero: tuple[int, ...], flat: int, t: int):
     """C' = C + t*g + delta after a(flat) += t, with g(s) = a(i+s) + a(i-s)."""
     w = windows[np.unravel_index(flat, windows.shape[: corr.ndim])]
@@ -352,68 +453,62 @@ def _top(num: np.ndarray, den: np.ndarray, moves: np.ndarray):
     return best, [int(k) for k, key in zip(moves, keys) if key == best]
 
 
-def _tweak_scan(
-    start: np.ndarray, corr: np.ndarray, zero: tuple[int, ...], name: str, limit: int
-):
-    """Best single +/-1 move as (flat, t, new correlation), or None.
+def _tweak_scan(walk: _Walk, name: str, limit: int) -> _Move | None:
+    """Best single +/-1 move of the walk's array, or None.
 
-    Every move a_i -> a_i + t is scored at once: its correlation is
-    C' = C + t*g_i + delta with g_i(s) = a(i+s) + a(i-s), so
+    Every move a_i -> a_i + t is scored at once from the carried state: its
+    correlation is C' = C + t*g_i + delta with g_i(s) = a(i+s) + a(i-s), so
 
         c0' = c0 + 2t*a_i + 1
         E'  = sum C'^2 = E + 4*c0 + 2*S(i) + 1 + 4t*(D(i) + a_i)
 
-    with D = (C correlated with a) read on [n-1, 2n-1) per axis and
-    S(i) = (a convolved with a) at 2i, both from the exact engine.  Moves with
-    |a_i + t| > limit are left out unless they bring a_i toward zero.  The
-    score is exact: (M, R) for objective "M", (R, M) for "R", with
-    M = c0'^2 / (E' - c0'^2) and R = c0' / off-peak max |C'|; the secondary
-    is worked out only for moves tied on the primary.  The move must beat
-    the current score; among equal scores the lowest flat index wins, +1
-    before -1.  The winner's C' is rebuilt and must show the c0' and E' it
-    was scored with, or ``ArithmeticError`` is raised.
+    with D(i) read from the carried D on [n-1, 2n-1) per axis and S(i) the
+    carried S at 2i.  Moves with |a_i + t| > limit are left out unless they
+    bring a_i toward zero.  The score is exact: (M, R) for objective "M",
+    (R, M) for "R", with M = c0'^2 / (E' - c0'^2) and R = c0' / off-peak
+    max |C'|; the secondary is worked out only for moves tied on the
+    primary.  The move must beat the current score; among equal scores the
+    lowest flat index wins, +1 before -1.  The winner's C' is rebuilt and
+    must show the c0' and E' it was scored with, or ``ArithmeticError`` is
+    raised.
     """
-    a = start.reshape(-1)
+    a, corr, zero = walk.a.reshape(-1), walk.corr, walk.zero
     c0 = int(corr[zero])
     amax = int(np.abs(a).max())
     if _int_dtype(c0 + 2 * amax + 1) is object:  # bounds every |C'(s)| by Cauchy-Schwarz
         raise ArithmeticError(_PAST_INT64)
-    corr = corr.astype(np.int64, copy=False)  # |C(s)| <= c0
-    energy = int(_square_sum(corr.reshape(-1)))
-    maxoff = int(_off_peak_magnitudes(corr, zero).max())
-
-    d_full = correlate(Tensor(corr, "int"), Tensor(start, "int")).values
-    s_full = convolve(Tensor(start, "int"), Tensor(start, "int"))
-    base = energy + 4 * c0 + 1
-    bound = base + 2 * s_full.max_abs() + 4 * (d_full.max_abs() + amax)
-    dtype = _int_dtype(bound)
-    window = tuple(slice(n - 1, 2 * n - 1) for n in start.shape)
-    d = d_full.data[window].reshape(-1).astype(dtype)
-    s = s_full.data[(slice(None, None, 2),) * start.ndim].reshape(-1).astype(dtype)
-    x = a.astype(dtype)[:, None]
+    base = walk.energy + 4 * c0 + 1
+    dtype = _int_dtype(base + 2 * c0 + 4 * (c0 * walk.abs_sum + amax))  # |S| <= c0, |D| <= c0 * sum|a|
+    d = walk.d[walk.centre].reshape(-1).astype(dtype, copy=False)
+    s = walk.s[(slice(None, None, 2),) * walk.a.ndim].reshape(-1).astype(dtype, copy=False)
+    x = a.astype(dtype, copy=False)[:, None]
     peaks = (c0 + 1 + 2 * x * _STEPS).reshape(-1)
     energies = (base + 2 * s[:, None] + 4 * (d[:, None] + x) * _STEPS).reshape(-1)
     off2 = energies - peaks * peaks
 
-    # never empty: each entry has a move that shrinks |a_i| or keeps it within 1 <= limit
-    moved = np.abs(a[:, None] + _STEPS)
-    moves = np.flatnonzero((moved <= limit) | (moved < np.abs(a)[:, None]))
-    pad = [(n - 1, n - 1) for n in start.shape]
-    windows = sliding_window_view(np.pad(start, pad), corr.shape)
+    # |a_i + t| <= limit or |a_i + t| < |a_i| fails exactly when t*a_i >= limit;
+    # one t has t*a_i <= 0, so no entry loses both moves
+    moves = np.flatnonzero(a[:, None] * _STEPS < limit)
 
-    def candidate(k: int) -> np.ndarray:
-        return _moved(corr, windows, zero, k // 2, int(_STEPS[k % 2]))
+    last = {}  # the last move built, most often the winner: k -> (C', off-peak max |C'|)
 
-    m_now, r_now = _ratio(c0 * c0, energy - c0 * c0), _ratio(c0, maxoff)
+    def candidate(k: int):
+        if k not in last:
+            cand = _moved(corr, walk.windows, zero, k // 2, int(_STEPS[k % 2]))
+            last.clear()
+            last[k] = cand, int(_off_peak_magnitudes(cand, zero).max())
+        return last[k]
+
+    m_now, r_now = _ratio(c0 * c0, walk.energy - c0 * c0), _ratio(c0, walk.maxoff)
     if name == "M":
         current = (m_now, r_now)
         best, tied = _top(peaks * peaks, off2, moves)
 
         def secondary(k: int):
-            return _ratio(int(peaks[k]), int(_off_peak_magnitudes(candidate(k), zero).max()))
+            return _ratio(int(peaks[k]), candidate(k)[1])
     else:
         current = (r_now, m_now)
-        best, tied = _top(peaks, _off_peak_maxima(corr, windows, zero), moves)
+        best, tied = _top(peaks, _off_peak_maxima(corr, walk.windows, zero), moves)
 
         def secondary(k: int):
             return _ratio(int(peaks[k]) ** 2, int(off2[k]))
@@ -425,10 +520,11 @@ def _tweak_scan(
     if (best, top) <= current:
         return None
     k = tied[seconds.index(top)]
-    cand = candidate(k)
-    if int(cand[zero]) != int(peaks[k]) or int(_square_sum(cand.reshape(-1))) != int(energies[k]):
+    cand, maxoff = candidate(k)
+    energy = int(_square_sum(cand.reshape(-1)))
+    if int(cand[zero]) != int(peaks[k]) or energy != int(energies[k]):
         raise ArithmeticError("tweak update disagrees with its rebuilt correlation; move withheld")
-    return k // 2, int(_STEPS[k % 2]), cand
+    return _Move(k // 2, int(_STEPS[k % 2]), cand, energy, maxoff)
 
 
 def discretize_and_tweak(
@@ -446,10 +542,13 @@ def discretize_and_tweak(
     equal scores the lowest flat index wins, +1 before -1.  The objective is
     monotone over iterations by construction.  |a_i| <= 2^target_bits - 1 is
     a hard bound: no move crosses it, though an integer input already past
-    it may still move toward zero.  All moves are scored from two engine
-    correlations per iteration (see ``_tweak_scan``), not one per move.
-    An all-zero input raises ``ContinuumError``; one whose first move could
-    take the correlation past int64 raises ``ArithmeticError`` before any cast.
+    it may still move toward zero.  All moves are scored at once from the
+    state the walk carries (``_Walk``, ``_tweak_scan``): the engine computes
+    C, D and S once, each move updates them exactly in O(size) and checks
+    their sums, and when the walk stops the engine computes them again.  A
+    disagreement raises ``ArithmeticError`` and no result is returned.  An
+    all-zero input raises ``ContinuumError``; one whose first move could take
+    the correlation past int64 raises ``ArithmeticError`` before any cast.
     """
     if target_bits < 3:
         raise ContinuumError("target_bits must be >= 3")
@@ -471,17 +570,15 @@ def discretize_and_tweak(
         mantissa, exponent = math.frexp(peak)
         start = np.rint(np.ldexp(h.data, -exponent) * (limit / mantissa)).astype(np.int64)
 
-    corr = correlate(Tensor(start, "int"), Tensor(start, "int")).values.data
-    zero = tuple(n - 1 for n in start.shape)
-
+    walk = _Walk(start)
     iterations = 0
     for _ in range(max_iters):
-        found = _tweak_scan(start, corr, zero, objective, limit)
-        if found is None:
+        move = _tweak_scan(walk, objective, limit)
+        if move is None:
             break
-        flat, t, corr = found
-        start.reshape(-1)[flat] += t
+        walk.advance(move)
         iterations += 1
+    walk.check()
 
-    result = Tensor(start.copy(), "int")
+    result = Tensor(walk.a.copy(), "int")
     return TweakResult(result, classify(result), iterations)

@@ -457,6 +457,32 @@ def test_discretize_rounds_a_tiny_peak_as_its_power_of_two_rescaling(tmp_path, e
     assert (out / "tiny.txt").read_text() == (out / "plain.txt").read_text()
 
 
+def test_discretize_withholds_a_walk_whose_carried_state_was_corrupted(tmp_path, monkeypatch):
+    from huffkit import continuum
+
+    real = continuum._Walk.__init__
+
+    def corrupted(self, start):
+        real(self, start)
+        self.d.reshape(-1)[0] += 1  # a corner of D, which no score reads
+
+    monkeypatch.setattr(continuum._Walk, "__init__", corrupted)
+    out = tmp_path / "out"
+    result = invoke(["discretize", "--airy", "-8:4:1", "--bits", "4", "--out", str(out)])
+    assert result.exit_code == 4, result.output
+    assert "carried correlations failed their sum check" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("f_min, f_max", [("5", "2"), ("3", "-1"), ("21", "20")])
+def test_tables_refuses_an_empty_f_range(tmp_path, f_min, f_max):
+    out = tmp_path / "out"
+    result = invoke(["tables", "--table", "2", "--f-min", f_min, "--f-max", f_max, "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert f"--f-min {f_min} is above --f-max {f_max}" in result.output
+    assert not out.exists()
+
+
 def test_table1_matches_the_printed_5x5_table(tmp_path):
     """cedge and the off-peak span match exactly; R and M match the table's whole numbers to within 1.
 

@@ -7,13 +7,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from huffkit import continuum
 from huffkit.construct import fibonacci_huffman
 from huffkit.continuum import (
     _top,
     _tweak_scan,
+    _Walk,
     ContinuumError,
     ProbeSpec,
     airy,
@@ -289,8 +290,8 @@ def _oracle_scan(start, corr, zero, name, limit):
 
 @st.composite
 def tweak_inputs(draw):
-    ndim = draw(st.integers(1, 2))
-    shape = tuple(draw(st.integers(1, 9 if ndim == 1 else 4)) for _ in range(ndim))
+    ndim = draw(st.integers(1, 3))
+    shape = tuple(draw(st.integers(1, (9, 4, 3)[ndim - 1])) for _ in range(ndim))
     hi = draw(st.sampled_from([1, 2, 5, 2**20]))
     values = draw(st.lists(st.integers(-hi, hi), min_size=math.prod(shape), max_size=math.prod(shape)))
     a = np.array(values, dtype=np.int64).reshape(shape)
@@ -315,13 +316,17 @@ def tweak_inputs(draw):
 @example((np.array([-1, 1, 1, -1, -1, 1]), "M", 2**62, 1 << 17))  # M ties, R decides
 @example((np.array([1, -1, -1, 3, 2, -1]), "R", 2**62, 20))  # R ties, M decides
 @example((np.array([[-2, -1], [1, 2]]), "R", 2**62, 1))
+@example((np.array([0, -1, -2, 1]), "M", 3, 1 << 17))  # the winner lands on the bound
+@example((np.array([[[2, -1], [0, 1]], [[1, 1], [-1, 2]]]), "M", 2**62, 1 << 17))
 def test_tweak_scan_matches_the_per_move_oracle(case):
     start, name, limit, chunk = case
     corr = np.array(oracle_autocorrelate(start), dtype=np.int64)
     zero = tuple(n - 1 for n in start.shape)
+    walk = _Walk(start)  # the state the walk starts from: C, D and S from the engine
+    assert np.array_equal(walk.corr, corr)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(continuum, "_CHUNK", chunk)
-        got = _tweak_scan(start, corr, zero, name, limit)
+        got = _tweak_scan(walk, name, limit)
     want = _oracle_scan(start, corr, zero, name, limit)
     if want is None:
         assert got is None
@@ -341,6 +346,106 @@ def test_tweak_withholds_a_move_its_rebuild_disagrees_with(monkeypatch):
     monkeypatch.setattr(continuum, "convolve", off_by_one)
     with pytest.raises(ArithmeticError, match="rebuilt"):
         discretize_and_tweak(airy(np.arange(-8, 4.0, 1.0)), target_bits=4)
+
+
+# ---------------------------------------------------------------------------
+# the carried walk against the walk that rebuilds its state before every move
+
+
+def _reference_path(h, bits, objective, max_iters):
+    """Every array the walk steps through when the engine rebuilds C, D and S before each move."""
+    a = discretize_and_tweak(h, bits, objective, max_iters=0).tensor.data.astype(np.int64)
+    path = []
+    for _ in range(max_iters):
+        move = _tweak_scan(_Walk(a), objective, 2**bits - 1)
+        if move is None:
+            break
+        a = a.copy()
+        a.reshape(-1)[move.flat] += move.t
+        path.append(a)
+    return path
+
+
+def _assert_walk_matches_the_reference(h, bits, objective, max_iters):
+    """Run the carried walk, compare it move for move with the reference, and return D's dtype after each move."""
+    path, dtypes = [], []
+    real = _Walk.advance
+
+    def recording(self, move):
+        real(self, move)
+        path.append(self.a.copy())
+        dtypes.append(self.d.dtype)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Walk, "advance", recording)
+        result = discretize_and_tweak(h, bits, objective, max_iters)
+    want = _reference_path(h, bits, objective, max_iters)
+    assert result.iterations == len(path) == len(want)
+    for got, expected in zip(path, want):
+        assert np.array_equal(got, expected)
+    if want:
+        assert np.array_equal(result.tensor.data, want[-1])
+    return dtypes
+
+
+@st.composite
+def walk_inputs(draw):
+    ndim = draw(st.integers(1, 3))
+    shape = tuple(draw(st.integers(1, (12, 5, 3)[ndim - 1])) for _ in range(ndim))
+    hi = draw(st.sampled_from([1, 3, 40, 2**20]))
+    values = draw(st.lists(st.integers(-hi, hi), min_size=math.prod(shape), max_size=math.prod(shape)))
+    a = np.array(values, dtype=np.int64).reshape(shape)
+    if not a.any():
+        a.reshape(-1)[0] = hi
+    objective = draw(st.sampled_from(["M", "R"]))
+    if draw(st.booleans()):  # a real input is scaled to the bit depth first
+        return Tensor(a.astype(np.float64), "real"), draw(st.sampled_from([3, 5, 7])), objective
+    return Tensor(a, "int"), draw(st.sampled_from([3, 5, 62])), objective
+
+
+@settings(max_examples=60, deadline=None)
+@given(walk_inputs(), st.integers(0, 12))
+@example((airy(np.arange(-40, 8.0001, 0.5)), 7, "M"), 300)  # the CLI's default walk, all 253 moves
+def test_carried_walk_matches_the_rebuilt_walk_move_for_move(case, max_iters):
+    h, bits, objective = case
+    _assert_walk_matches_the_reference(h, bits, objective, max_iters)
+
+
+# sum|a| * c0 is just past or short of 2^63, so D changes dtype on the first move while C stays in int64
+@pytest.mark.parametrize("values, bits, objective, dtypes", [
+    ([1131732, -916652, -967887], 3, "M", (object, np.int64)),
+    ([[747613, -614794, -625554], [-612547, 597437, -604426]], 3, "R", (object, np.int64)),
+    ([[[-731867, 497972], [-508167, -489634]], [[-499270, 483196], [-477139, 473883]]], 3, "M", (object, np.int64)),
+    ([-958678, 803745, -795825, 761519], 62, "M", (np.int64, object)),
+    ([[808879, 621447, -572432], [-590456, 572239, -624172]], 62, "R", (np.int64, object)),
+    ([[[703029, -474072], [-508538, 486721]], [[-497414, -518601], [484621, -496413]]], 62, "R", (np.int64, object)),
+])
+def test_carried_d_changes_dtype_with_its_bound(values, bits, objective, dtypes):
+    a = np.array(values, dtype=np.int64)
+    walk = _Walk(a)
+    assert walk.d.dtype == dtypes[0] and walk.corr.dtype == np.int64
+    assert _assert_walk_matches_the_reference(Tensor(a, "int"), bits, objective, 6)[0] == dtypes[1]
+
+
+@pytest.mark.parametrize("field, edits, message", [
+    ("d", {0: 1}, "sum check"),  # a corner of D: no score reads it
+    ("s", {1: -1}, "sum check"),  # an odd shift of S: no score reads it
+    ("d", {0: 1, -1: -1}, "disagree with the engine"),  # the sums still agree
+    ("s", {1: 1, -2: -1}, "rebuilt correlation"),  # moves carry it into D, which the next score reads
+])
+@pytest.mark.parametrize("max_iters", [0, 5])
+def test_a_corrupted_carried_entry_withholds_the_result(field, edits, message, max_iters):
+    real = _Walk.__init__
+
+    def corrupted(self, start):
+        real(self, start)
+        for index, delta in edits.items():
+            getattr(self, field).reshape(-1)[index] += delta
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Walk, "__init__", corrupted)
+        with pytest.raises(ArithmeticError, match="disagree with the engine" if max_iters == 0 else message):
+            discretize_and_tweak(airy(np.arange(-8, 4.0, 1.0)), target_bits=4, max_iters=max_iters)
 
 
 def test_shortlist_ranks_exactly_past_float_resolution():
