@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +70,13 @@ def discretize(input_path, airy_window, bits, objective, max_iters):
             raise UsageError(f"--airy must be LO:HI:STEP, got {airy_window!r}")
         if not (-math.inf < lo < hi < math.inf and 0 < step < math.inf):  # nan fails every comparison
             raise UsageError(f"--airy needs finite LO < HI and STEP > 0, got {airy_window!r}")
+        import resource  # POSIX only, so loaded only for a window
+        samples = (hi + step / 2 - lo) / step  # np.arange makes the ceiling of this many
+        cap = resource.getrlimit(resource.RLIMIT_AS)[0]  # what this process may use: its limit, else all memory
+        cap = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") if cap == resource.RLIM_INFINITY else cap
+        if 80 * samples > cap:  # the walk carries 10 int64 a sample: a padded (3n), C (2n), D (3n) and S (2n)
+            raise MemoryError(f"--airy {airy_window} makes {samples:.4g} samples, whose walk needs at least "
+                              f"{80 * samples:.4g} bytes, more than the {cap} this process may use")
         tensor = airy(np.arange(lo, hi + step / 2, step))
         source = {"airy": airy_window}
     else:

@@ -300,10 +300,9 @@ def _search(quads: np.ndarray, bound: int, first, highs) -> list[tuple[int, ...]
     return [tuple(row) for row in prefix[np.all(np.abs(values) <= bound, axis=1), 1:].tolist()]
 
 
-def _quadratics(template: int, base: tuple[int, ...], nfree: int, entries: str) -> np.ndarray:
-    """Coefficient matrix of the template's auto-correlation entries in the
-    ``lattice._edge_sets`` field ``entries``, in the trailing ``nfree`` letters."""
-    indices = getattr(_edge_sets((template, template)), entries)
+def _quadratics(template: int, base: tuple[int, ...], nfree: int) -> np.ndarray:
+    """Coefficient matrix of the template's off-peak auto-correlation entries, in the trailing ``nfree`` letters."""
+    indices = _edge_sets((template, template)).off_peak
 
     def at(free_vals):
         t = diamond_array(template, base + tuple(free_vals))
@@ -324,8 +323,8 @@ def diamond5_solve(
     exhaustively with window pruning, keeping every alphabet whose off-peak
     auto-correlation magnitudes all stay within the bound.
     """
-    bound = _edge_bound(5, base, 2)
-    quads = _quadratics(5, base, 2, "off_peak")
+    quads = _quadratics(5, base, 2)
+    bound = _edge_bound(5, quads)
     return [_solution(5, base + v, bound) for v in _search(quads, bound, range(1, d_max + 1), (e_max,))]
 
 
@@ -350,8 +349,8 @@ def diamond7_solve(
     if any(f < 1 for f in f_values):
         raise ConstructError("f_range must contain positive integers only")
     base = (0, 0, 0, 1, e)
-    bound = _edge_bound(7, base, 3)
-    quads = _quadratics(7, base, 3, "off_peak")
+    quads = _quadratics(7, base, 3)
+    bound = _edge_bound(7, quads)
     return [_solution(7, base + v, bound) for v in _search(quads, bound, f_values, (g_max, h_max))]
 
 
@@ -362,7 +361,7 @@ def diamond7_closed_form(f: int) -> tuple[int, int]:
     return f * f // 2 + 1, f**3 // 8 + f
 
 
-def _edge_bound(template: int, base: tuple[int, ...], nfree: int) -> int:
+def _edge_bound(template: int, quads: np.ndarray) -> int:
     """Edge-correlation bound of a template family.
 
     The quasi criterion compares off-peak correlations against the value at
@@ -370,10 +369,11 @@ def _edge_bound(template: int, base: tuple[int, ...], nfree: int) -> int:
     ring plus the diagonal tips).  For a solver, only the part of that edge
     set fixed by the template -- the entries that do not involve the scanned
     letters -- can serve as the bound; the rest are constrained by it like
-    any other off-peak entry.
+    any other off-peak entry.  Its rows are read from the family's
+    ``_quadratics``, since the edge set is off-peak too.
     """
-    quads = _quadratics(template, base, nfree, "edge")
-    fixed = quads[~np.any(quads[:, 1:] != 0, axis=1), 0]
+    sets = _edge_sets((template, template))
+    fixed = quads[np.isin(sets.off_peak, sets.edge) & ~np.any(quads[:, 1:] != 0, axis=1), 0]
     if not fixed.size:
         raise ConstructError("template has no fixed edge-correlation entries")
     return int(np.abs(fixed).max())

@@ -10,17 +10,9 @@ standard asymptotic expansions outside).
 `discretize_and_tweak` turns a sampled real probe into a small-bit-depth
 integer array: scale so max|h| hits 2^bits - 1, round, then greedily apply
 the single best +/-1 element change per iteration until no change improves
-the chosen quality metric.  |a_i| <= 2^bits - 1 holds as a hard bound (an
-integer input already past it may only move toward zero).  A move
-a_i -> a_i + t changes the auto-correlation to C + t*g_i + delta with
-g_i(s) = a(i+s) + a(i-s), so the peak and energy of every move follow from
-D = C correlated with a and S = a convolved with a, and the merit factor of
-all 2N moves is scored at once in exact integers.  Ties go to the lowest flat
-index, +1 before -1.  The engine computes C, D and S once; the walk then
-carries them from move to move with exact O(size) updates (``_Walk``).  Three
-checks guard them: every move's sums (sum D = sum C * sum a and
-sum S = (sum a)^2), the rebuild of the winning move's C', and a fresh engine
-run when the walk stops, which must give the carried C, D and S.
+the chosen quality metric.  One exact rule scores every move of either
+objective from the walk's carried correlations (``_Walk``, ``_tweak_scan``,
+``_off_peak_maxima``), checked by sums, a rebuild and a final engine run.
 """
 
 from __future__ import annotations
@@ -42,6 +34,7 @@ from .lattice import (
     _int_dtype,
     _off_peak_magnitudes,
     _periodic,
+    _raw_correlate,
     _square_sum,
     as_tensor,
     convolve,
@@ -298,9 +291,10 @@ class TweakResult(NamedTuple):
 # of roundoff (3 * 2^-53) of the exact ratio, so every move that ties the
 # exact maximum lies well inside this relative margin of the float maximum.
 _SHORTLIST_MARGIN = 1e-12
+_SHORTLIST_MIN = 4  # up to this many moves, exact ratios cost less than the float pass
 
-# Entries per temporary when all off-peak maxima are taken at once (1 MiB of
-# int64), so a large 2D probe never holds one correlation per move.
+# Entries per temporary of ``_off_peak_maxima`` (1 MiB of int64), so a large
+# 2D probe with small side lobes never holds one correlation per move.
 _CHUNK = 1 << 17
 
 _STEPS = np.array([1, -1])  # move k is (flat index k // 2, _STEPS[k % 2])
@@ -325,35 +319,38 @@ def _total(x: np.ndarray, bound: int) -> int:
 def _engine_state(a: np.ndarray):
     """C = a correlated with a, D = C correlated with a, S = a convolved with a, all from the engine."""
     t = Tensor(np.ascontiguousarray(a), "int")
-    corr = correlate(t, t).values
-    return corr.data, correlate(corr, t).values.data, convolve(t, t).data
+    corr = _raw_correlate(t, t)
+    return corr.data, _raw_correlate(corr, t).data, convolve(t, t).data
 
 
 class _Walk:
     """What the greedy walk carries from move to move, for the integer array ``a``.
 
-    ``a`` is the centre of one zero-padded buffer (n - 1 zeros on both sides
-    of every axis), so ``windows``, every window of C's shape on that buffer,
-    follows each move with no copy: window i holds a at offset n - 1 - i.
-    ``corr`` is C = a correlated with a (extent 2n - 1 per axis), ``d`` is
-    D = C correlated with a (3n - 2) and ``s`` is S = a convolved with a
-    (2n - 1), each in ``_int_dtype`` of its bound: |C|, |S| <= c0 and
-    |D| <= c0 * sum|a|.  ``energy`` is sum C^2 and ``maxoff`` the off-peak
-    max |C|.  The engine builds all of it once; ``advance`` then updates it
-    exactly.
+    ``a`` is the centre of ``padded`` (n - 1 zeros on both sides of every
+    axis), so ``windows``, every window of C's shape on that buffer, follows
+    each move with no copy: window i holds a at offset n - 1 - i.  ``frame``
+    is the flat index in ``padded`` of every index of C's shape, in C's flat
+    order, and ``starts`` the same of every index of a's shape.  ``corr`` is
+    C = a correlated with a (extent 2n - 1 per axis), ``d`` is D = C
+    correlated with a (3n - 2) and ``s`` is S = a convolved with a (2n - 1),
+    each in ``_int_dtype`` of its bound: |C|, |S| <= c0, |D| <= c0 * sum|a|.
+    ``energy`` is sum C^2 and ``maxoff`` the off-peak max |C|.  The engine
+    builds all of it once; ``advance`` then updates it exactly.
     """
 
     def __init__(self, start: np.ndarray):
-        padded = np.zeros(tuple(3 * n - 2 for n in start.shape), dtype=np.int64)
+        self.padded = np.zeros(tuple(3 * n - 2 for n in start.shape), dtype=np.int64)
         self.centre = tuple(slice(n - 1, 2 * n - 1) for n in start.shape)  # a@(n-1) in D's frame too
-        self.a = padded[self.centre]
+        self.a = self.padded[self.centre]
         self.a[...] = start
         self.zero = tuple(n - 1 for n in start.shape)
-        self.windows = sliding_window_view(padded, tuple(2 * n - 1 for n in start.shape))
+        self.windows = sliding_window_view(self.padded, tuple(2 * n - 1 for n in start.shape))
         self.abs_sum = int(np.abs(start).sum())
         corr, d, s = _engine_state(start)
         c0 = int(corr[self.zero])
         self.corr = corr.astype(_int_dtype(c0), copy=False)
+        index = np.arange(self.padded.size).reshape(self.padded.shape)
+        self.frame, self.starts = (index[tuple(map(slice, box))].reshape(-1) for box in (corr.shape, start.shape))
         self.d = d.astype(_int_dtype(c0 * self.abs_sum), copy=False)
         self.s = s.astype(_int_dtype(c0), copy=False)
         self.energy = int(_square_sum(self.corr.reshape(-1)))
@@ -370,7 +367,7 @@ class _Walk:
 
         The last is D + 2t*C@i + t*S@(n-1-i) + a@(n-1) + t*(C' - C)@i, since
         flip(C) = C makes D = C convolved with a.  c0', E' and the off-peak
-        max are the winner's, which the scan's rebuild check has verified.
+        max are those of the winner's rebuilt C', checked against its scores.
         Raises ``ArithmeticError`` unless sum D' = sum C' * sum a' and
         sum S' = (sum a')^2, the engine's own check.
         """
@@ -408,46 +405,47 @@ class _Move(NamedTuple):
     maxoff: int
 
 
-def _moved(corr: np.ndarray, windows: np.ndarray, zero: tuple[int, ...], flat: int, t: int):
-    """C' = C + t*g + delta after a(flat) += t, with g(s) = a(i+s) + a(i-s)."""
-    w = windows[np.unravel_index(flat, windows.shape[: corr.ndim])]
-    out = corr + t * (w + np.flip(w))
-    out[zero] += 1
+def _off_peak_maxima(walk: _Walk, moves: np.ndarray, amax: int) -> np.ndarray:
+    """Off-peak max |C'| of each of ``moves``, read on the candidate shifts T alone; amax = max|a|.
+
+    T = {s != 0 : |C(s)| >= maxoff - 4*max|a|} holds every C''s off-peak max:
+    off the zero shift a move adds t*g_i(s), |g_i(s)| = |a(i+s) + a(i-s)| <= 2*max|a|,
+    so the shift holding maxoff keeps |C'| >= maxoff - 2*max|a|, and every shift
+    outside T stays below that.  Where side lobes are small, T is every shift but
+    zero.  C' is symmetric, so half of T will do.  Blocks hold <= ``_CHUNK`` entries.
+    """
+    past = walk.corr.size // 2 + 1  # the zero shift is C's centre: keep only the shifts past it
+    shifts = past + np.flatnonzero(np.abs(walk.corr.reshape(-1)[past:]) >= walk.maxoff - 4 * amax)
+    # flat in the padded buffer, shift s of window i sits at starts(i) + at(s), and -s at starts(i) + mirror(s)
+    at = walk.frame[shifts]
+    mirror = walk.frame[-1] - at
+    starts = walk.starts[moves // 2][:, None]
+    buffer, values = walk.padded.reshape(-1), walk.corr.reshape(-1)[shifts]
+    out = np.empty(len(moves), dtype=np.int64)
+    step = max(1, _CHUNK // max(1, shifts.size))
+    for lo in range(0, len(moves), step):
+        block = starts[lo : lo + step]
+        g = buffer[block + at] + buffer[block + mirror]
+        out[lo : lo + step] = np.abs(values + _STEPS[moves[lo : lo + step] % 2][:, None] * g).max(axis=1, initial=0)
     return out
-
-
-def _off_peak_maxima(corr: np.ndarray, windows: np.ndarray, zero: tuple[int, ...]) -> np.ndarray:
-    """Off-peak max |C + t*g_i| of every move, in move order, chunk by chunk."""
-    shape = windows.shape[: corr.ndim]
-    count = math.prod(shape)
-    flat_corr = corr.reshape(-1)
-    z = np.ravel_multi_index(zero, corr.shape)
-    step = max(1, _CHUNK // corr.size)
-    out = np.empty((count, 2), dtype=np.int64)
-    for lo in range(0, count, step):
-        block = windows[np.unravel_index(np.arange(lo, min(lo + step, count)), shape)]
-        g = (block + np.flip(block, tuple(range(1, block.ndim)))).reshape(len(block), -1)
-        for col, t in enumerate(_STEPS):
-            mags = np.abs(flat_corr + t * g)
-            mags[:, z] = 0
-            out[lo : lo + len(block), col] = mags.max(axis=1)
-    return out.reshape(-1)
 
 
 def _top(num: np.ndarray, den: np.ndarray, moves: np.ndarray):
     """(exact max of num/den over ``moves``, the moves reaching it, ascending).
 
     The ratio is inf where den == 0.  Float ratios pick the shortlist that
-    the exact ratios then decide; values past float64 skip the shortlist.
+    the exact ratios then decide; values past float64, and sets of at most
+    ``_SHORTLIST_MIN`` moves, skip the shortlist.
     """
-    try:
-        n, d = num[moves].astype(np.float64), den[moves].astype(np.float64)
-    except OverflowError:
-        pass
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = np.where(d == 0, np.inf, n / d)
-        moves = moves[q >= q.max() * (1 - _SHORTLIST_MARGIN)]
+    if len(moves) > _SHORTLIST_MIN:
+        try:
+            n, d = num[moves].astype(np.float64), den[moves].astype(np.float64)
+        except OverflowError:
+            pass
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                q = np.where(d == 0, np.inf, n / d)
+            moves = moves[q >= q.max() * (1 - _SHORTLIST_MARGIN)]
     keys = [_ratio(int(num[k]), int(den[k])) for k in moves]
     best = max(keys)
     return best, [int(k) for k, key in zip(moves, keys) if key == best]
@@ -456,24 +454,27 @@ def _top(num: np.ndarray, den: np.ndarray, moves: np.ndarray):
 def _tweak_scan(walk: _Walk, name: str, limit: int) -> _Move | None:
     """Best single +/-1 move of the walk's array, or None.
 
-    Every move a_i -> a_i + t is scored at once from the carried state: its
+    Every move a_i -> a_i + t is scored from the carried state: its
     correlation is C' = C + t*g_i + delta with g_i(s) = a(i+s) + a(i-s), so
 
         c0' = c0 + 2t*a_i + 1
         E'  = sum C'^2 = E + 4*c0 + 2*S(i) + 1 + 4t*(D(i) + a_i)
 
     with D(i) read from the carried D on [n-1, 2n-1) per axis and S(i) the
-    carried S at 2i.  Moves with |a_i + t| > limit are left out unless they
-    bring a_i toward zero.  The score is exact: (M, R) for objective "M",
-    (R, M) for "R", with M = c0'^2 / (E' - c0'^2) and R = c0' / off-peak
-    max |C'|; the secondary is worked out only for moves tied on the
-    primary.  The move must beat the current score; among equal scores the
-    lowest flat index wins, +1 before -1.  The winner's C' is rebuilt and
-    must show the c0' and E' it was scored with, or ``ArithmeticError`` is
-    raised.
+    carried S at 2i; its off-peak max comes from ``_off_peak_maxima``.  Moves
+    with |a_i + t| > limit are left out unless they bring a_i toward zero.
+    One rule serves both objectives, M = c0'^2 / (E' - c0'^2) and
+    R = c0' / off-peak max |C'|, exactly: ``name`` only picks which is
+    primary.  ``_top`` keeps the moves that reach the best primary, then
+    those that reach the best secondary, and the lowest move index (flat
+    index, +1 before -1) wins if it beats the current array.  A score is
+    read only where the rule needs it: the primary for every move, the
+    secondary for tied moves where it decides (several tie, or the best only
+    equals the current primary).  The winner's C' is rebuilt and must show
+    every score it was read with, or ``ArithmeticError`` is raised.
     """
-    a, corr, zero = walk.a.reshape(-1), walk.corr, walk.zero
-    c0 = int(corr[zero])
+    a, zero = walk.a.reshape(-1), walk.zero
+    c0 = int(walk.corr[zero])
     amax = int(np.abs(a).max())
     if _int_dtype(c0 + 2 * amax + 1) is object:  # bounds every |C'(s)| by Cauchy-Schwarz
         raise ArithmeticError(_PAST_INT64)
@@ -484,47 +485,36 @@ def _tweak_scan(walk: _Walk, name: str, limit: int) -> _Move | None:
     x = a.astype(dtype, copy=False)[:, None]
     peaks = (c0 + 1 + 2 * x * _STEPS).reshape(-1)
     energies = (base + 2 * s[:, None] + 4 * (d[:, None] + x) * _STEPS).reshape(-1)
-    off2 = energies - peaks * peaks
+    squares = peaks * peaks
+    maxoff = np.zeros(peaks.size, dtype=np.int64)  # filled in for the moves whose R the rule reads
+    scores = {"M": (squares, energies - squares), "R": (peaks, maxoff)}
+    now = {"M": _ratio(c0 * c0, walk.energy - c0 * c0), "R": _ratio(c0, walk.maxoff)}
 
     # |a_i + t| <= limit or |a_i + t| < |a_i| fails exactly when t*a_i >= limit;
     # one t has t*a_i <= 0, so no entry loses both moves
     moves = np.flatnonzero(a[:, None] * _STEPS < limit)
-
-    last = {}  # the last move built, most often the winner: k -> (C', off-peak max |C'|)
-
-    def candidate(k: int):
-        if k not in last:
-            cand = _moved(corr, walk.windows, zero, k // 2, int(_STEPS[k % 2]))
-            last.clear()
-            last[k] = cand, int(_off_peak_magnitudes(cand, zero).max())
-        return last[k]
-
-    m_now, r_now = _ratio(c0 * c0, walk.energy - c0 * c0), _ratio(c0, walk.maxoff)
-    if name == "M":
-        current = (m_now, r_now)
-        best, tied = _top(peaks * peaks, off2, moves)
-
-        def secondary(k: int):
-            return _ratio(int(peaks[k]), candidate(k)[1])
-    else:
-        current = (r_now, m_now)
-        best, tied = _top(peaks, _off_peak_maxima(corr, walk.windows, zero), moves)
-
-        def secondary(k: int):
-            return _ratio(int(peaks[k]) ** 2, int(off2[k]))
-
-    if best < current[0]:
+    order = (name, "R" if name == "M" else "M")
+    keys = []
+    for objective in order:
+        if objective == "R":
+            maxoff[moves] = _off_peak_maxima(walk, moves, amax)
+        key, winners = _top(*scores[objective], moves)
+        keys.append(key)
+        moves = np.array(winners)
+        if key < now[objective] or (key > now[objective] and len(moves) == 1):
+            break  # this score alone decides
+    read = order[: len(keys)]
+    if keys <= [now[objective] for objective in read]:
         return None
-    seconds = [secondary(k) for k in tied]
-    top = max(seconds)
-    if (best, top) <= current:
-        return None
-    k = tied[seconds.index(top)]
-    cand, maxoff = candidate(k)
+    k, t = int(moves[0]), int(_STEPS[moves[0] % 2])
+    w = walk.windows[np.unravel_index(k // 2, walk.a.shape)]
+    cand = walk.corr + t * (w + np.flip(w))
+    cand[zero] += 1
     energy = int(_square_sum(cand.reshape(-1)))
-    if int(cand[zero]) != int(peaks[k]) or energy != int(energies[k]):
+    off = int(_off_peak_magnitudes(cand, zero).max())
+    if (int(cand[zero]), energy) != (int(peaks[k]), int(energies[k])) or ("R" in read and off != maxoff[k]):
         raise ArithmeticError("tweak update disagrees with its rebuilt correlation; move withheld")
-    return _Move(k // 2, int(_STEPS[k % 2]), cand, energy, maxoff)
+    return _Move(k // 2, t, cand, energy, off)
 
 
 def discretize_and_tweak(
@@ -542,13 +532,17 @@ def discretize_and_tweak(
     equal scores the lowest flat index wins, +1 before -1.  The objective is
     monotone over iterations by construction.  |a_i| <= 2^target_bits - 1 is
     a hard bound: no move crosses it, though an integer input already past
-    it may still move toward zero.  All moves are scored at once from the
-    state the walk carries (``_Walk``, ``_tweak_scan``): the engine computes
-    C, D and S once, each move updates them exactly in O(size) and checks
-    their sums, and when the walk stops the engine computes them again.  A
-    disagreement raises ``ArithmeticError`` and no result is returned.  An
-    all-zero input raises ``ContinuumError``; one whose first move could take
-    the correlation past int64 raises ``ArithmeticError`` before any cast.
+    it may still move toward zero.  One rule scores all moves from the state
+    the walk carries (``_Walk``, ``_tweak_scan``); the objective only picks
+    which exact score ranks first.  A move's off-peak max is read only where
+    |C(s)| >= maxoff - 4*max|a| (``_off_peak_maxima``), exactly: a move
+    changes C(s), s != 0, by at most 2*max|a|, so no other shift can pass
+    the one holding maxoff.  The engine computes C, D and S once, each move
+    updates them exactly in O(size) and checks their sums, and when the walk
+    stops the engine computes them again.  A disagreement raises
+    ``ArithmeticError`` and no result is returned.  An all-zero input raises
+    ``ContinuumError``; one whose first move could take the correlation past
+    int64 raises ``ArithmeticError`` before any cast.
     """
     if target_bits < 3:
         raise ContinuumError("target_bits must be >= 3")
@@ -570,12 +564,8 @@ def discretize_and_tweak(
         mantissa, exponent = math.frexp(peak)
         start = np.rint(np.ldexp(h.data, -exponent) * (limit / mantissa)).astype(np.int64)
 
-    walk = _Walk(start)
-    iterations = 0
-    for _ in range(max_iters):
-        move = _tweak_scan(walk, objective, limit)
-        if move is None:
-            break
+    walk, iterations = _Walk(start), 0
+    while iterations < max_iters and (move := _tweak_scan(walk, objective, limit)) is not None:
         walk.advance(move)
         iterations += 1
     walk.check()

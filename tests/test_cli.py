@@ -431,6 +431,19 @@ def test_empty_airy_window_is_a_usage_error(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("window, samples", [("-4:4:1e-12", "8e+12"), ("-1.7e308:1.7e308:1", "inf")])
+def test_an_airy_window_past_memory_is_refused_before_it_is_sampled(tmp_path, monkeypatch, window, samples):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("np.arange was called")
+
+    monkeypatch.setattr(np, "arange", unreachable)
+    out = tmp_path / "out"
+    result = invoke(["discretize", f"--airy={window}", "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    assert f"domain error: discretize ran out of memory: --airy {window} makes {samples} samples" in result.output
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bits", [31, 40, 64])
 def test_discretize_past_int64_is_refused_before_any_cast(tmp_path, bits):

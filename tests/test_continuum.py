@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from huffkit import continuum
 from huffkit.construct import fibonacci_huffman
 from huffkit.continuum import (
+    _off_peak_maxima,
     _top,
     _tweak_scan,
     _Walk,
@@ -252,40 +253,84 @@ def test_tweak_keeps_the_bit_depth_bound():
 # the vectorised scan against the per-move loop it replaced
 
 
+def _oracle_maxoff(values, zero):
+    """Off-peak max |C| over every shift."""
+    mags = np.abs(values)
+    mags[zero] = 0
+    return int(mags.max())
+
+
 def _oracle_objective(values, zero, name):
     """(primary, secondary) exact score of one correlation; larger is better."""
     c0 = int(values[zero])
     flat = values.reshape(-1).astype(object)
     off2 = int((flat * flat).sum()) - c0 * c0
-    mags = np.abs(values)
-    mags[zero] = 0
-    maxoff = int(mags.max())
+    maxoff = _oracle_maxoff(values, zero)
     m = math.inf if off2 == 0 else Fraction(c0 * c0, off2)
     r = math.inf if maxoff == 0 else Fraction(c0, maxoff)
     return (m, r) if name == "M" else (r, m)
+
+
+def _oracle_moved(start, corr, flat, t):
+    """The full correlation after start[flat] += t, built from C' = C + t*g + delta."""
+    shape = start.shape
+    idx = np.unravel_index(flat, shape)
+    plus = np.zeros_like(corr)
+    window = tuple(slice(n - 1 - i, 2 * n - 1 - i) for i, n in zip(idx, shape))
+    plus[window] = start
+    cand = corr + t * (plus + plus[tuple(slice(None, None, -1) for _ in shape)])
+    cand[tuple(n - 1 for n in shape)] += 1
+    return cand
 
 
 def _oracle_scan(start, corr, zero, name, limit):
     """Build every +/-1 candidate's correlation and keep the first strict best."""
     best_key = _oracle_objective(corr, zero, name)
     best = None
-    shape = start.shape
     for flat in range(start.size):
-        idx = np.unravel_index(flat, shape)
-        plus = np.zeros_like(corr)
-        window = tuple(slice(n - 1 - i, 2 * n - 1 - i) for i, n in zip(idx, shape))
-        plus[window] = start
-        gather = plus + plus[tuple(slice(None, None, -1) for _ in shape)]
-        value = int(start[idx])
+        value = int(start.reshape(-1)[flat])
         for t in (1, -1):
             if abs(value + t) > limit and abs(value + t) >= abs(value):
                 continue
-            cand = corr + t * gather
-            cand[zero] += 1
+            cand = _oracle_moved(start, corr, flat, t)
             key = _oracle_objective(cand, zero, name)
             if key > best_key:
                 best_key, best = key, (flat, t, cand)
     return best
+
+
+@st.composite
+def maxima_inputs(draw):
+    ndim = draw(st.integers(1, 3))
+    shape = tuple(draw(st.integers(1, (9, 4, 3)[ndim - 1])) for _ in range(ndim))
+    hi = draw(st.sampled_from([1, 2, 5, 2**20]))
+    values = draw(st.lists(st.integers(-hi, hi), min_size=math.prod(shape), max_size=math.prod(shape)))
+    a = np.array(values, dtype=np.int64).reshape(shape)
+    if draw(st.booleans()):  # one spike over small entries: off-peak max <= 4*max|a|, so every shift is a candidate
+        a = np.clip(a, -2, 2)
+        a.reshape(-1)[draw(st.integers(0, a.size - 1))] = draw(st.sampled_from([-9, 4, 40]))
+    moves = draw(st.lists(st.integers(0, 2 * a.size - 1), min_size=1, unique=True).map(sorted))
+    return a, np.array(moves), draw(st.sampled_from([1 << 17, 7, 1]))
+
+
+@given(maxima_inputs())
+@example((np.array([7]), np.array([0, 1]), 1 << 17))  # one cell: no off-peak shift at all
+@example((np.array([[[-3]]]), np.array([1]), 1 << 17))
+@example((np.array([0, 0, 5, 0]), np.arange(8), 1 << 17))  # C is a delta: every shift but zero is a candidate
+@example((np.array([1, 1, 1, 1, 1, -1, -1, 1, 1, -1, 1, -1, 1]), np.arange(26), 5))  # Barker 13, off-peak max 1
+@example((np.array([[1, 1], [1, -1]]), np.arange(8), 1))
+# a shift with maxoff - 4*max|a| <= |C(s)| < maxoff - 2*max|a| holds the off-peak max after move 7 here, 8 below
+@example((np.array([3, 3, -3, 2, -2, 3]), np.arange(12), 1 << 17))
+@example((np.array([-1, 1, -2, 1, 1, 1, -2]), np.array([3, 8, 13]), 2))
+def test_off_peak_maxima_match_the_full_scan(case):
+    a, moves, chunk = case
+    walk = _Walk(a)
+    corr = np.array(oracle_autocorrelate(a), dtype=np.int64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(continuum, "_CHUNK", chunk)
+        got = _off_peak_maxima(walk, moves, int(np.abs(a).max()))
+    want = [_oracle_maxoff(_oracle_moved(a, corr, k // 2, (1, -1)[k % 2]), walk.zero) for k in moves]
+    assert got.dtype == np.int64 and got.tolist() == want
 
 
 @st.composite
@@ -318,6 +363,8 @@ def tweak_inputs(draw):
 @example((np.array([[-2, -1], [1, 2]]), "R", 2**62, 1))
 @example((np.array([0, -1, -2, 1]), "M", 3, 1 << 17))  # the winner lands on the bound
 @example((np.array([[[2, -1], [0, 1]], [[1, 1], [-1, 2]]]), "M", 2**62, 1 << 17))
+@example((np.array([1, 1, 1, -1, -1, 1, 0]), "R", 2**62, 1 << 17))  # off-peak max <= 4*max|a|: every shift a candidate
+@example((np.array([1, -1, -1, -1, -1, 1]), "R", 2**62, 1 << 17))  # the best R only equals the current R: M decides
 def test_tweak_scan_matches_the_per_move_oracle(case):
     start, name, limit, chunk = case
     corr = np.array(oracle_autocorrelate(start), dtype=np.int64)
@@ -346,6 +393,16 @@ def test_tweak_withholds_a_move_its_rebuild_disagrees_with(monkeypatch):
     monkeypatch.setattr(continuum, "convolve", off_by_one)
     with pytest.raises(ArithmeticError, match="rebuilt"):
         discretize_and_tweak(airy(np.arange(-8, 4.0, 1.0)), target_bits=4)
+
+
+@pytest.mark.parametrize("objective", ["M", "R"])
+def test_tweak_withholds_a_move_whose_scored_off_peak_max_is_wrong(monkeypatch, objective):
+    real = continuum._off_peak_maxima
+    monkeypatch.setattr(continuum, "_off_peak_maxima", lambda *args: real(*args) + 1)
+    # the M walk reads R only where several moves tie on M, as here
+    h = Tensor(np.array([-1, 1, 1, -1, -1, 1]), "int") if objective == "M" else airy(np.arange(-8, 4.0, 1.0))
+    with pytest.raises(ArithmeticError, match="rebuilt"):
+        discretize_and_tweak(h, target_bits=4, objective=objective)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +505,8 @@ def test_a_corrupted_carried_entry_withholds_the_result(field, edits, message, m
             discretize_and_tweak(airy(np.arange(-8, 4.0, 1.0)), target_bits=4, max_iters=max_iters)
 
 
-def test_shortlist_ranks_exactly_past_float_resolution():
+def test_shortlist_ranks_exactly_past_float_resolution(monkeypatch):
+    monkeypatch.setattr(continuum, "_SHORTLIST_MIN", 0)  # so these few moves take the float pass too
     # equal as float64, different as integers
     best, tied = _top(np.array([2**60, 2**60 + 1, 2**60 + 1]), np.ones(3, dtype=np.int64), np.arange(3))
     assert (best, tied) == (2**60 + 1, [1, 2])
