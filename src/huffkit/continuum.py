@@ -34,7 +34,6 @@ from .lattice import (
     _int_dtype,
     _off_peak_magnitudes,
     _periodic,
-    _raw_correlate,
     _square_sum,
     as_tensor,
     convolve,
@@ -291,7 +290,6 @@ class TweakResult(NamedTuple):
 # of roundoff (3 * 2^-53) of the exact ratio, so every move that ties the
 # exact maximum lies well inside this relative margin of the float maximum.
 _SHORTLIST_MARGIN = 1e-12
-_SHORTLIST_MIN = 4  # up to this many moves, exact ratios cost less than the float pass
 
 # Entries per temporary of ``_off_peak_maxima`` (1 MiB of int64), so a large
 # 2D probe with small side lobes never holds one correlation per move.
@@ -300,6 +298,11 @@ _CHUNK = 1 << 17
 _STEPS = np.array([1, -1])  # move k is (flat index k // 2, _STEPS[k % 2])
 
 _PAST_INT64 = "a +/-1 move would take the auto-correlation past int64"
+
+
+def _by_move(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+    """One value per move, in move order, from each entry's values for t = +1 and t = -1."""
+    return np.concatenate((plus[:, None], minus[:, None]), axis=1).reshape(-1)
 
 
 def _ratio(num: int, den: int):
@@ -319,8 +322,8 @@ def _total(x: np.ndarray, bound: int) -> int:
 def _engine_state(a: np.ndarray):
     """C = a correlated with a, D = C correlated with a, S = a convolved with a, all from the engine."""
     t = Tensor(np.ascontiguousarray(a), "int")
-    corr = _raw_correlate(t, t)
-    return corr.data, _raw_correlate(corr, t).data, convolve(t, t).data
+    corr = correlate(t, t).values
+    return corr.data, correlate(corr, t).values.data, convolve(t, t).data
 
 
 class _Walk:
@@ -414,19 +417,19 @@ def _off_peak_maxima(walk: _Walk, moves: np.ndarray, amax: int) -> np.ndarray:
     outside T stays below that.  Where side lobes are small, T is every shift but
     zero.  C' is symmetric, so half of T will do.  Blocks hold <= ``_CHUNK`` entries.
     """
-    past = walk.corr.size // 2 + 1  # the zero shift is C's centre: keep only the shifts past it
-    shifts = past + np.flatnonzero(np.abs(walk.corr.reshape(-1)[past:]) >= walk.maxoff - 4 * amax)
+    corr, buffer = walk.corr.reshape(-1), walk.padded.reshape(-1)
+    past = corr.size // 2 + 1  # the zero shift is C's centre: keep only the shifts past it
+    shifts = past + np.flatnonzero(np.abs(corr[past:]) >= walk.maxoff - 4 * amax)
     # flat in the padded buffer, shift s of window i sits at starts(i) + at(s), and -s at starts(i) + mirror(s)
-    at = walk.frame[shifts]
+    at, values = walk.frame[shifts], corr[shifts]
     mirror = walk.frame[-1] - at
-    starts = walk.starts[moves // 2][:, None]
-    buffer, values = walk.padded.reshape(-1), walk.corr.reshape(-1)[shifts]
     out = np.empty(len(moves), dtype=np.int64)
     step = max(1, _CHUNK // max(1, shifts.size))
     for lo in range(0, len(moves), step):
-        block = starts[lo : lo + step]
-        g = buffer[block + at] + buffer[block + mirror]
-        out[lo : lo + step] = np.abs(values + _STEPS[moves[lo : lo + step] % 2][:, None] * g).max(axis=1, initial=0)
+        k = moves[lo : lo + step, None]
+        first = walk.starts[k // 2]
+        g = buffer[first + at] + buffer[first + mirror]
+        out[lo : lo + step] = np.abs(values + _STEPS[k % 2] * g).max(axis=1, initial=0)
     return out
 
 
@@ -434,18 +437,16 @@ def _top(num: np.ndarray, den: np.ndarray, moves: np.ndarray):
     """(exact max of num/den over ``moves``, the moves reaching it, ascending).
 
     The ratio is inf where den == 0.  Float ratios pick the shortlist that
-    the exact ratios then decide; values past float64, and sets of at most
-    ``_SHORTLIST_MIN`` moves, skip the shortlist.
+    the exact ratios then decide; values past float64 skip the shortlist.
     """
-    if len(moves) > _SHORTLIST_MIN:
-        try:
-            n, d = num[moves].astype(np.float64), den[moves].astype(np.float64)
-        except OverflowError:
-            pass
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                q = np.where(d == 0, np.inf, n / d)
-            moves = moves[q >= q.max() * (1 - _SHORTLIST_MARGIN)]
+    try:
+        n, d = num[moves].astype(np.float64), den[moves].astype(np.float64)
+    except OverflowError:
+        pass
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = np.where(d == 0, np.inf, n / d)
+        moves = moves[q >= q.max() * (1 - _SHORTLIST_MARGIN)]
     keys = [_ratio(int(num[k]), int(den[k])) for k in moves]
     best = max(keys)
     return best, [int(k) for k, key in zip(moves, keys) if key == best]
@@ -482,9 +483,9 @@ def _tweak_scan(walk: _Walk, name: str, limit: int) -> _Move | None:
     dtype = _int_dtype(base + 2 * c0 + 4 * (c0 * walk.abs_sum + amax))  # |S| <= c0, |D| <= c0 * sum|a|
     d = walk.d[walk.centre].reshape(-1).astype(dtype, copy=False)
     s = walk.s[(slice(None, None, 2),) * walk.a.ndim].reshape(-1).astype(dtype, copy=False)
-    x = a.astype(dtype, copy=False)[:, None]
-    peaks = (c0 + 1 + 2 * x * _STEPS).reshape(-1)
-    energies = (base + 2 * s[:, None] + 4 * (d[:, None] + x) * _STEPS).reshape(-1)
+    x = a.astype(dtype, copy=False)
+    peak, energy, change = c0 + 1 + 2 * x, base + 2 * s, 4 * (d + x)
+    peaks, energies = _by_move(peak, peak - 4 * x), _by_move(energy + change, energy - change)
     squares = peaks * peaks
     maxoff = np.zeros(peaks.size, dtype=np.int64)  # filled in for the moves whose R the rule reads
     scores = {"M": (squares, energies - squares), "R": (peaks, maxoff)}
@@ -492,7 +493,7 @@ def _tweak_scan(walk: _Walk, name: str, limit: int) -> _Move | None:
 
     # |a_i + t| <= limit or |a_i + t| < |a_i| fails exactly when t*a_i >= limit;
     # one t has t*a_i <= 0, so no entry loses both moves
-    moves = np.flatnonzero(a[:, None] * _STEPS < limit)
+    moves = np.flatnonzero(_by_move(a < limit, -a < limit))
     order = (name, "R" if name == "M" else "M")
     keys = []
     for objective in order:

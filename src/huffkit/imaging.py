@@ -34,8 +34,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import _LAZY
-from .lattice import (Tensor, _auto_lags, _auto_peak, _convolver, _int_dtype, _raw_correlate, _ring, as_tensor,
-                      convolve, correlate)
+from .lattice import Tensor, _auto_lags, _auto_peak, _convolver, _int_dtype, _ring, as_tensor, convolve, correlate
 
 __all__ = list(_LAZY["imaging"])
 
@@ -119,7 +118,7 @@ def encode(obj, mask) -> Tensor:
     unchanged.
     """
     obj, mask = _operands(obj, mask)
-    return _raw_correlate(mask, obj)
+    return correlate(mask, obj).values
 
 
 def decode(blurred, mask) -> Tensor:

