@@ -8,7 +8,7 @@ import numpy as np
 from ._cli import (UsageError, _finish, _given, _parse_ints, _read_tensor, _refuse_given,
                    _report_payload, at_least, command, option)
 from .lattice import Tensor, correlate
-from .metrics import classify, cross_metrics, span_bits, spectral_flatness
+from .metrics import _nonzero_auto, _report, classify, cross_metrics, span_bits, spectral_flatness
 from .project import _direction_components, as_direction, project, twin as twin_of
 
 # --family choices that are not construct._FAMILIES names
@@ -71,16 +71,12 @@ def generate(family, length, b, n, variant, key, alphabet, e, f, g, h_letter, fa
 @option("--plot", action="store_true", help="Also render |auto-correlation| as PGM.")
 def analyze(input_path, oversample, plot):
     """Score an array: merit factor, side-lobe ratio, flatness, class."""
-    tensor = _read_tensor(input_path)
-    report = classify(tensor)
-    payload = _report_payload(report)
+    tensor, corr = _nonzero_auto(_read_tensor(input_path))  # the report's and the plot's correlation
+    payload = _report_payload(_report(tensor, corr))
     if oversample > 1:
         payload["S"] = spectral_flatness(tensor, oversample=oversample)
         payload["S_oversample"] = oversample
-    mags = None
-    if plot:
-        corr = correlate(tensor, tensor)
-        mags = Tensor(np.abs(np.asarray(corr.values.data, dtype=np.float64)), "real")
+    mags = Tensor(np.abs(np.asarray(corr.values.data, dtype=np.float64)), "real") if plot else None
     _finish(f"analyze_{Path(input_path).stem}", {"input": input_path, "oversample": oversample},
             {".report.json": payload, ".corr.pgm": mags})
     print(json.dumps(payload, sort_keys=True))
@@ -135,13 +131,6 @@ _TABLE1_ALPHABETS = (
 )
 
 
-def _off_peak_span(tensor: Tensor) -> tuple[int, int]:
-    corr = correlate(tensor, tensor)
-    off = np.asarray(corr.values.data).copy()
-    off[corr.zero_index] = 0
-    return int(off.min()), int(off.max())
-
-
 @command()
 @option("--table", choices=["1", "2"], required=True)
 @option("--e", type=int, default=3, help="Inner-diamond letter (table 2).")
@@ -161,13 +150,14 @@ def tables(table, e, f_min, f_max):
         stem = "table1"
         lines = ["a,b,c,d,e,f,R,M,cedge,bits,off_lo,off_hi"]
         for alpha in _TABLE1_ALPHABETS:
-            tensor = construct.diamond_array(5, alpha)
-            rep = classify(tensor)
-            lo, hi = _off_peak_span(tensor)
+            tensor, corr = _nonzero_auto(construct.diamond_array(5, alpha))
+            rep = _report(tensor, corr)
+            off = np.asarray(corr.values.data).copy()
+            off[corr.zero_index] = 0  # the off-peak span counts the zero shift as 0
             lines.append(
                 "%s,%.6g,%.6g,%d,%d,%d,%d"
                 % (",".join(str(v) for v in alpha), rep.R, rep.M, rep.C_edge,
-                   span_bits(tensor), lo, hi)
+                   span_bits(tensor), off.min(), off.max())
             )
         args = {"table": 1}
     else:

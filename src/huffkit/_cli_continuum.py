@@ -9,7 +9,7 @@ import numpy as np
 
 from ._cli import (UsageError, _finish, _parse_ints, _read_tensor, _refuse_given, _report_payload,
                    at_least, command, option)
-from .continuum import ProbeSpec, airy, discretize_and_tweak, synthesize_probe, verify_delta_correlation
+from .continuum import _WALK_BYTES, ProbeSpec, airy, discretize_and_tweak, synthesize_probe, verify_delta_correlation
 
 
 def _parse_coeff(text: str) -> tuple[tuple[int, ...], float]:
@@ -74,9 +74,9 @@ def discretize(input_path, airy_window, bits, objective, max_iters):
         samples = (hi + step / 2 - lo) / step  # np.arange makes the ceiling of this many
         cap = resource.getrlimit(resource.RLIMIT_AS)[0]  # what this process may use: its limit, else all memory
         cap = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") if cap == resource.RLIM_INFINITY else cap
-        if 80 * samples > cap:  # the walk carries 10 int64 a sample: a padded (3n), C (2n), D (3n) and S (2n)
+        if _WALK_BYTES * samples > cap:
             raise MemoryError(f"--airy {airy_window} makes {samples:.4g} samples, whose walk needs at least "
-                              f"{80 * samples:.4g} bytes, more than the {cap} this process may use")
+                              f"{_WALK_BYTES * samples:.4g} bytes, more than the {cap} this process may use")
         tensor = airy(np.arange(lo, hi + step / 2, step))
         source = {"airy": airy_window}
     else:

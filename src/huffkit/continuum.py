@@ -25,12 +25,13 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _LAZY
 from .lattice import (
+    CorrelationResult,
     Tensor,
     _exact_sum,
+    _flat,
     _int_dtype,
     _off_peak_magnitudes,
     _periodic,
@@ -39,7 +40,7 @@ from .lattice import (
     convolve,
     correlate,
 )
-from .metrics import QualityReport, classify
+from .metrics import QualityReport, _report
 
 __all__ = list(_LAZY["continuum"])
 
@@ -309,93 +310,92 @@ def _ratio(num: int, den: int):
     return math.inf if den == 0 else Fraction(num, den)
 
 
-def _box(offset, shape) -> tuple[slice, ...]:
-    """The window of ``shape`` that starts at ``offset`` on every axis."""
-    return tuple(slice(o, o + m) for o, m in zip(offset, shape))
-
-
 def _total(x: np.ndarray, bound: int) -> int:
     """sum(x) as a Python int, given max|x| <= bound."""
     return _exact_sum(x, _int_dtype(x.size * bound) is np.int64)
 
 
 def _engine_state(a: np.ndarray):
-    """C = a correlated with a, D = C correlated with a, S = a convolved with a, all from the engine."""
+    """From the engine: C = a correlated with a, D = flat C correlated with flat a, S = a convolved with a."""
     t = Tensor(np.ascontiguousarray(a), "int")
-    corr = correlate(t, t).values
-    return corr.data, correlate(corr, t).values.data, convolve(t, t).data
+    c = correlate(t, t)
+    d = correlate(Tensor(c.values.data.reshape(-1), "int"), Tensor(_flat(t.data, c.values.shape), "int"))
+    return c, d.values.data, convolve(t, t).data
+
+
+_WALK_BYTES = 8 * (3 + 2 + 3 + 2)  # per sample of a 1-D input, all int64: buffer 3n, C 2n, D 3n, S 2n
 
 
 class _Walk:
     """What the greedy walk carries from move to move, for the integer array ``a``.
 
-    ``a`` is the centre of ``padded`` (n - 1 zeros on both sides of every
-    axis), so ``windows``, every window of C's shape on that buffer, follows
-    each move with no copy: window i holds a at offset n - 1 - i.  ``frame``
-    is the flat index in ``padded`` of every index of C's shape, in C's flat
-    order, and ``starts`` the same of every index of a's shape.  ``corr`` is
-    C = a correlated with a (extent 2n - 1 per axis), ``d`` is D = C
-    correlated with a (3n - 2) and ``s`` is S = a convolved with a (2n - 1),
-    each in ``_int_dtype`` of its bound: |C|, |S| <= c0, |D| <= c0 * sum|a|.
-    ``energy`` is sum C^2 and ``maxoff`` the off-peak max |C|.  The engine
-    builds all of it once; ``advance`` then updates it exactly.
+    It runs in the engine's flat layout (``lattice._flat``), a's rows strided
+    by C's extents 2n - 1, where one 1-D correlation equals the n-D one: flat
+    a has m = (|C| + 1) / 2 entries, a's entry i at ``cells[i]``, and sits at
+    [m - 1, 2m - 1) of the zero ``buffer`` (3m - 2), of which ``a`` is an n-D
+    view.  ``corr`` is C = a correlated with a and ``s`` is S = a convolved
+    with a (n-D, 2m - 1 entries flat, zero shift at ``zero``); ``d`` is
+    D = flat C correlated with flat a (3m - 2), D(m - 1 + cells[i]) =
+    sum_s C(s) a(i + s).  Each is in ``_int_dtype`` of its bound: |C|, |S| <=
+    c0, |D| <= c0 * sum|a|.  ``energy`` is sum C^2 and ``maxoff`` the off-peak
+    max |C|.  The engine builds all of it once; ``advance`` updates it exactly.
     """
 
     def __init__(self, start: np.ndarray):
-        self.padded = np.zeros(tuple(3 * n - 2 for n in start.shape), dtype=np.int64)
-        self.centre = tuple(slice(n - 1, 2 * n - 1) for n in start.shape)  # a@(n-1) in D's frame too
-        self.a = self.padded[self.centre]
+        c, d, s = _engine_state(start)
+        corr, m = c.values.data, c.values.size // 2 + 1
+        box = tuple(map(slice, start.shape))
+        self.buffer = np.zeros(3 * m - 2, dtype=np.int64)
+        self.flat = self.buffer[m - 1 : 2 * m - 1]
+        self.a = self.buffer[m - 1 :].reshape(corr.shape)[box]
         self.a[...] = start
-        self.zero = tuple(n - 1 for n in start.shape)
-        self.windows = sliding_window_view(self.padded, tuple(2 * n - 1 for n in start.shape))
-        self.abs_sum = int(np.abs(start).sum())
-        corr, d, s = _engine_state(start)
-        c0 = int(corr[self.zero])
-        self.corr = corr.astype(_int_dtype(c0), copy=False)
-        index = np.arange(self.padded.size).reshape(self.padded.shape)
-        self.frame, self.starts = (index[tuple(map(slice, box))].reshape(-1) for box in (corr.shape, start.shape))
-        self.d = d.astype(_int_dtype(c0 * self.abs_sum), copy=False)
-        self.s = s.astype(_int_dtype(c0), copy=False)
+        self.cells = np.arange(corr.size).reshape(corr.shape)[box].reshape(-1)
+        self.zero, self.maxoff, self.abs_sum = c.zero_index, c.off_peak_max, int(np.abs(start).sum())
+        self.corr = corr.astype(_int_dtype(c.peak), copy=False)
+        self.d = d.astype(_int_dtype(c.peak * self.abs_sum), copy=False)
+        self.s = np.ascontiguousarray(s, dtype=_int_dtype(c.peak))  # updated through its flat view
         self.energy = int(_square_sum(self.corr.reshape(-1)))
-        self.maxoff = int(_off_peak_magnitudes(self.corr, self.zero).max())
 
     def advance(self, move: "_Move") -> None:
-        """Apply a_i += t to every carried value; each update reads the old values.
+        """Apply a_p += t, p = cells[i], to every carried value; each update reads the old values.
 
-        With x@o for x added into the window that starts at offset o:
+        With x@o for flat x added into the slice that starts at o, and a flat:
 
-            C' = C + t*a@(n-1-i) + t*flip(a)@i + delta@(n-1)   (the scan's rebuilt C')
-            S' = S + 2t*a@i + delta@(2i)
-            D' = D + t*(C + C')@i + t*S@(n-1-i) + a@(n-1)
+            C' = C + t*a@(m-1-p) + t*flip(a)@p + delta@(m-1)   (the scan's rebuilt C')
+            S' = S + 2t*a@p + delta@(2p)
+            D' = D + t*(C + C')@p + t*S@(m-1-p) + a@(m-1)
 
-        The last is D + 2t*C@i + t*S@(n-1-i) + a@(n-1) + t*(C' - C)@i, since
+        The last is D + 2t*C@p + t*S@(m-1-p) + a@(m-1) + t*(C' - C)@p, since
         flip(C) = C makes D = C convolved with a.  c0', E' and the off-peak
         max are those of the winner's rebuilt C', checked against its scores.
         Raises ``ArithmeticError`` unless sum D' = sum C' * sum a' and
         sum S' = (sum a')^2, the engine's own check.
         """
-        shape, i, t, new = self.a.shape, np.unravel_index(move.flat, self.a.shape), move.t, move.corr
+        a, p, t, new = self.flat, int(self.cells[move.flat]), move.t, move.corr
+        m, s = a.size, self.s.reshape(-1)
         c0, c0_new = int(self.corr[self.zero]), int(new[self.zero])
         # every partial sum of D' is within c0 * sum|a| + |C + C'| + |S| + max|a| <= this
         d = self.d.astype(_int_dtype(max(c0, c0_new) * (self.abs_sum + 4)), copy=False)
-        d[_box(i, new.shape)] += t * (self.corr.astype(d.dtype, copy=False) + new)
-        d[_box([n - 1 - k for n, k in zip(shape, i)], self.s.shape)] += t * self.s
-        d[self.centre] += self.a
-        self.s[_box(i, shape)] += 2 * t * self.a  # within c0 + 2 max|a| + 1, which the scan bounded
-        self.s[tuple(2 * k for k in i)] += 1
-        self.abs_sum += abs(int(self.a[i]) + t) - abs(int(self.a[i]))
-        self.a[i] += t
+        d[p : p + 2 * m - 1] += t * (self.corr.astype(d.dtype, copy=False) + new).reshape(-1)
+        d[m - 1 - p : 3 * m - 2 - p] += t * s
+        d[m - 1 : 2 * m - 1] += a
+        s[p : p + m] += 2 * t * a  # within c0 + 2 max|a| + 1, which the scan bounded
+        s[2 * p] += 1
+        self.abs_sum += abs(int(a[p]) + t) - abs(int(a[p]))
+        a[p] += t
         self.corr, self.energy, self.maxoff = new, move.energy, move.maxoff
         self.d = d.astype(_int_dtype(c0_new * self.abs_sum), copy=False)
-        total = _total(self.a, c0_new)
-        if (_total(self.s, c0_new) != total * total
+        total = _total(a, c0_new)
+        if (_total(s, c0_new) != total * total
                 or _total(self.d, c0_new * self.abs_sum) != _total(new, c0_new) * total):
             raise ArithmeticError("the tweak's carried correlations failed their sum check; result withheld")
 
-    def check(self) -> None:
-        """Raise ``ArithmeticError`` unless the engine, run afresh on ``a``, gives the carried C, D and S."""
-        if not all(map(np.array_equal, _engine_state(self.a), (self.corr, self.d, self.s))):
+    def check(self) -> CorrelationResult:
+        """The engine's C of ``a``, run afresh; ``ArithmeticError`` unless it, D and S equal the carried ones."""
+        c, d, s = _engine_state(self.a)
+        if not all(map(np.array_equal, (c.values.data, d, s), (self.corr, self.d, self.s))):
             raise ArithmeticError("the tweak's carried correlations disagree with the engine's; result withheld")
+        return c
 
 
 class _Move(NamedTuple):
@@ -412,23 +412,22 @@ def _off_peak_maxima(walk: _Walk, moves: np.ndarray, amax: int) -> np.ndarray:
     """Off-peak max |C'| of each of ``moves``, read on the candidate shifts T alone; amax = max|a|.
 
     T = {s != 0 : |C(s)| >= maxoff - 4*max|a|} holds every C''s off-peak max:
-    off the zero shift a move adds t*g_i(s), |g_i(s)| = |a(i+s) + a(i-s)| <= 2*max|a|,
+    off the zero shift a move adds t*g_p(s), |g_p(s)| = |a(p+s) + a(p-s)| <= 2*max|a|,
     so the shift holding maxoff keeps |C'| >= maxoff - 2*max|a|, and every shift
     outside T stays below that.  Where side lobes are small, T is every shift but
     zero.  C' is symmetric, so half of T will do.  Blocks hold <= ``_CHUNK`` entries.
     """
-    corr, buffer = walk.corr.reshape(-1), walk.padded.reshape(-1)
+    corr, buffer = walk.corr.reshape(-1), walk.buffer
     past = corr.size // 2 + 1  # the zero shift is C's centre: keep only the shifts past it
     shifts = past + np.flatnonzero(np.abs(corr[past:]) >= walk.maxoff - 4 * amax)
-    # flat in the padded buffer, shift s of window i sits at starts(i) + at(s), and -s at starts(i) + mirror(s)
-    at, values = walk.frame[shifts], corr[shifts]
-    mirror = walk.frame[-1] - at
+    # flat C's entry u is shift s = u - (m - 1), so a(p + s) is buffer[p + u] and a(p - s) buffer[p + 2m - 2 - u]
+    mirror, values = corr.size - 1 - shifts, corr[shifts]
     out = np.empty(len(moves), dtype=np.int64)
     step = max(1, _CHUNK // max(1, shifts.size))
     for lo in range(0, len(moves), step):
         k = moves[lo : lo + step, None]
-        first = walk.starts[k // 2]
-        g = buffer[first + at] + buffer[first + mirror]
+        p = walk.cells[k // 2]
+        g = buffer[p + shifts] + buffer[p + mirror]
         out[lo : lo + step] = np.abs(values + _STEPS[k % 2] * g).max(axis=1, initial=0)
     return out
 
@@ -436,17 +435,14 @@ def _off_peak_maxima(walk: _Walk, moves: np.ndarray, amax: int) -> np.ndarray:
 def _top(num: np.ndarray, den: np.ndarray, moves: np.ndarray):
     """(exact max of num/den over ``moves``, the moves reaching it, ascending).
 
-    The ratio is inf where den == 0.  Float ratios pick the shortlist that
-    the exact ratios then decide; values past float64 skip the shortlist.
+    The ratio is inf where den == 0.  Float ratios pick the shortlist that the
+    exact ratios then decide.  ``_tweak_scan`` keeps every c0' below 2^63, so
+    num <= c0'^2 < 2^126 and den <= E' <= |C| * c0'^2 < 2^189 convert to float64.
     """
-    try:
-        n, d = num[moves].astype(np.float64), den[moves].astype(np.float64)
-    except OverflowError:
-        pass
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = np.where(d == 0, np.inf, n / d)
-        moves = moves[q >= q.max() * (1 - _SHORTLIST_MARGIN)]
+    n, d = num[moves].astype(np.float64), den[moves].astype(np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.where(d == 0, np.inf, n / d)
+    moves = moves[q >= q.max() * (1 - _SHORTLIST_MARGIN)]
     keys = [_ratio(int(num[k]), int(den[k])) for k in moves]
     best = max(keys)
     return best, [int(k) for k, key in zip(moves, keys) if key == best]
@@ -455,15 +451,15 @@ def _top(num: np.ndarray, den: np.ndarray, moves: np.ndarray):
 def _tweak_scan(walk: _Walk, name: str, limit: int) -> _Move | None:
     """Best single +/-1 move of the walk's array, or None.
 
-    Every move a_i -> a_i + t is scored from the carried state: its
-    correlation is C' = C + t*g_i + delta with g_i(s) = a(i+s) + a(i-s), so
+    Every move a_i -> a_i + t, flat a_p with p = cells[i], is scored from the
+    carried state: its correlation is C' = C + t*g_p + delta with
+    g_p(s) = a(p+s) + a(p-s) on flat a, so
 
-        c0' = c0 + 2t*a_i + 1
-        E'  = sum C'^2 = E + 4*c0 + 2*S(i) + 1 + 4t*(D(i) + a_i)
+        c0' = c0 + 2t*a_p + 1
+        E'  = sum C'^2 = E + 4*c0 + 2*S(2p) + 1 + 4t*(D(m-1+p) + a_p)
 
-    with D(i) read from the carried D on [n-1, 2n-1) per axis and S(i) the
-    carried S at 2i; its off-peak max comes from ``_off_peak_maxima``.  Moves
-    with |a_i + t| > limit are left out unless they bring a_i toward zero.
+    with D and S read flat; its off-peak max comes from ``_off_peak_maxima``.
+    Moves with |a_i + t| > limit are left out unless they bring a_i toward zero.
     One rule serves both objectives, M = c0'^2 / (E' - c0'^2) and
     R = c0' / off-peak max |C'|, exactly: ``name`` only picks which is
     primary.  ``_top`` keeps the moves that reach the best primary, then
@@ -481,8 +477,8 @@ def _tweak_scan(walk: _Walk, name: str, limit: int) -> _Move | None:
         raise ArithmeticError(_PAST_INT64)
     base = walk.energy + 4 * c0 + 1
     dtype = _int_dtype(base + 2 * c0 + 4 * (c0 * walk.abs_sum + amax))  # |S| <= c0, |D| <= c0 * sum|a|
-    d = walk.d[walk.centre].reshape(-1).astype(dtype, copy=False)
-    s = walk.s[(slice(None, None, 2),) * walk.a.ndim].reshape(-1).astype(dtype, copy=False)
+    d = walk.d[walk.flat.size - 1 + walk.cells].astype(dtype, copy=False)
+    s = walk.s.reshape(-1)[2 * walk.cells].astype(dtype, copy=False)
     x = a.astype(dtype, copy=False)
     peak, energy, change = c0 + 1 + 2 * x, base + 2 * s, 4 * (d + x)
     peaks, energies = _by_move(peak, peak - 4 * x), _by_move(energy + change, energy - change)
@@ -508,8 +504,9 @@ def _tweak_scan(walk: _Walk, name: str, limit: int) -> _Move | None:
     if keys <= [now[objective] for objective in read]:
         return None
     k, t = int(moves[0]), int(_STEPS[moves[0] % 2])
-    w = walk.windows[np.unravel_index(k // 2, walk.a.shape)]
-    cand = walk.corr + t * (w + np.flip(w))
+    p = walk.cells[k // 2]
+    w = walk.buffer[p : p + walk.corr.size]  # a(p + s) at flat C's entry for shift s
+    cand = walk.corr + t * (w + w[::-1]).reshape(walk.corr.shape)
     cand[zero] += 1
     energy = int(_square_sum(cand.reshape(-1)))
     off = int(_off_peak_magnitudes(cand, zero).max())
@@ -540,10 +537,10 @@ def discretize_and_tweak(
     changes C(s), s != 0, by at most 2*max|a|, so no other shift can pass
     the one holding maxoff.  The engine computes C, D and S once, each move
     updates them exactly in O(size) and checks their sums, and when the walk
-    stops the engine computes them again.  A disagreement raises
-    ``ArithmeticError`` and no result is returned.  An all-zero input raises
-    ``ContinuumError``; one whose first move could take the correlation past
-    int64 raises ``ArithmeticError`` before any cast.
+    stops the engine computes them again, its C giving the report.  A
+    disagreement raises ``ArithmeticError`` and no result is returned.  An
+    all-zero input raises ``ContinuumError``; one whose first move could take
+    the correlation past int64 raises ``ArithmeticError`` before any cast.
     """
     if target_bits < 3:
         raise ContinuumError("target_bits must be >= 3")
@@ -569,7 +566,5 @@ def discretize_and_tweak(
     while iterations < max_iters and (move := _tweak_scan(walk, objective, limit)) is not None:
         walk.advance(move)
         iterations += 1
-    walk.check()
-
     result = Tensor(walk.a.copy(), "int")
-    return TweakResult(result, classify(result), iterations)
+    return TweakResult(result, _report(result, walk.check()), iterations)

@@ -7,7 +7,8 @@ no FFT of the array.  A perfect delta (no off-peak energy at all) reports
 ``M = R = inf`` rather than raising; so does an array with no off-peak lag
 at all, a single cell.  :func:`classify` owns the report's rules: it refuses
 an input of zero energy (C0 = 0 leaves R, M and S undefined) with a
-``LatticeError``, and it alone reads OP off the correlation.
+``LatticeError`` (``_nonzero_auto``), and its ``_report`` alone reads OP off
+the correlation; a caller that holds the auto-correlation passes it in there.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from . import _LAZY
 from .lattice import (
     CorrelationResult,
     LatticeError,
+    Tensor,
     _auto_peak,
     _edge_sets,
     _off_peak_magnitudes,
@@ -156,6 +158,14 @@ class QualityReport(NamedTuple):
         return json.dumps(d, sort_keys=True)
 
 
+def _nonzero_auto(a) -> tuple[Tensor, CorrelationResult]:
+    """``a`` as a tensor, and its auto-correlation; ``LatticeError`` if C0 = sum(a^2) is 0."""
+    a = as_tensor(a)
+    if _auto_peak(a) == 0:
+        raise LatticeError("zero-energy input: C0 = 0 leaves R, M and S undefined")
+    return a, correlate(a, a)
+
+
 def classify(a) -> QualityReport:
     """Full report; canonical / quasi / other per the off-peak structure.
 
@@ -167,10 +177,11 @@ def classify(a) -> QualityReport:
     magnitude off the ``ends`` (the corners, plus the diagonal tips when
     every extent is odd and at least 3).  S comes from the same correlation.
     """
-    a = as_tensor(a)
-    if _auto_peak(a) == 0:
-        raise LatticeError("zero-energy input: C0 = 0 leaves R, M and S undefined")
-    c = correlate(a, a)
+    return _report(*_nonzero_auto(a))
+
+
+def _report(a: Tensor, c: CorrelationResult) -> QualityReport:
+    """:func:`classify`'s report of a nonzero ``a`` from its auto-correlation ``c``."""
     sets = _edge_sets(a.shape)
     scalar = type(c.peak)  # int, or float for a real input
     mags = _off_peak_magnitudes(c.values.data, c.zero_index).reshape(-1)

@@ -26,7 +26,7 @@ from huffkit.continuum import (
 from huffkit.lattice import Tensor
 from huffkit.metrics import classify, side_lobe_ratio
 
-from conftest import oracle_autocorrelate
+from conftest import oracle_autocorrelate, oracle_correlate
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +406,41 @@ def test_tweak_withholds_a_move_whose_scored_off_peak_max_is_wrong(monkeypatch, 
 
 
 # ---------------------------------------------------------------------------
+# the walk's flat layout against the n-D correlations
+
+
+@st.composite
+def layout_inputs(draw):
+    ndim = draw(st.integers(1, 3))
+    shape = tuple(draw(st.integers(1, (9, 4, 3)[ndim - 1])) for _ in range(ndim))
+    hi = draw(st.sampled_from([1, 5, 2**20]))
+    values = draw(st.lists(st.integers(-hi, hi), min_size=math.prod(shape), max_size=math.prod(shape)))
+    return np.array(values, dtype=np.int64).reshape(shape)
+
+
+@given(layout_inputs())
+@example(np.array([[[-(2**20)], [2**20]], [[3], [2**20 - 1]]]))  # extents 2, 2, 1
+@example(np.array([[2**20, -(2**20)]]))  # extents 1, 2
+@example(np.array([-4]))
+def test_walk_carries_the_nd_correlations_in_the_flat_layout(a):
+    walk = _Walk(a)
+    corr = oracle_autocorrelate(a)
+    assert np.array_equal(walk.corr, corr) and np.array_equal(walk.s, oracle_correlate(np.flip(a), a))
+    # flat a has m entries, C 2m - 1 and D 3m - 2; D(m - 1 + cells[i]) = sum_s C(s) a(i + s), the n-D D's centre
+    m = walk.flat.size
+    assert (corr.size, walk.d.size, walk.buffer.size) == (2 * m - 1, 3 * m - 2, 3 * m - 2)
+    centre = oracle_correlate(corr, a)[tuple(slice(n - 1, 2 * n - 1) for n in a.shape)]
+    assert walk.d[m - 1 + walk.cells].tolist() == centre.reshape(-1).tolist()
+    # a write through the n-D view lands in the flat buffer, at its cell and nowhere else
+    last = tuple(n - 1 for n in a.shape)
+    walk.a[last] += 7
+    moved = a.copy()
+    moved[last] += 7
+    assert walk.buffer[m - 1 + walk.cells].tolist() == moved.reshape(-1).tolist()
+    assert int(np.abs(walk.buffer).sum()) == int(np.abs(moved).sum())
+
+
+# ---------------------------------------------------------------------------
 # the carried walk against the walk that rebuilds its state before every move
 
 
@@ -513,9 +548,6 @@ def test_shortlist_ranks_exactly_past_float_resolution():
     r = 458977753292669195339
     best, tied = _top(np.array([705 * r, r], dtype=object), np.array([705, 1], dtype=object), np.arange(2))
     assert (best, tied) == (r, [0, 1])
-    # past float64 altogether: every move is ranked exactly
-    num = np.array([2**1100, 2**1100 + 1, 5], dtype=object)
-    best, tied = _top(num, np.array([1, 1, 0], dtype=object), np.arange(2))
-    assert (best, tied) == (2**1100 + 1, [1])
-    best, tied = _top(num, np.array([1, 1, 0], dtype=object), np.arange(3))
-    assert (best, tied) == (math.inf, [2])
+    # a zero denominator is an infinite ratio, above every finite one
+    best, tied = _top(np.array([2**60, 3, 5]), np.array([1, 0, 0]), np.arange(3))
+    assert (best, tied) == (math.inf, [1, 2])
