@@ -4,7 +4,7 @@ Construct Huffman-style sequences and arrays whose aperiodic auto-correlation
 is a near-perfect delta spike, score them, project them to lower dimensions,
 tie them to their continuum (Airy) limit, and run the imaging experiments
 they enable: diffuse-mask encode/decode and deblurring, two-shot pedestal
-acquisition, computational ghost imaging, watermarking, and noise studies.
+acquisition, computational ghost imaging, and noise studies.
 
 ``lattice`` and ``project`` (with numpy) load with the package; ``project``
 loads eagerly so that ``huffkit.project`` is the function, which a later
@@ -61,9 +61,8 @@ _LAZY = {
     ),
     "imaging": (
         "ImagingError", "valid_region", "encode", "decode", "DeblurResult", "deblur",
-        "pedestal_pair", "GhostResult", "ghost_image", "watermark_embed", "WatermarkMatch",
-        "watermark_locate", "BaselineStats", "random_baseline", "NoiseStudy", "multiplex_noise_study",
-        "trial_rng",
+        "pedestal_pair", "GhostResult", "ghost_image", "BaselineStats", "random_baseline", "NoiseStudy",
+        "multiplex_noise_study", "trial_rng",
     ),
 }
 _OWNER = {name: module for module, names in _LAZY.items() for name in names}

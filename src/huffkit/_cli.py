@@ -34,26 +34,20 @@ class DivergenceError(RuntimeError):
 _COMMANDS = {
     **dict.fromkeys("generate analyze project twin tables".split(), "_cli_array"),
     **dict.fromkeys("probe discretize".split(), "_cli_continuum"),
-    **dict.fromkeys("encode decode deblur pedestal ghost watermark baseline noise-study".split(), "_cli_imaging"),
+    **dict.fromkeys("encode decode deblur pedestal ghost baseline noise-study".split(), "_cli_imaging"),
 }
 _REGISTRY = {}  # command name -> function, filled by the command modules as they import
 
-# (command words, the arguments its command line gave, --name, --out) of the command running in this context
+# (command name, the arguments its command line gave, --name, --out) of the command running in this context
 _CALL = contextvars.ContextVar("huffkit_cli_call")
 
 
-def command(name=None, parent=None):
-    """Register the decorated function as command ``name`` (default: its own name), or as a subcommand of ``parent``."""
+def command(name=None):
+    """Register the decorated function as command ``name`` (default: its own name)."""
     def register(fn):
-        (_REGISTRY if parent is None else parent.commands)[name or fn.__name__] = fn
+        _REGISTRY[name or fn.__name__] = fn
         return fn
     return register
-
-
-def group(fn):
-    """Register ``fn``, which only names its subcommands, as a command group; ``command(parent=fn)`` adds to it."""
-    fn.commands = {}
-    return command()(fn)
 
 
 def option(*names, **kwargs):
@@ -102,20 +96,21 @@ def _summary(fn) -> str:
     return fn.__doc__.strip().split("\n")[0]
 
 
-def _group_help(prog: str, doc: str, commands: dict) -> str:
-    """A group's help in argparse's layout, listing its commands under ``Commands:``."""
-    width = max(map(len, commands))
-    listing = "".join(f"\n  {name:<{width}}  {_summary(fn)}" for name, fn in sorted(commands.items()))
-    return (f"usage: {prog} [--help] COMMAND [ARGS]...\n\n{doc}\n\n"
+def _help(prog: str) -> str:
+    """The top-level help in argparse's layout, listing every command under ``Commands:``."""
+    width = max(map(len, _REGISTRY))
+    listing = "".join(f"\n  {name:<{width}}  {_summary(fn)}" for name, fn in sorted(_REGISTRY.items()))
+    return (f"usage: {prog} [--help] COMMAND [ARGS]...\n\n{_summary(main)}\n\n"
             f"options:\n  --help  show this help message and exit\n\nCommands:{listing}\n")
 
 
-def _run_command(prog: str, fn, argv: list[str], words: list[str]):
-    """Parse ``argv`` with the parser ``fn`` declares and call ``fn``; print the help instead on ``--help``.
+def _run_command(prog: str, name: str, argv: list[str]):
+    """Parse ``argv`` with the parser command ``name`` declares and call it; print the help instead on ``--help``.
 
     Each option is joined to its value as ``--long-name=value`` before argparse reads it, so that the value is
     always the next word (or what follows ``=``), even one that starts with ``-``.
     """
+    fn = _REGISTRY[name]
     parser = _Parser(prog=prog, description=fn.__doc__, add_help=False, allow_abbrev=False)
     flags = {"--help": parser.add_argument("--help", action="help", help="show this help message and exit")}
     declared = [parser.add_argument(*names, **kwargs) for names, kwargs in [*fn.arguments, *_LOCATION]]
@@ -142,40 +137,32 @@ def _run_command(prog: str, fn, argv: list[str], words: list[str]):
             args.append(word)
     namespace = vars(parser.parse_args(args))
     given = [action for action in declared if action in given]
-    token = _CALL.set((words, given, namespace.pop("name"), namespace.pop("out")))
+    token = _CALL.set((name, given, namespace.pop("name"), namespace.pop("out")))
     try:
         return fn(**namespace)
     finally:
         _CALL.reset(token)
 
 
-def _dispatch(prog: str, argv: list[str], words: list[str]):
-    """Resolve the command words of ``argv`` (a group's too), importing only the module that defines them."""
-    fn, commands = main, _REGISTRY
-    while True:
-        if not argv or argv[0] == "--help":
-            if commands is _REGISTRY:
-                with _collector_paused():
-                    for module in sorted(set(_COMMANDS.values())):
-                        __import__(f"huffkit.{module}")
-            text = _group_help(prog, _summary(fn), commands)
-            if not argv:
-                raise UsageError(text.rstrip("\n"))
-            print(text, end="")
-            return 0
-        name, argv = argv[0], argv[1:]
-        if name.startswith("-"):
-            raise UsageError(f"No such option '{name.partition('=')[0]}'.")
-        if commands is _REGISTRY and name in _COMMANDS:
-            with _collector_paused():
-                __import__(f"huffkit.{_COMMANDS[name]}")
-        if name not in commands:
-            raise UsageError(f"No such command '{name}'.")
-        fn, prog = commands[name], f"{prog} {name}"
-        words.append(name)
-        if not hasattr(fn, "commands"):
-            return _run_command(prog, fn, argv, words)
-        commands = fn.commands
+def _dispatch(prog: str, argv: list[str]):
+    """Run the command that ``argv`` names, importing only the module that defines it; or list every command."""
+    if not argv or argv[0] == "--help":
+        with _collector_paused():
+            for module in sorted(set(_COMMANDS.values())):
+                __import__(f"huffkit.{module}")
+        text = _help(prog)
+        if not argv:
+            raise UsageError(text.rstrip("\n"))
+        print(text, end="")
+        return 0
+    name = argv[0]
+    if name.startswith("-"):
+        raise UsageError(f"No such option '{name.partition('=')[0]}'.")
+    if name not in _COMMANDS:
+        raise UsageError(f"No such command '{name}'.")
+    with _collector_paused():
+        __import__(f"huffkit.{_COMMANDS[name]}")
+    return _run_command(f"{prog} {name}", name, argv[1:])
 
 
 def main(argv=None, prog_name=None):
@@ -184,9 +171,9 @@ def main(argv=None, prog_name=None):
     Runs one command line (default ``sys.argv[1:]``): returns once the command succeeds, and on a failure prints
     its message and raises ``SystemExit`` with the failure's exit code.
     """
-    words = []
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        return _dispatch(prog_name or "huffkit", sys.argv[1:] if argv is None else list(argv), words)
+        return _dispatch(prog_name or "huffkit", argv)
     except KeyboardInterrupt:
         _fail(_EXIT_USAGE, "aborted")
     except UsageError as exc:
@@ -194,7 +181,8 @@ def main(argv=None, prog_name=None):
     except (DivergenceError, ArithmeticError) as exc:
         _fail(_EXIT_NUMERICAL, f"numerical error: {exc}")
     except MemoryError as exc:  # too large an input or window for this machine
-        _fail(_EXIT_DOMAIN, f"domain error: {' '.join(words)} ran out of memory" + (f": {exc}" if str(exc) else ""))
+        name = argv[0] if argv else ""
+        _fail(_EXIT_DOMAIN, f"domain error: {name} ran out of memory" + (f": {exc}" if str(exc) else ""))
     except OSError as exc:
         _fail(_EXIT_IO, f"i/o error: {exc}")
     except (ValueError, KeyError) as exc:  # all module domain errors
@@ -243,13 +231,13 @@ def _finish(stem: str, arguments: dict, artefacts: dict, seed: int | None = None
     the two versions a run's numbers depend on; the parse is pinned by the
     resolved ``arguments``.
     """
-    words, _, name, out = _CALL.get()
+    cmd, _, name, out = _CALL.get()
     stem = name or stem
     base = Path(out) if out else Path(os.environ.get("HUFFKIT_OUT", "."))
     base.mkdir(parents=True, exist_ok=True)
     payloads = {stem + suffix: payload for suffix, payload in artefacts.items() if payload is not None}
     record = {
-        "command": " ".join(words),
+        "command": cmd,
         "arguments": arguments,
         "files": sorted(payloads),
         "seed": seed,

@@ -1,4 +1,4 @@
-"""The CLI's imaging commands: encode, decode, deblur, pedestal, ghost, watermark, baseline and noise-study."""
+"""The CLI's imaging commands: encode, decode, deblur, pedestal, ghost, baseline and noise-study."""
 
 import json
 import sys
@@ -8,12 +8,12 @@ import numpy as np
 
 from . import imaging
 from ._cli import (DivergenceError, UsageError, _finish, _parse_finite, _parse_ints, _read_tensor,
-                   at_least, command, group, option)
+                   at_least, command, option)
 from .lattice import Tensor
 
 
-def _parse_kappa(text: str, mask: Tensor, scheme: str) -> float:
-    """'auto' resolves to the least admissible pedestal of ``scheme`` for the mask."""
+def _parse_kappa(text: str, mask: Tensor, scheme: str) -> float | int:
+    """'auto' resolves to the least admissible pedestal of ``scheme`` for the mask, an int for an integer mask."""
     if text == "auto":
         return imaging._least_kappa(mask, scheme)
     return _parse_finite(text, "--kappa must be a finite number or 'auto'")
@@ -40,7 +40,7 @@ def encode(object_path, mask_path, plot):
 def decode(blurred_path, mask_path, plot):
     """First-order decode: back-correlate, crop, normalize by C0."""
     blurred, mask = _read_tensor(blurred_path), _read_tensor(mask_path)
-    c0 = imaging._energy(mask, "mask")
+    c0 = imaging._energy(mask)
     estimate = Tensor(np.asarray(imaging.decode(blurred, mask).data, dtype=np.float64) / c0, "real")
     files = _finish(f"decode_{Path(blurred_path).stem}", {"blurred": blurred_path, "mask": mask_path},
                     {".txt": estimate, ".pgm": estimate if plot else None},
@@ -120,38 +120,6 @@ def ghost(object_path, mask_path, kappa, kappa_prime, scan, plot):
     if result.partial:
         print("warning: scan does not cover every bucket position; reconstruction flagged partial", file=sys.stderr)
     print(f"reconstruction {result.reconstruction.shape} -> {files[1]}")
-
-
-@group
-def watermark() -> None:
-    """Embed a delta-correlated mark in an image, or locate one."""
-
-
-@command(parent=watermark)
-@option("host_path", metavar="HOST")
-@option("mark_path", metavar="MARK")
-@option("--offset", required=True, help="Top-left corner of the mark, e.g. 16,16.")
-@option("--plot", action="store_true", help="Also render the marked image as PGM.")
-def embed(host_path, mark_path, offset, plot):
-    """Add the mark into the host at a fixed offset."""
-    host, mark = _read_tensor(host_path), _read_tensor(mark_path)
-    off = _parse_ints(offset, "--offset")
-    marked = imaging.watermark_embed(host, mark, off)
-    files = _finish(f"marked_{Path(host_path).stem}", {"host": host_path, "mark": mark_path, "offset": list(off)},
-                    {".txt": marked, ".pgm": marked if plot else None})
-    print(f"marked image -> {files[0]}")
-
-
-@command(parent=watermark)
-@option("image_path", metavar="IMAGE")
-@option("mark_path", metavar="MARK")
-def locate(image_path, mark_path):
-    """Search an image for the mark by a single cross-correlation."""
-    image, mark = _read_tensor(image_path), _read_tensor(mark_path)
-    payload = imaging.watermark_locate(image, mark)._asdict()
-    _finish(f"locate_{Path(image_path).stem}", {"image": image_path, "mark": mark_path},
-            {".locate.json": payload}, results=payload)
-    print(json.dumps(payload, sort_keys=True))
 
 
 @command()

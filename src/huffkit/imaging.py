@@ -1,6 +1,6 @@
 """Diffuse-mask imaging experiments: encode/decode, iterative deblurring,
-two-shot pedestal acquisition, ghost imaging, watermarking, and the random /
-multiplex baselines.
+two-shot pedestal acquisition, ghost imaging, and the random / multiplex
+baselines.
 
 Conventions shared by every operation here:
 
@@ -89,24 +89,29 @@ def valid_region(outer_shape: Sequence[int], inner_shape: Sequence[int]) -> tupl
     return tuple(slice(i - 1, o) for o, i in zip(outer_shape, inner_shape))
 
 
-def _energy(t: Tensor, what: str) -> float:
-    """C0 = sum(t^2) as a float, which normalises or thresholds every result here; refused when 0."""
-    c0 = float(_auto_peak(t))
+def _energy(mask: Tensor) -> float:
+    """C0 = sum(H^2) as a float, which normalises every result here; refused when 0."""
+    c0 = float(_auto_peak(mask))
     if c0 == 0.0:
-        raise ImagingError(f"zero-energy {what}: C0 = 0 leaves nothing finite to scale by")
+        raise ImagingError("zero-energy mask: C0 = 0 leaves nothing finite to scale by")
     return c0
 
 
-def _least_kappa(mask: Tensor, scheme: str) -> float:
-    """Least admissible kappa: max|H| for ``"pedestal"`` (+-H + kappa >= 0), else max(0, -min H) (H + kappa >= 0)."""
-    data = np.asarray(mask.data, dtype=np.float64)
-    return float(np.abs(data).max()) if scheme == "pedestal" else max(0.0, -float(data.min()))
+def _least_kappa(mask: Tensor, scheme: str):
+    """Least admissible kappa: max|H| for ``"pedestal"`` (+-H + kappa >= 0), else max(0, -min H) (H + kappa >= 0).
+
+    A Python int for an integer mask, so exact at any magnitude; a float otherwise.
+    """
+    cast = int if mask.mode == "int" else float
+    low, high = cast(mask.data.min()), cast(mask.data.max())
+    return max(abs(low), abs(high)) if scheme == "pedestal" else max(cast(0), -low)
 
 
 def _admit_kappa(mask: Tensor, kappa, scheme: str) -> None:
-    if not math.isfinite(float(kappa)):
+    kappa = np.asarray(kappa).item()  # a Python number, which compares with an int need exactly, as numpy's do not
+    if isinstance(kappa, float) and not math.isfinite(kappa):
         raise ImagingError(f"{scheme} kappa must be finite, got {kappa}")
-    if float(kappa) < (need := _least_kappa(mask, scheme)):
+    if kappa < (need := _least_kappa(mask, scheme)):
         raise ImagingError(f"{scheme} kappa={kappa} leaves a mask exposure negative (needs >= {need})")
 
 
@@ -166,7 +171,7 @@ def deblur(blurred, mask, iterations: int = 2) -> DeblurResult:
     if any(b < 2 * m - 1 for b, m in zip(blurred.shape, mask.shape)):
         raise ImagingError("blurred image smaller than encode(object, mask) output")
 
-    c0 = _energy(mask, "mask")
+    c0 = _energy(mask)
     auto = correlate(mask, mask)
     a_off = np.asarray(auto.values.data, dtype=np.float64).copy()
     a_off[auto.zero_index] = 0.0
@@ -243,11 +248,11 @@ def ghost_image(obj, mask, kappa, kappa_prime="exact", scan=None) -> GhostResult
     obj, mask = _operands(obj, mask)
     if scan is not None and len(scan) != obj.ndim:
         raise ImagingError(f"scan gives {len(scan)} slices for {obj.ndim}D data; give one per axis")
-    c0 = _energy(mask, "mask")
+    c0 = _energy(mask)
     _admit_kappa(mask, kappa, "ghost")
     signed = encode(obj, mask)
     ksum = float(kappa) * float(np.asarray(obj.data, dtype=np.float64).sum())
-    if signed.mode == "int" and float(kappa) == int(kappa):
+    if signed.mode == "int" and kappa == int(kappa):
         backdrop = int(kappa) * int(np.asarray(obj.data, dtype=object).sum())
         data = signed.data.astype(_int_dtype(signed.max_abs() + abs(backdrop)), copy=False)
         bucket = Tensor(data + backdrop, "int")
@@ -274,60 +279,6 @@ def ghost_image(obj, mask, kappa, kappa_prime="exact", scan=None) -> GhostResult
         kp = float(kappa_prime)
     mode = kappa_prime if isinstance(kappa_prime, str) else "given"
     return GhostResult(bucket, Tensor((raw - kp) / c0, "real"), kp, mode, partial)
-
-
-# ---------------------------------------------------------------------------
-# watermarking
-
-
-def watermark_embed(host, mark, offset: Sequence[int]) -> Tensor:
-    """Add the mark into the host with its first corner at ``offset``.
-
-    Exact for an integer host and mark: int64 when max|host| + max|mark|
-    fits, Python ints otherwise.
-    """
-    host, mark = _operands(host, mark)
-    offset = tuple(int(v) for v in offset)
-    if len(offset) != host.ndim:
-        raise ImagingError("offset rank mismatch")
-    if any(o < 0 or o + m > h for o, m, h in zip(offset, mark.shape, host.shape)):
-        raise ImagingError(f"mark {mark.shape} at {offset} exceeds host {host.shape}")
-    mode = "int" if host.mode == mark.mode == "int" else "real"
-    sel = tuple(slice(o, o + m) for o, m in zip(offset, mark.shape))
-    dtype = _int_dtype(host.max_abs() + mark.max_abs()) if mode == "int" else np.float64
-    data = host.data.astype(dtype)
-    data[sel] = data[sel] + mark.data.astype(dtype)
-    return Tensor(data, mode)
-
-
-class WatermarkMatch(NamedTuple):
-    offset: tuple[int, ...]
-    peak: float
-    threshold: float
-    detected: bool
-
-
-def watermark_locate(marked, mark) -> WatermarkMatch:
-    """Single cross-correlation; the peak position gives the embed offset.
-
-    The image is mean-subtracted first, otherwise a bright host's flat
-    background (host mean times the mark's element sum) swamps the mark's
-    C0 spike.  The peak lands at host_extent - 1 - offset per axis, so the
-    top-left embed offset is recovered exactly; detection threshold is half
-    the mark's C0, and a zero-energy mark (C0 = 0) is refused.
-    """
-    marked, mark = _operands(marked, mark)
-    if any(h < m for h, m in zip(marked.shape, mark.shape)):
-        raise ImagingError("mark larger than the image searched")
-    c0 = _energy(mark, "mark")
-    flat_img = np.asarray(marked.data, dtype=np.float64)
-    centered = Tensor(flat_img - flat_img.mean(), "real")
-    c = correlate(centered, mark)
-    arr = np.asarray(c.values.data, dtype=np.float64)
-    where = np.unravel_index(int(np.argmax(arr)), arr.shape)
-    offset = tuple(z - int(w) for z, w in zip(c.zero_index, where))
-    peak = float(arr[where])
-    return WatermarkMatch(offset, peak, c0 / 2.0, peak >= c0 / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +372,7 @@ def multiplex_noise_study(obj, mask, sigma: float, trials: int = 500, seed: int 
         raise ImagingError("sigma must be finite and >= 0")
     if trials < 1:
         raise ImagingError("trials must be >= 1")
-    hn = Tensor(np.asarray(mask.data, dtype=np.float64) / math.sqrt(_energy(mask, "mask") / mask.size), "real")
+    hn = Tensor(np.asarray(mask.data, dtype=np.float64) / math.sqrt(_energy(mask) / mask.size), "real")
     c0 = float((hn.data * hn.data).sum())  # == element count
     blurred_shape = tuple(n + m - 1 for n, m in zip(obj.shape, mask.shape))
 

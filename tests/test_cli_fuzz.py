@@ -1,8 +1,7 @@
 """Near-miss fuzzing of every command, run in this process: ``generate``,
 ``analyze``, ``project``, ``twin``, ``tables``, ``probe``, ``discretize``,
-``baseline``, the imaging commands ``encode``, ``decode``, ``deblur``,
-``pedestal``, ``ghost`` and ``noise-study``, and ``watermark embed`` and
-``watermark locate``.
+``baseline``, and the imaging commands ``encode``, ``decode``, ``deblur``,
+``pedestal``, ``ghost`` and ``noise-study``.
 
 Each example draws a family (or a probe recipe, an input) and option text
 from near misses of valid input: 0, -1, lengths of the form 4n+1, odd bases,
@@ -187,7 +186,8 @@ def test_discretize_near_misses_end_in_a_clean_exit(tmp_path_factory, data):
 
 
 BASELINE = {
-    "--shape": ["5,5", "3", "2,3", "1", "3,3,2", "0", "-1", "2,0", "", "x", "2,,2", "+3", "1_0", "nan"],
+    "--shape": ["5,5", "3", "2,3", "1", "3,3,2", "0", "-1", "2,0", "", "x", "2,,2", "+3", "1_0", "nan", "1,", ",",
+                "-1,0", "9223372036854775808,0"],
     "--values": ["-12:14", "0:3", "0:30", "3:0", "0:0", "0", "0:3:1", "", "x:y", "nan:3", "-1_0:1_0", "+0:+30"],
     "--trials": ["1", "5", "30", "0", "-1", "", "nan", "1_0", "+3"],
     "--seed": ["0", "7", "-1", "1_0", "", "nan", "+3", str(2**64), str(-2**63 - 1)],
@@ -248,7 +248,7 @@ def test_imaging_near_misses_end_in_a_clean_exit(tmp_path_factory, data):
     _invoke(tmp_path_factory, data, argv, keeps=(0, 4) if command == "deblur" else (0,))  # a diverged deblur keeps its record
 
 
-# more near-miss arrays, for the array and watermark commands
+# more near-miss arrays, for the array commands
 ARRAYS = {
     "h9.txt": "9\n1 3 4 2 -2 -2 4 -3 1\n",
     "cube.txt": "2 2 2\n1 -1 2 1\n-1 1 1 3\n",
@@ -306,21 +306,3 @@ def test_tables_near_misses_end_in_a_clean_exit(tmp_path_factory, data):
     low, high = (_int_or_none(words.get(opt, default)) for opt, default in (("--f-min", "3"), ("--f-max", "20")))
     if low is not None and high is not None and low > high:  # no f to solve for
         assert result.exit_code == 1, (argv, result.output)
-
-
-WATERMARK = {
-    "embed": {"--offset": ["0,0", "1,2", "2,1", "3,3", "-1,0", "0", "0,0,0", "", "x", "1_0,1", "+1,1", "nan,0",
-                           "1,", ",", "9223372036854775808,0"],
-              "--plot": None},
-    "locate": {},
-}
-
-
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_watermark_near_misses_end_in_a_clean_exit(tmp_path_factory, data):
-    command = data.draw(st.sampled_from(sorted(WATERMARK)), label="command")
-    inputs = [data.draw(st.sampled_from(FILES), label=role) for role in ("image", "mark")]
-    argv = ["watermark", command, *("{in}/" + name for name in inputs)]
-    argv += _options(data, WATERMARK[command], always=["--offset"] if command == "embed" else [])
-    _invoke(tmp_path_factory, data, argv)

@@ -38,7 +38,6 @@ INPUTS = {
     "blurred.txt": _text(oracle_correlate(_MASK, _OBJ)),
     "rmask.txt": _text(_RANDOM_MASK),
     "rblurred.txt": _text(oracle_correlate(_RANDOM_MASK, _OBJ)),
-    "host.txt": _text(np.arange(144).reshape(12, 12) * 7 % 11),
     "wave.txt": "9\n0.5 -1.25 2.0 3.5 -0.75 1.0 -2.5 0.25 1.5\n",
     "nan.txt": "2 2\n1.0 nan\n2.0 3.0\n",
     "cube.txt": _text(np.arange(60).reshape(3, 4, 5) ** 2 % 13 - 6),
@@ -80,8 +79,6 @@ CASES = {
     "ghost": (0, ["ghost", "in/obj.txt", "in/mask.txt", "--plot"]),
     "ghost-scan": (0, ["ghost", "in/obj.txt", "in/mask.txt", "--kappa-prime", "boundary",
                        "--scan", "0:6,0:6", "--name", "partial"]),
-    "watermark-embed": (0, ["watermark", "embed", "in/host.txt", "in/mask.txt", "--offset", "3,4", "--plot"]),
-    "watermark-locate": (0, ["watermark", "locate", "in/host.txt", "in/mask.txt"]),
     "baseline": (0, ["baseline", "--shape", "3,3", "--values", "-5:5", "--trials", "40",
                      "--seed", "3", "--dump-values"]),
     "baseline-one-cell": (0, ["baseline", "--shape", "1", "--values", "0:3", "--trials", "5", "--dump-values"]),
@@ -141,8 +138,7 @@ def test_golden_run(case, tmp_path, monkeypatch):
     records = {name: doc for name, doc in documents.items() if name.endswith(".run.json")}
     listed = set(records).union(*(r["files"] for r in records.values()))
     assert listed == set(files)
-    command = " ".join(argv[:2]) if argv[0] == "watermark" else argv[0]
-    assert all(r["command"] == command for r in records.values())
+    assert all(r["command"] == argv[0] for r in records.values())
 
     digests = {name: hashlib.sha256(data).hexdigest()
                for name, data in files.items() if _pinnable(case, name, data)}

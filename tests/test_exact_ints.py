@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import example, given, strategies as st
 
 from huffkit.construct import diamond_array
-from huffkit.imaging import ghost_image, pedestal_pair, watermark_embed
+from huffkit.imaging import ghost_image, pedestal_pair
 from huffkit.lattice import Tensor, as_tensor, outer_product
 from huffkit.project import project
 
@@ -78,26 +78,19 @@ def test_ghost_bucket_is_exact(obj, mask, extra):
     assert bucket.data.tolist() == [v + kappa * sum(obj) for v in signed]
 
 
-@st.composite
-def _embeddings(draw):
-    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    host = draw(_grids(rows, cols))
-    mark = draw(_grids(draw(st.integers(1, rows)), draw(st.integers(1, cols))))
-    offset = (draw(st.integers(0, rows - len(mark))), draw(st.integers(0, cols - len(mark[0]))))
-    return host, mark, offset
+def test_pedestal_pair_takes_an_integer_kappa_past_float_range():
+    obj, mask = [2, 1], [10**400, -3]
+    signed = _tolist(oracle_correlate(np.array(mask, dtype=object), np.array(obj, dtype=object)))
+    assert pedestal_pair(obj, mask, 10**400).data.tolist() == [2 * v for v in signed]
 
 
-@given(_embeddings())
-@example(([[2**62]], [[2**62]], (0, 0)))
-def test_watermark_embed_adds_exactly(case):
-    host, mark, offset = case
-    expected = [row[:] for row in host]
-    for i, row in enumerate(mark):
-        for j, v in enumerate(row):
-            expected[offset[0] + i][offset[1] + j] += v
-    got = watermark_embed(host, mark, offset)
-    assert got.mode == "int"
-    assert got.data.tolist() == expected
+def test_ghost_bucket_keeps_an_integer_kappa_past_2_53_exact():
+    kappa = 2**53 + 1  # float64 holds 2^53 and 2^53 + 2, not this
+    obj, mask = [[3, -1, 4], [1, 5, -9]], [[2, -6], [5, 3]]
+    bucket = ghost_image(obj, mask, kappa, kappa_prime=0.0).bucket
+    signed = _tolist(oracle_correlate(np.array(mask, dtype=object), np.array(obj, dtype=object)))
+    assert bucket.mode == "int"
+    assert bucket.data.tolist() == [[v + kappa * sum(map(sum, obj)) for v in row] for row in signed]
 
 
 @given(st.one_of(_vectors(max_size=6), _grids(2, 3)))

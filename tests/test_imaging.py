@@ -20,8 +20,6 @@ from huffkit.imaging import (
     pedestal_pair,
     random_baseline,
     trial_rng,
-    watermark_embed,
-    watermark_locate,
 )
 from huffkit.lattice import Tensor, correlate
 from huffkit.metrics import merit_factor, side_lobe_ratio
@@ -72,7 +70,7 @@ def test_pedestal_pair_is_exact_for_a_non_integral_kappa():
     got = pedestal_pair(_OBJ, _MASK, kappa)
     assert got.mode == "int"
     assert np.array_equal(got.data, 2 * oracle_correlate(_MASK, _OBJ).astype(np.int64))
-    with pytest.raises(imaging.ImagingError, match="needs >= 3.0"):
+    with pytest.raises(imaging.ImagingError, match=r"needs >= 3\)"):  # an exact int, as the mask is
         pedestal_pair(_OBJ, _MASK, 2.5)
 
 
@@ -105,13 +103,28 @@ def test_non_finite_kappa_is_an_imaging_error(kappa):
         pedestal_pair(_OBJ, _MASK, kappa)
 
 
+def test_kappa_is_compared_with_an_integer_mask_exactly():
+    """min(H) = -(2^60 + 1), which float64 rounds to -2^60: kappa = 2^60 leaves H + kappa = -1 and is refused."""
+    mask = np.array([[1, -(2**60 + 1)], [2, 3]])
+    need = {scheme: imaging._least_kappa(lattice.as_tensor(mask), scheme) for scheme in ("ghost", "pedestal")}
+    assert need == {"ghost": 2**60 + 1, "pedestal": 2**60 + 1}
+    assert all(type(v) is int for v in need.values())
+    for kappa in (2**60, 2.0**60, np.float64(2.0**60)):
+        with pytest.raises(imaging.ImagingError, match="leaves a mask exposure negative"):
+            ghost_image(_OBJ, mask, kappa)
+        with pytest.raises(imaging.ImagingError, match="leaves a mask exposure negative"):
+            pedestal_pair(_OBJ, mask, kappa)
+    assert ghost_image(_OBJ, mask, need["ghost"], kappa_prime=0.0).bucket.mode == "int"
+    assert pedestal_pair(_OBJ, mask, need["pedestal"]) == Tensor(2 * encode(_OBJ, mask).data.astype(object), "int")
+
+
 def test_ghost_scan_sets_partial():
     full = tuple(slice(0, n + m - 1) for n, m in zip(_OBJ.shape, _MASK.shape))
     assert not ghost_image(_OBJ, _MASK, kappa=3, scan=full).partial
     assert ghost_image(_OBJ, _MASK, kappa=3, scan=(slice(0, 4), slice(None))).partial
 
 
-def test_ghost_and_locate_take_c0_without_the_mask_auto_correlation(monkeypatch):
+def test_ghost_takes_c0_without_the_mask_auto_correlation(monkeypatch):
     calls = []
     monkeypatch.setattr(imaging, "correlate", lambda a, b: calls.append(1) or correlate(a, b))
     c0 = int(oracle_autocorrelate(_MASK)[tuple(n - 1 for n in _MASK.shape)])
@@ -119,9 +132,6 @@ def test_ghost_and_locate_take_c0_without_the_mask_auto_correlation(monkeypatch)
     assert len(calls) == 1  # the bucket scan only
     raw = decode(ghost.bucket, _MASK).data
     assert np.array_equal(ghost.reconstruction.data, raw / float(c0))
-    match = watermark_locate(watermark_embed(np.zeros((9, 9), dtype=np.int64), _MASK, (2, 3)), _MASK)
-    assert len(calls) == 2  # plus the search
-    assert match.offset == (2, 3) and match.threshold == c0 / 2
 
 
 def test_deblur_converges_for_an_h9_outer_product():
@@ -140,12 +150,6 @@ def test_deblur_converges_for_an_h15_outer_product(h15):
     assert not result.diverged and result.iterations == 4
     assert all(b < a for a, b in zip(result.step_sizes, result.step_sizes[1:]))
     assert np.max(np.abs(result.estimate.data - obj)) < 1e-6
-
-
-def test_watermark_offset_is_python_ints():
-    match = watermark_locate(watermark_embed(np.zeros((12, 12), dtype=np.int64), _MASK, (5, 7)), _MASK)
-    assert match.offset == (5, 7)
-    assert all(type(v) is int for v in match.offset)
 
 
 def test_deblur_diverges_for_a_random_mask():

@@ -102,7 +102,8 @@ def test_dir_lists_every_export():
 
 
 def test_unknown_attribute_is_an_attribute_error():
-    assert not hasattr(huffkit, "no_such_name")
+    for name in ("no_such_name", "watermark_embed", "WatermarkMatch", "watermark_locate"):  # the last three deleted
+        assert not hasattr(huffkit, name)
 
 
 def test_imports_run_no_collection_and_restore_the_callers_setting():

@@ -98,7 +98,7 @@ def test_help_process_lists_every_command(tmp_path):
     assert proc.returncode == 0, proc.stderr
     listed = re.findall(r"^  (\S+)", proc.stdout.split("Commands:")[1], re.MULTILINE)
     assert listed == ["analyze", "baseline", "deblur", "decode", "discretize", "encode", "generate", "ghost",
-                      "noise-study", "pedestal", "probe", "project", "tables", "twin", "watermark"]
+                      "noise-study", "pedestal", "probe", "project", "tables", "twin"]
 
 
 def test_in_process_invoke_leaves_the_heap_unfrozen(tmp_path):
